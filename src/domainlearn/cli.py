@@ -30,14 +30,14 @@ from .experiments import (
     verify_experiment,
 )
 from .graphio import digraph_to_dot, policy_to_dot, policy_to_text
-from .learners import ConservativeLearner, make_learner, tree_to_dot, tree_to_text
+from .learners import LEARNER_KINDS, make_learner, tree_to_dot, tree_to_text
 from .protocol import ProtocolViolation
 from .teacher import TeacherExhausted, generate_template, template_to_text
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--learner", choices=("tireless", "conservative"))
+    parser.add_argument("--learner", choices=LEARNER_KINDS)
     parser.add_argument("--k", type=int, help="alphabet size (number of rights)")
     parser.add_argument("--m", type=int, help="number of world domains")
     parser.add_argument("--density", type=float, help="template edge density")
@@ -182,7 +182,7 @@ def _cmd_dump(args: argparse.Namespace) -> int:
         else:
             _emit(policy_to_dot(policy.summary, policy.assignment, alphabet), config.out)
         return 0
-    if not isinstance(learner, ConservativeLearner):
+    if learner.tree is None:
         print("only the conservative learner has a decision tree", file=sys.stderr)
         return 1
     if args.format == "text":

@@ -6,9 +6,8 @@ entities and whose edge (u, a, v) grants entity u the right a over entity v.
 A domain-based policy compresses such a graph into a small "summary" digraph
 of protection domains plus an assignment of entities to domains.  This module
 provides the graph type itself plus the relational operations everything else
-is built on: adjacency signatures, vertex indistinguishability and the
-partition it induces, induced subgraphs, strong homomorphisms, irreducibility,
-and policy error sets.
+is built on: the partition into indistinguishable vertices, induced
+subgraphs, strong homomorphisms, irreducibility, and policy error sets.
 
 Determinism contract: vertex ids are non-negative integers and every
 iteration order exposed by this module is sorted, so identical inputs always
@@ -18,7 +17,6 @@ produce identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
 Edge = tuple[int, int, int]  # (source vertex, right index, target vertex)
@@ -73,24 +71,24 @@ class Alphabet:
 
 
 class LabeledDigraph:
-    """Finite edge-labelled digraph with O(1) edge membership.
+    """Finite edge-labelled digraph stored as per-right adjacency bitmasks.
 
     Mutable only through :meth:`add_vertex` / :meth:`add_edge`; treat
-    instances as immutable values once fully constructed.  Alongside the
-    plain edge set, per-right adjacency bitmasks (bit position = vertex id)
-    are maintained incrementally; they make pairwise adjacency comparison
-    and policy evaluation cheap.
+    instances as immutable values once fully constructed.  The masks are the
+    only edge store: for each right, ``out_mask(a, u)`` has bit v set iff
+    (u, a, v) is an edge, and ``in_mask(a, v)`` mirrors it.  Only non-zero
+    masks are kept, so two graphs are equal exactly when their vertex sets
+    and mask dicts are.
     """
 
-    __slots__ = ("k", "_vertices", "_edges", "_out", "_in")
+    __slots__ = ("k", "_vertices", "_edge_count", "_out", "_in")
 
     def __init__(self, k: int, vertices: Iterable[int] = (), edges: Iterable[Edge] = ()):
         if k < 1:
             raise ValueError(f"alphabet size must be >= 1, got {k}")
         self.k = k
         self._vertices: set[int] = set()
-        self._edges: set[Edge] = set()
-        # _out[a][u] has bit v set iff (u, a, v) is an edge; _in is the mirror.
+        self._edge_count = 0
         self._out: list[dict[int, int]] = [{} for _ in range(k)]
         self._in: list[dict[int, int]] = [{} for _ in range(k)]
         for v in vertices:
@@ -113,17 +111,15 @@ class LabeledDigraph:
             raise ValueError(f"edge ({u}, {a}, {v}) has an unknown endpoint")
         if not 0 <= a < self.k:
             raise ValueError(f"right index {a} out of range [0, {self.k})")
-        edge = (u, a, v)
-        if edge in self._edges:
-            return
-        self._edges.add(edge)
         out = self._out[a]
-        out[u] = out.get(u, 0) | (1 << v)
+        targets = out.get(u, 0)
+        bit = 1 << v
+        if targets & bit:
+            return
+        out[u] = targets | bit
         inn = self._in[a]
         inn[v] = inn.get(v, 0) | (1 << u)
-
-    def copy(self) -> "LabeledDigraph":
-        return LabeledDigraph(self.k, self._vertices, self._edges)
+        self._edge_count += 1
 
     # -- inspection --------------------------------------------------------
 
@@ -137,21 +133,23 @@ class LabeledDigraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return self._edge_count
 
     def has_vertex(self, v: int) -> bool:
         return v in self._vertices
 
     def has_edge(self, u: int, a: int, v: int) -> bool:
-        return (u, a, v) in self._edges
+        """Bit v of ``out_mask(a, u)``; ``a`` must be a right in [0, k)."""
+        return (self._out[a].get(u, 0) >> v) & 1 == 1
 
     def edges(self) -> list[Edge]:
         """All edges in sorted (u, a, v) order."""
-        return sorted(self._edges)
-
-    def iter_edges(self) -> Iterator[Edge]:
-        """Edges in arbitrary order; for order-insensitive consumers."""
-        return iter(self._edges)
+        return [
+            (u, a, v)
+            for u in sorted(self._vertices)
+            for a in range(self.k)
+            for v in _mask_bits(self._out[a].get(u, 0))
+        ]
 
     def out_mask(self, a: int, u: int) -> int:
         """Bitmask of targets v with (u, a, v) an edge."""
@@ -167,7 +165,7 @@ class LabeledDigraph:
         return (
             self.k == other.k
             and self._vertices == other._vertices
-            and self._edges == other._edges
+            and self._out == other._out
         )
 
     __hash__ = None  # type: ignore[assignment]  # mutable: not hashable
@@ -179,64 +177,18 @@ class LabeledDigraph:
         )
 
 
-def _require_vertex(g: LabeledDigraph, v: int) -> None:
-    if not g.has_vertex(v):
-        raise ValueError(f"vertex {v} not in graph")
-
-
-def adjacency_signature(g: LabeledDigraph, u: int, v: int) -> frozenset[tuple[int, int]]:
-    """Signed right set between an ordered vertex pair.
-
-    Returns a frozenset of (sign, right) with sign +1 for each forward edge
-    (u, a, v) and -1 for each reverse edge (v, a, u).  For u == v the self
-    loop contributes both signs at once.
-    """
-    _require_vertex(g, u)
-    _require_vertex(g, v)
-    signature = set()
-    for a in range(g.k):
-        if g.has_edge(u, a, v):
-            signature.add((1, a))
-        if g.has_edge(v, a, u):
-            signature.add((-1, a))
-    return frozenset(signature)
-
-
-def indistinguishable(g: LabeledDigraph, u: int, v: int) -> bool:
-    """True iff u and v have identical labelled adjacency toward every vertex,
-    with the pair itself treated interchangeably.
-
-    This is the literal definitional check, linear in |V| * k: for every
-    right the four pair edges (u,a,u), (u,a,v), (v,a,u), (v,a,v) must be all
-    present or all absent, and every third vertex x must see u and v
-    identically in both directions.
-    """
-    _require_vertex(g, u)
-    _require_vertex(g, v)
-    if u == v:
-        return True
-    for a in range(g.k):
-        four = (
-            g.has_edge(u, a, u),
-            g.has_edge(u, a, v),
-            g.has_edge(v, a, u),
-            g.has_edge(v, a, v),
-        )
-        if any(four) and not all(four):
-            return False
-    for x in g.vertices:
-        if x == u or x == v:
-            continue
-        for a in range(g.k):
-            if g.has_edge(u, a, x) != g.has_edge(v, a, x):
-                return False
-            if g.has_edge(x, a, u) != g.has_edge(x, a, v):
-                return False
-    return True
+def _mask_bits(mask: int) -> Iterator[int]:
+    # Yield set bit positions in ascending order.
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _masks_indistinguishable(g: LabeledDigraph, u: int, v: int) -> bool:
-    # Bitmask form of the definition above; used on hot paths.
+    # u and v see every vertex identically, with the pair itself treated
+    # interchangeably: per right the four pair edges are all present or all
+    # absent, and the out and in masks agree outside the pair.
     pair = (1 << u) | (1 << v)
     for a in range(g.k):
         ou = g.out_mask(a, u)
@@ -274,13 +226,22 @@ def equivalence_partition(g: LabeledDigraph) -> list[list[int]]:
 
 def induced_subgraph(g: LabeledDigraph, subset: Iterable[int]) -> LabeledDigraph:
     """The subgraph of g induced by ``subset``: keeps exactly the edges with
-    both endpoints inside the subset."""
+    both endpoints inside the subset.  Each kept vertex's masks are ANDed
+    with the subset's mask, so the cost is O(k * |subset|), not O(|E|)."""
     keep = set(subset)
-    missing = keep - set(g.vertices)
+    missing = keep - g._vertices
     if missing:
         raise ValueError(f"vertices {sorted(missing)} not in graph")
-    edges = [(u, a, v) for (u, a, v) in g.iter_edges() if u in keep and v in keep]
-    return LabeledDigraph(g.k, keep, edges)
+    sub = LabeledDigraph(g.k, keep)
+    keep_mask = sum(1 << v for v in keep)
+    for a in range(g.k):
+        for source, target in ((g._out[a], sub._out[a]), (g._in[a], sub._in[a])):
+            for v in keep:
+                mask = source.get(v, 0) & keep_mask
+                if mask:
+                    target[v] = mask
+        sub._edge_count += sum(mask.bit_count() for mask in sub._out[a].values())
+    return sub
 
 
 def is_strong_homomorphism(
@@ -303,12 +264,12 @@ def is_strong_homomorphism(
             raise ValueError(f"assignment maps {v} to unknown vertex {image}")
         class_size[image] = class_size.get(image, 0) + 1
     mapped_count: dict[Edge, int] = {}
-    for u, a, v in g.iter_edges():
+    for u, a, v in g.edges():
         key = (assignment[u], a, assignment[v])
         if not h.has_edge(*key):
             return False
         mapped_count[key] = mapped_count.get(key, 0) + 1
-    for x, a, y in h.iter_edges():
+    for x, a, y in h.edges():
         expected = class_size.get(x, 0) * class_size.get(y, 0)
         if mapped_count.get((x, a, y), 0) != expected:
             return False
@@ -344,11 +305,6 @@ class DomainPolicy:
         return self.summary.has_edge(self.assignment[u], a, self.assignment[v])
 
 
-class ErrorKind(Enum):
-    GRANT = "grant"  # policy allows, ground truth forbids
-    DENY = "deny"  # policy forbids, ground truth allows
-
-
 @dataclass(frozen=True)
 class ErrorSet:
     """Requests on which a policy and the ground-truth graph disagree."""
@@ -373,23 +329,6 @@ class ErrorSet:
     def __contains__(self, request: Edge) -> bool:
         return request in self.grant or request in self.deny
 
-    def __iter__(self) -> Iterator[tuple[Edge, ErrorKind]]:
-        """Iterate (request, kind) in sorted (u, a, v) request order."""
-        for request in self.requests():
-            kind = ErrorKind.GRANT if request in self.grant else ErrorKind.DENY
-            yield request, kind
-
-    def requests(self) -> list[Edge]:
-        return sorted(self.grant | self.deny)
-
-
-def _mask_bits(mask: int) -> Iterator[int]:
-    # Yield set bit positions in ascending order.
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
 
 def error_set(g: LabeledDigraph, policy: DomainPolicy) -> ErrorSet:
     """All requests (u, a, v) over V(G) x rights x V(G) where the policy
@@ -411,7 +350,7 @@ def error_set(g: LabeledDigraph, policy: DomainPolicy) -> ErrorSet:
         member_mask[domain] = member_mask.get(domain, 0) | (1 << v)
     # allowed_mask[(x, a)]: targets granted to any source assigned to x.
     allowed_mask: dict[tuple[int, int], int] = {}
-    for x, a, y in summary.iter_edges():
+    for x, a, y in summary.edges():
         if y in member_mask:
             key = (x, a)
             allowed_mask[key] = allowed_mask.get(key, 0) | member_mask[y]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .digraph import LabeledDigraph
-from .learners import ConservativeLearner, make_learner
+from .learners import LEARNER_KINDS, make_learner
 from .oracle import (
     ISOMORPHISM_VERTEX_LIMIT,
     check_round_invariants,
@@ -64,7 +64,7 @@ class ExperimentConfig:
     out: str | None = None
 
     def validate(self) -> None:
-        if self.learner not in ("tireless", "conservative"):
+        if self.learner not in LEARNER_KINDS:
             raise ValueError(f"unknown learner {self.learner!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
@@ -192,12 +192,6 @@ def build_session(config: ExperimentConfig) -> tuple[Session, SyntheticTeacher]:
     return Session(teacher), teacher
 
 
-def _summary_size(learner) -> int:
-    if isinstance(learner, ConservativeLearner):
-        return learner.summary.vertex_count
-    return learner.hypothesis.summary.vertex_count
-
-
 def run_experiment(config: ExperimentConfig) -> RunReport:
     config.validate()
     session, teacher = build_session(config)
@@ -217,7 +211,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         if mode == "every" and round_no % step == 0:
             observed_m = len(oracle_partition(teacher.peek_ground_truth()))
         else:
-            observed_m = _summary_size(learner)
+            observed_m = learner.summary.vertex_count
         rows.append(bound_row(config.k, snapshot, observed_m))
     violations.extend(_bound_violations(config.learner, rows))
     return RunReport(config=config, rows=rows, violations=violations)
@@ -252,14 +246,13 @@ def _verify_round(
     learner, ground_truth: LabeledDigraph
 ) -> list[str]:
     failures: list[str] = []
-    if isinstance(learner, ConservativeLearner):
-        summary, assignment, tree = learner.summary, learner.assignment, learner.tree
-    else:
-        policy = learner.hypothesis
-        summary, assignment, tree = policy.summary, policy.assignment, None
-        if learner.reconstruction != ground_truth:
-            failures.append("reconstruction differs from the revealed subgraph")
-    report = check_round_invariants(ground_truth, summary, assignment, tree)
+    reconstruction = learner.reconstruction
+    if reconstruction is not None and reconstruction != ground_truth:
+        failures.append("reconstruction differs from the revealed subgraph")
+    summary = learner.summary
+    report = check_round_invariants(
+        ground_truth, summary, learner.assignment, learner.tree
+    )
     failures.extend(
         f"{check.name}: {check.detail}".rstrip(": ") for check in report.failures()
     )
@@ -322,7 +315,7 @@ def sweep_experiment(config: ExperimentConfig, round_counts: list[int]) -> Sweep
     rows: list[tuple[str, RoundRow]] = []
     violations: list[str] = []
     for rounds in round_counts:
-        for learner_kind in ("tireless", "conservative"):
+        for learner_kind in LEARNER_KINDS:
             cell = replace(config, learner=learner_kind, rounds=rounds)
             report = run_experiment(cell)
             if report.rows:

@@ -246,7 +246,11 @@ def revise(
     uniformly on the witness's class and none of the patterns fire.  A
     fallback sweep therefore probes every revealed witness (ascending id,
     rights ascending, incoming test before outgoing) for a mixed deduced
-    edge column over the partition.  The first hit of either stage splits
+    edge column over the partition.  Error membership alone decides whether
+    a column is mixed: leaves start as frozen classes and only split, so all
+    members of a leaf share one frozen domain, the policy term of
+    :func:`edg` is constant over them, and a column is mixed exactly when
+    its error membership is.  The first hit of either stage splits
     the partition around the deduced edge truth, relabels both sides by
     their minimum member, and re-enqueues the two new leaves.  Runs within
     2m worklist iterations for m final partitions.
@@ -305,12 +309,12 @@ def revise(
             # fallback witness sweep for third-party-witness distinctions
             for witness in sorted(updated):
                 for a in range(k):
-                    flags = [deduced(v, a, witness) for v in members]
+                    flags = [(v, a, witness) in errors for v in members]
                     if any(flags) and not all(flags):
                         split_test = To(a, witness)
                         probe = lambda v, a=a, w=witness: (v, a, w)
                         break
-                    flags = [deduced(witness, a, v) for v in members]
+                    flags = [(witness, a, v) in errors for v in members]
                     if any(flags) and not all(flags):
                         split_test = From(witness, a)
                         probe = lambda v, a=a, w=witness: (w, a, v)
@@ -342,30 +346,43 @@ def revise(
 # -- the learners ------------------------------------------------------------
 
 
-class TirelessLearner:
-    """Exhaustive strategy: resolve every matrix cell, then re-summarize."""
+class Learner:
+    """State every strategy exposes after a completed round: the released
+    ``summary`` and ``assignment``, the decision ``tree`` (None for a learner
+    that keeps none) and the ``reconstruction`` of the revealed matrix (None
+    for a learner that does not rebuild it).
+
+    Each strategy defines its own ``run_round``, which plays one round
+    through the session.
+    """
 
     def __init__(self, session: Session):
         self._session = session
-        self._known = LabeledDigraph(session.k)
-        self._policy: DomainPolicy | None = None
+        self.summary: LabeledDigraph | None = None
+        self.assignment: dict[int, int] = {}
+        self.tree: TreeNode | None = None
+        self.reconstruction: LabeledDigraph | None = None
         self.rounds_completed = 0
 
     @property
-    def reconstruction(self) -> LabeledDigraph:
-        """The learner's copy of the revealed matrix (equals it after every
-        round)."""
-        return self._known
-
-    @property
     def hypothesis(self) -> DomainPolicy:
-        if self._policy is None:
+        if self.summary is None:
             raise ValueError("no round completed yet")
-        return self._policy
+        # the summary is replaced, never mutated, after a round completes
+        return DomainPolicy(summary=self.summary, assignment=dict(self.assignment))
+
+
+class TirelessLearner(Learner):
+    """Exhaustive strategy: resolve every matrix cell, then re-summarize.
+    Its ``reconstruction`` equals the revealed matrix after every round."""
+
+    def __init__(self, session: Session):
+        super().__init__(session)
+        self.reconstruction = LabeledDigraph(session.k)
 
     def run_round(self) -> None:
         session = self._session
-        graph = self._known
+        graph = self.reconstruction
         u = session.next_vertex()
         graph.add_vertex(u)
         vertices = graph.vertices
@@ -383,28 +400,17 @@ class TirelessLearner:
                 f"tireless hypothesis of an exactly-known matrix returned "
                 f"{len(errors)} errors"
             )
-        self._policy = policy
+        self.summary, self.assignment = policy.summary, policy.assignment
         self.rounds_completed += 1
 
 
-class ConservativeLearner:
+class ConservativeLearner(Learner):
     """Occam's-razor strategy: presume newcomers are not novel; repair on
     proof to the contrary."""
 
     def __init__(self, session: Session, *, revise_observer: ReviseObserver | None = None):
-        self._session = session
+        super().__init__(session)
         self._revise_observer = revise_observer
-        self.summary: LabeledDigraph | None = None
-        self.assignment: dict[int, int] = {}
-        self.tree: TreeNode | None = None
-        self.rounds_completed = 0
-
-    @property
-    def hypothesis(self) -> DomainPolicy:
-        if self.summary is None:
-            raise ValueError("no round completed yet")
-        # the summary is replaced, never mutated, after a round completes
-        return DomainPolicy(summary=self.summary, assignment=dict(self.assignment))
 
     def run_round(self) -> None:
         if self.rounds_completed == 0:
@@ -467,12 +473,11 @@ class ConservativeLearner:
             )
 
 
-LEARNER_KINDS = ("tireless", "conservative")
+_LEARNERS = {"tireless": TirelessLearner, "conservative": ConservativeLearner}
+LEARNER_KINDS = tuple(_LEARNERS)
 
 
-def make_learner(kind: str, session: Session):
-    if kind == "tireless":
-        return TirelessLearner(session)
-    if kind == "conservative":
-        return ConservativeLearner(session)
-    raise ValueError(f"unknown learner kind {kind!r}; expected one of {LEARNER_KINDS}")
+def make_learner(kind: str, session: Session) -> Learner:
+    if kind not in _LEARNERS:
+        raise ValueError(f"unknown learner kind {kind!r}; expected one of {LEARNER_KINDS}")
+    return _LEARNERS[kind](session)

@@ -1,8 +1,12 @@
 """Independent brute-force reference implementations used to validate the
 production algorithms and the learners.
 
-Nothing here is on any measured path: these functions may read teacher
-ground truth and are wired only into tests and verify mode.
+The references read the same graph store as production code (a digraph is
+stored once, as per-right bitmasks); their independence lies in the
+algorithms: the literal definition of indistinguishability, an all-members
+pairwise partition with transitivity assertions, and a backtracking
+isomorphism search.  Nothing here is on any measured path: these functions
+may read teacher ground truth and are wired only into tests and verify mode.
 """
 
 from __future__ import annotations
@@ -20,15 +24,38 @@ class OracleLimitError(ValueError):
     """Raised when an input exceeds the oracle's desk-scale limit."""
 
 
-def _pair_masks(g: LabeledDigraph) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
-    # Rebuild adjacency bitmasks from the raw edge set, independently of the
-    # graph's own cached masks.
-    out: list[dict[int, int]] = [{} for _ in range(g.k)]
-    inn: list[dict[int, int]] = [{} for _ in range(g.k)]
-    for u, a, v in g.iter_edges():
-        out[a][u] = out[a].get(u, 0) | (1 << v)
-        inn[a][v] = inn[a].get(v, 0) | (1 << u)
-    return out, inn
+def indistinguishable(g: LabeledDigraph, u: int, v: int) -> bool:
+    """True iff u and v have identical labelled adjacency toward every vertex,
+    with the pair itself treated interchangeably.
+
+    This is the literal definitional check, linear in |V| * k: for every
+    right the four pair edges (u,a,u), (u,a,v), (v,a,u), (v,a,v) must be all
+    present or all absent, and every third vertex x must see u and v
+    identically in both directions.
+    """
+    for x in (u, v):
+        if not g.has_vertex(x):
+            raise ValueError(f"vertex {x} not in graph")
+    if u == v:
+        return True
+    for a in range(g.k):
+        four = (
+            g.has_edge(u, a, u),
+            g.has_edge(u, a, v),
+            g.has_edge(v, a, u),
+            g.has_edge(v, a, v),
+        )
+        if any(four) and not all(four):
+            return False
+    for x in g.vertices:
+        if x == u or x == v:
+            continue
+        for a in range(g.k):
+            if g.has_edge(u, a, x) != g.has_edge(v, a, x):
+                return False
+            if g.has_edge(x, a, u) != g.has_edge(x, a, v):
+                return False
+    return True
 
 
 def oracle_partition(
@@ -36,25 +63,25 @@ def oracle_partition(
 ) -> list[list[int]]:
     """Indistinguishability classes by exhaustive pairwise comparison.
 
-    Deliberately distinct from the production partition: adjacency masks are
-    rebuilt from the edge list, every candidate is compared against *all*
-    current members of a class (not just its representative), and a partial
-    match aborts loudly instead of being merged.  Refuses graphs above the
-    desk-scale ``limit``.
+    Deliberately distinct from the production partition in its algorithm:
+    every candidate is compared against *all* current members of a class
+    (not just its representative), and a partial match, or a match with more
+    than one class, aborts loudly as a transitivity failure instead of being
+    merged.  Refuses graphs above the desk-scale ``limit``.
     """
     vertices = g.vertices
     if len(vertices) > limit:
         raise OracleLimitError(
             f"oracle_partition limited to {limit} vertices, got {len(vertices)}"
         )
-    out, inn = _pair_masks(g)
+    out_mask, in_mask = g.out_mask, g.in_mask
     k = g.k
 
     def same(u: int, v: int) -> bool:
         pair = (1 << u) | (1 << v)
         for a in range(k):
-            ou = out[a].get(u, 0)
-            ov = out[a].get(v, 0)
+            ou = out_mask(a, u)
+            ov = out_mask(a, v)
             four = (
                 ((ou >> u) & 1) + ((ou >> v) & 1) + ((ov >> u) & 1) + ((ov >> v) & 1)
             )
@@ -62,7 +89,7 @@ def oracle_partition(
                 return False
             if (ou ^ ov) & ~pair:
                 return False
-            if (inn[a].get(u, 0) ^ inn[a].get(v, 0)) & ~pair:
+            if (in_mask(a, u) ^ in_mask(a, v)) & ~pair:
                 return False
         return True
 

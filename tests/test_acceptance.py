@@ -356,7 +356,7 @@ def test_criterion_8_summarizer_correctness():
         relabelled = LabeledDigraph(
             k,
             range(n),
-            [(permutation[u], a, permutation[v]) for u, a, v in g.iter_edges()],
+            [(permutation[u], a, permutation[v]) for u, a, v in g.edges()],
         )
         if not isomorphic_small(summary, summarize(relabelled).summary, limit=16):
             failures.append(f"graph {i}: relabelled summary not isomorphic")

@@ -19,7 +19,6 @@ from domainlearn import (
     TirelessLearner,
     classify,
     edg,
-    indistinguishable,
     revise,
 )
 from domainlearn.learners import (
@@ -34,6 +33,7 @@ from domainlearn.learners import (
 )
 from domainlearn.oracle import (
     check_round_invariants,
+    indistinguishable,
     isomorphic_small,
     oracle_partition,
     replay_classification,
