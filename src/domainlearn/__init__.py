@@ -12,7 +12,6 @@ from .digraph import (
     error_set,
     induced_subgraph,
     is_irreducible,
-    is_strong_homomorphism,
 )
 from .learners import (
     ConservativeLearner,
@@ -27,6 +26,7 @@ from .learners import (
     make_learner,
     revise,
 )
+from .oracle import is_strong_homomorphism
 from .protocol import (
     ProtocolViolation,
     QueryLedger,

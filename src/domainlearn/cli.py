@@ -23,16 +23,16 @@ from .digraph import Alphabet
 from .experiments import (
     CouponSummary,
     ExperimentConfig,
-    build_session,
+    _play,
     coupon_experiment,
     run_experiment,
     sweep_experiment,
     verify_experiment,
 )
 from .graphio import digraph_to_dot, policy_to_dot, policy_to_text
-from .learners import LEARNER_KINDS, make_learner, tree_to_dot, tree_to_text
+from .learners import LEARNER_KINDS, tree_to_dot, tree_to_text
 from .protocol import ProtocolViolation
-from .teacher import TeacherExhausted, generate_template, template_to_text
+from .teacher import generate_template, template_to_text
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -94,13 +94,17 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    report = run_experiment(config)
-    _emit(report.to_csv(), config.out)
+def _emit_report(report, out: str | None) -> int:
+    """Write a run or sweep CSV, print its violations, return its exit code."""
+    _emit(report.to_csv(), out)
     for violation in report.violations:
         print(f"violation: {violation}", file=sys.stderr)
     return report.exit_code
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    config = _config_from_args(args)
+    return _emit_report(run_experiment(config), config.out)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -123,11 +127,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    report = sweep_experiment(config, _round_list(args, config))
-    _emit(report.to_csv(), config.out)
-    for violation in report.violations:
-        print(f"violation: {violation}", file=sys.stderr)
-    return report.exit_code
+    return _emit_report(sweep_experiment(config, _round_list(args, config)), config.out)
 
 
 def _cmd_coupon(args: argparse.Namespace) -> int:
@@ -145,9 +145,7 @@ def _cmd_coupon(args: argparse.Namespace) -> int:
         )
     if config.out:
         _emit(summary.to_csv(), config.out)
-        print("\n".join(lines))
-    else:
-        print("\n".join(lines))
+    print("\n".join(lines))
     return 0
 
 
@@ -165,30 +163,29 @@ def _cmd_dump(args: argparse.Namespace) -> int:
         return 0
 
     # policy and tree dumps require running the configured learner first
-    session, _teacher = build_session(config)
-    learner = make_learner(config.learner, session)
-    try:
-        for _ in range(config.rounds):
-            learner.run_round()
-    except TeacherExhausted:
-        pass
-    except ProtocolViolation as exc:
-        print(f"violation: {exc}", file=sys.stderr)
+    learner = None
+
+    def keep(_round_no, _session, _teacher, played) -> None:
+        nonlocal learner
+        learner = played
+
+    violations = _play(config, keep)
+    for violation in violations:
+        print(f"violation: {violation}", file=sys.stderr)
+    if violations:
         return 1
-    policy = learner.hypothesis
+    if learner is None:
+        print("error: no round completed yet", file=sys.stderr)
+        return 2
     if args.what == "policy":
-        if args.format == "text":
-            _emit(policy_to_text(policy.summary, policy.assignment, alphabet), config.out)
-        else:
-            _emit(policy_to_dot(policy.summary, policy.assignment, alphabet), config.out)
+        render = policy_to_text if args.format == "text" else policy_to_dot
+        _emit(render(learner.summary, learner.assignment, alphabet), config.out)
         return 0
     if learner.tree is None:
         print("only the conservative learner has a decision tree", file=sys.stderr)
         return 1
-    if args.format == "text":
-        _emit(tree_to_text(learner.tree, alphabet), config.out)
-    else:
-        _emit(tree_to_dot(learner.tree, alphabet), config.out)
+    render = tree_to_text if args.format == "text" else tree_to_dot
+    _emit(render(learner.tree, alphabet), config.out)
     return 0
 
 

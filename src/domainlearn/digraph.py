@@ -7,7 +7,7 @@ A domain-based policy compresses such a graph into a small "summary" digraph
 of protection domains plus an assignment of entities to domains.  This module
 provides the graph type itself plus the relational operations everything else
 is built on: the partition into indistinguishable vertices, induced
-subgraphs, strong homomorphisms, irreducibility, and policy error sets.
+subgraphs, irreducibility, and policy error sets.
 
 Determinism contract: vertex ids are non-negative integers and every
 iteration order exposed by this module is sorted, so identical inputs always
@@ -17,7 +17,7 @@ produce identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 Edge = tuple[int, int, int]  # (source vertex, right index, target vertex)
 
@@ -64,10 +64,6 @@ class Alphabet:
             return self._by_name[name]
         except KeyError:
             raise ValueError(f"unknown access right name {name!r}") from None
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(r.name for r in self._rights)
 
 
 class LabeledDigraph:
@@ -242,38 +238,6 @@ def induced_subgraph(g: LabeledDigraph, subset: Iterable[int]) -> LabeledDigraph
                     target[v] = mask
         sub._edge_count += sum(mask.bit_count() for mask in sub._out[a].values())
     return sub
-
-
-def is_strong_homomorphism(
-    g: LabeledDigraph, h: LabeledDigraph, assignment: Mapping[int, int]
-) -> bool:
-    """True iff ``assignment`` preserves and reflects labelled edges:
-    (u, a, v) in E(G) exactly when (assignment[u], a, assignment[v]) in E(H).
-
-    Checked by bucketing G's edges per image triple and comparing counts,
-    which is O(|E(G)| + |E(H)|) instead of the naive n^2 k sweep.
-    """
-    vertices = g.vertices
-    for v in vertices:
-        if v not in assignment:
-            raise ValueError(f"assignment is not total: vertex {v} unmapped")
-    class_size: dict[int, int] = {}
-    for v in vertices:
-        image = assignment[v]
-        if not h.has_vertex(image):
-            raise ValueError(f"assignment maps {v} to unknown vertex {image}")
-        class_size[image] = class_size.get(image, 0) + 1
-    mapped_count: dict[Edge, int] = {}
-    for u, a, v in g.edges():
-        key = (assignment[u], a, assignment[v])
-        if not h.has_edge(*key):
-            return False
-        mapped_count[key] = mapped_count.get(key, 0) + 1
-    for x, a, y in h.edges():
-        expected = class_size.get(x, 0) * class_size.get(y, 0)
-        if mapped_count.get((x, a, y), 0) != expected:
-            return False
-    return True
 
 
 def is_irreducible(g: LabeledDigraph) -> bool:

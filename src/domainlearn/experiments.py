@@ -24,6 +24,7 @@ from .digraph import LabeledDigraph
 from .learners import LEARNER_KINDS, make_learner
 from .oracle import (
     ISOMORPHISM_VERTEX_LIMIT,
+    ORACLE_VERTEX_LIMIT,
     check_round_invariants,
     isomorphic_small,
     oracle_partition,
@@ -71,10 +72,12 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         mode, step = parse_oracle_checks(self.oracle_checks)
-        if mode == "every" and step == 1 and self.rounds > 256:
+        last_check = self.rounds - self.rounds % step if mode == "every" else 0
+        if last_check > ORACLE_VERTEX_LIMIT:
             raise ValueError(
-                "per-round oracle checks are limited to 256 rounds; "
-                "use oracle=every=<j> or fewer rounds"
+                f"oracle checks are limited to {ORACLE_VERTEX_LIMIT} vertices, "
+                f"but the last check would run at round {last_check}; "
+                "use a larger every=<j> or fewer rounds"
             )
         parse_schedule(self.schedule)
 
@@ -192,27 +195,38 @@ def build_session(config: ExperimentConfig) -> tuple[Session, SyntheticTeacher]:
     return Session(teacher), teacher
 
 
-def run_experiment(config: ExperimentConfig) -> RunReport:
+def _play(config: ExperimentConfig, on_round) -> list[str]:
+    """Play one monitored session of ``config``, calling
+    ``on_round(round_no, session, teacher, learner)`` after each completed
+    round.  The play stops after ``config.rounds`` rounds, when the schedule
+    is exhausted, or at a monitor violation, which is returned as the run's
+    single violation line."""
     config.validate()
     session, teacher = build_session(config)
     learner = make_learner(config.learner, session)
-    mode, step = parse_oracle_checks(config.oracle_checks)
-    rows: list[RoundRow] = []
-    violations: list[str] = []
     for round_no in range(1, config.rounds + 1):
         try:
             learner.run_round()
         except TeacherExhausted:
             break
         except ProtocolViolation as exc:
-            violations.append(f"round {round_no}: monitor violation: {exc}")
-            break
-        snapshot = session.ledger.per_round[-1]
+            return [f"round {round_no}: monitor violation: {exc}"]
+        on_round(round_no, session, teacher, learner)
+    return []
+
+
+def run_experiment(config: ExperimentConfig) -> RunReport:
+    mode, step = parse_oracle_checks(config.oracle_checks)
+    rows: list[RoundRow] = []
+
+    def record(round_no, session, teacher, learner) -> None:
         if mode == "every" and round_no % step == 0:
             observed_m = len(oracle_partition(teacher.peek_ground_truth()))
         else:
             observed_m = learner.summary.vertex_count
-        rows.append(bound_row(config.k, snapshot, observed_m))
+        rows.append(bound_row(config.k, session.ledger.per_round[-1], observed_m))
+
+    violations = _play(config, record)
     violations.extend(_bound_violations(config.learner, rows))
     return RunReport(config=config, rows=rows, violations=violations)
 
@@ -264,27 +278,19 @@ def _verify_round(
 
 
 def verify_experiment(config: ExperimentConfig) -> VerifyReport:
-    config.validate()
     mode, step = parse_oracle_checks(config.oracle_checks)
     if mode == "off":
         raise ValueError("verify requires oracle checks enabled (every or every=<j>)")
-    session, teacher = build_session(config)
-    learner = make_learner(config.learner, session)
     rounds: list[RoundVerdict] = []
-    violations: list[str] = []
-    for round_no in range(1, config.rounds + 1):
-        try:
-            learner.run_round()
-        except TeacherExhausted:
-            break
-        except ProtocolViolation as exc:
-            violations.append(f"round {round_no}: monitor violation: {exc}")
-            break
+
+    def check(round_no, session, teacher, learner) -> None:
         if round_no % step == 0:
             failures = _verify_round(learner, teacher.peek_ground_truth())
             rounds.append(
                 RoundVerdict(round_no, passed=not failures, failures=tuple(failures))
             )
+
+    violations = _play(config, check)
     return VerifyReport(config=config, rounds=rounds, violations=violations)
 
 

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
-from .digraph import DomainPolicy, Edge, ErrorSet, LabeledDigraph
+from .digraph import Edge, ErrorSet, LabeledDigraph
 from .protocol import Session
 from .summarize import summarize
 
@@ -363,13 +363,6 @@ class Learner:
         self.tree: TreeNode | None = None
         self.reconstruction: LabeledDigraph | None = None
         self.rounds_completed = 0
-
-    @property
-    def hypothesis(self) -> DomainPolicy:
-        if self.summary is None:
-            raise ValueError("no round completed yet")
-        # the summary is replaced, never mutated, after a round completes
-        return DomainPolicy(summary=self.summary, assignment=dict(self.assignment))
 
 
 class TirelessLearner(Learner):

@@ -118,10 +118,6 @@ class Session:
         return self._teacher.k
 
     @property
-    def phase(self) -> Phase:
-        return self._phase
-
-    @property
     def revealed(self) -> tuple[int, ...]:
         """Vertices revealed so far, in revelation order."""
         return tuple(self._revealed)

@@ -245,10 +245,8 @@ class SyntheticTeacher(Teacher):
         draw_seed: int,
     ):
         self._template = template
-        self._schedule = schedule
         self._draws = domain_sequence(schedule, template.m, SplitMix64(draw_seed))
-        self._domain_of: dict[int, int] = {}
-        self._revealed: list[int] = []
+        self._domains: list[int] = []  # template domain of each revealed vertex
         self._graph = LabeledDigraph(template.k)
         self._class_count_cache: dict[frozenset[int], int] = {}
 
@@ -256,30 +254,20 @@ class SyntheticTeacher(Teacher):
     def k(self) -> int:
         return self._template.k
 
-    @property
-    def template(self) -> WorldTemplate:
-        return self._template
-
-    @property
-    def revealed(self) -> tuple[int, ...]:
-        return tuple(self._revealed)
-
     def next_vertex(self) -> int:
         try:
             domain = next(self._draws)
         except StopIteration:
             raise TeacherExhausted(
-                f"revelation schedule exhausted after {len(self._revealed)} vertices"
+                f"revelation schedule exhausted after {len(self._domains)} vertices"
             ) from None
-        vertex = len(self._revealed)
-        self._domain_of[vertex] = domain
-        self._revealed.append(vertex)
+        vertex = len(self._domains)
+        self._domains.append(domain)
         graph = self._graph
         template = self._template.graph
         graph.add_vertex(vertex)
         for a in range(template.k):
-            for other in self._revealed:
-                other_domain = self._domain_of[other]
+            for other, other_domain in enumerate(self._domains):
                 if template.has_edge(domain, a, other_domain):
                     graph.add_edge(vertex, a, other)
                 if other != vertex and template.has_edge(other_domain, a, domain):
@@ -287,16 +275,17 @@ class SyntheticTeacher(Teacher):
         return vertex
 
     def connection(self, u: int, a: int, v: int) -> bool:
-        if u not in self._domain_of or v not in self._domain_of:
+        domains = self._domains
+        if not (0 <= u < len(domains) and 0 <= v < len(domains)):
             raise ProtocolViolation(
                 f"connection query ({u}, {a}, {v}) references an unrevealed vertex"
             )
-        return self._template.graph.has_edge(self._domain_of[u], a, self._domain_of[v])
+        return self._template.graph.has_edge(domains[u], a, domains[v])
 
     def hypothesis_test(
         self, summary: LabeledDigraph, assignment: Mapping[int, int]
     ) -> ErrorSet:
-        if set(assignment) != set(self._revealed):
+        if set(assignment) != set(range(len(self._domains))):
             raise ProtocolViolation(
                 "hypothesis assignment domain must be exactly the revealed set"
             )
@@ -312,11 +301,11 @@ class SyntheticTeacher(Teacher):
 
     def domain_of(self, v: int) -> int:
         """Template domain of a revealed vertex (ground-truth backdoor)."""
-        return self._domain_of[v]
+        return self._domains[v]
 
     def revealed_domains(self) -> tuple[int, ...]:
         """Domains of revealed vertices in revelation order (backdoor)."""
-        return tuple(self._domain_of[v] for v in self._revealed)
+        return tuple(self._domains)
 
     def revealed_class_count(self) -> int:
         """Number of indistinguishability classes of the revealed subgraph.
@@ -326,7 +315,7 @@ class SyntheticTeacher(Teacher):
         the revealed subgraph itself (instances of one domain are always
         mutually indistinguishable).  Ground-truth backdoor.
         """
-        revealed = frozenset(self._domain_of[v] for v in self._revealed)
+        revealed = frozenset(self._domains)
         cached = self._class_count_cache.get(revealed)
         if cached is None:
             sub = induced_subgraph(self._template.graph, revealed)

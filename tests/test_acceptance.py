@@ -23,7 +23,6 @@ from domainlearn import (
     TirelessLearner,
     equivalence_partition,
     is_irreducible,
-    is_strong_homomorphism,
     summarize,
 )
 from domainlearn.cli import main
@@ -34,7 +33,7 @@ from domainlearn.experiments import (
     sweep_experiment,
     verify_experiment,
 )
-from domainlearn.oracle import isomorphic_small, oracle_partition
+from domainlearn.oracle import is_strong_homomorphism, isomorphic_small, oracle_partition
 from domainlearn.protocol import RoundSnapshot
 from domainlearn.rng import SplitMix64, derive_seed
 from domainlearn.teacher import (

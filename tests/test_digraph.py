@@ -15,9 +15,8 @@ from domainlearn import (
     error_set,
     induced_subgraph,
     is_irreducible,
-    is_strong_homomorphism,
 )
-from domainlearn.oracle import indistinguishable
+from domainlearn.oracle import indistinguishable, is_strong_homomorphism
 
 from .strategies import clone_vertex, digraphs, digraphs_with_pair
 

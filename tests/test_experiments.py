@@ -3,11 +3,14 @@ coupon-collector statistics, and subcommand plumbing."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
+from domainlearn import experiments
 from domainlearn.cli import main
+from domainlearn.digraph import LabeledDigraph
 from domainlearn.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -21,6 +24,7 @@ from domainlearn.experiments import (
     sweep_experiment,
     verify_experiment,
 )
+from domainlearn.learners import ConservativeLearner
 
 
 class TestConfig:
@@ -42,7 +46,12 @@ class TestConfig:
         config = ExperimentConfig(oracle_checks="every", rounds=300)
         with pytest.raises(ValueError, match="256"):
             config.validate()
-        ExperimentConfig(oracle_checks="every=4", rounds=300).validate()
+        # every=4 over 300 rounds would check the oracle at round 300
+        with pytest.raises(ValueError, match="256"):
+            ExperimentConfig(oracle_checks="every=4", rounds=300).validate()
+        # ... while over 259 rounds its last check is at round 256
+        ExperimentConfig(oracle_checks="every=4", rounds=259).validate()
+        ExperimentConfig(oracle_checks="every", rounds=256).validate()
 
     def test_from_file_with_overrides(self, tmp_path):
         path = tmp_path / "config.json"
@@ -155,6 +164,44 @@ class TestVerify:
         )
         report = verify_experiment(config)
         assert [r.round_no for r in report.rounds] == [3, 6, 9]
+
+
+class ReducibleAfterFirstRound(ConservativeLearner):
+    """Fault injection: from round 2 on, submits an edgeless two-domain
+    summary, which SC-1 rejects as reducible."""
+
+    def _later_round(self):
+        u = self._session.next_vertex()
+        reducible = LabeledDigraph(self._session.k, [self.tree.label, u])
+        self._session.hypothesis_test(reducible, {**self.assignment, u: u})
+
+
+class TestMonitorViolation:
+    VIOLATION = "round 2: monitor violation: submitted summary is reducible"
+
+    @pytest.fixture(autouse=True)
+    def faulty_learner(self, monkeypatch):
+        monkeypatch.setattr(
+            experiments, "make_learner", lambda kind, session: ReducibleAfterFirstRound(session)
+        )
+
+    def test_run_stops_at_the_violation(self):
+        report = run_experiment(ExperimentConfig(k=1, m=2, rounds=5))
+        assert report.violations == [self.VIOLATION]
+        assert [row.n for row in report.rows] == [1]
+        assert report.exit_code == 1
+
+    def test_verify_stops_at_the_violation(self):
+        report = verify_experiment(ExperimentConfig(k=1, m=2, rounds=5, oracle_checks="every"))
+        assert report.violations == [self.VIOLATION]
+        assert [verdict.round_no for verdict in report.rounds] == [1]
+        assert report.exit_code == 1
+
+    def test_dump_reports_the_round(self, capsys):
+        assert main(["dump", "--what", "policy", "--k", "1", "--m", "2", "--rounds", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"violation: {self.VIOLATION}\n"
 
 
 class TestSweep:
@@ -325,3 +372,69 @@ class TestCli:
 
     def test_bad_config_exits_2(self, capsys):
         assert main(["run", "--schedule", "bogus"]) == 2
+
+
+# SHA-256 of each command's stdout, recorded at commit bf956c5: run and sweep
+# CSVs are a contract, so a refactor of how sessions are played must not move
+# them.
+_PINNED_BASE = ["--learner", "conservative", "--k", "2", "--m", "4", "--seed", "13",
+                "--rounds", "40"]
+PINNED_OUTPUTS = [
+    pytest.param(
+        ["run", *_PINNED_BASE],
+        "af535c21ecd945dfa4d29271f1a1d95d1cb43386472af249d462098cb25cb55b",
+        id="run-conservative",
+    ),
+    pytest.param(
+        ["run", "--learner", "conservative", "--k", "2", "--m", "5", "--seed", "13",
+         "--schedule", "novel-last:10", "--rounds", "20"],
+        "94f3c1806683ba67e32114ebb2a8042499203bc19ff1da863cd80e15361964f6",
+        id="run-novel-last",
+    ),
+    pytest.param(
+        ["run", "--learner", "tireless", "--k", "2", "--m", "3", "--seed", "13",
+         "--rounds", "20"],
+        "d7a024e6be4833bc81ceb5507c1dc80396dd7f447afcd622d3348fcde244675b",
+        id="run-tireless",
+    ),
+    pytest.param(
+        ["run", *_PINNED_BASE, "--oracle", "every"],
+        "af535c21ecd945dfa4d29271f1a1d95d1cb43386472af249d462098cb25cb55b",
+        id="run-conservative-oracle",
+    ),
+    pytest.param(
+        ["run", "--schedule", "scripted:0,1", "--rounds", "5"],
+        "91531e7c277e3f4a84ae86606cf08ef7bebe8135c3da83c2360939fea3ed938e",
+        id="run-scripted-exhausted",
+    ),
+    pytest.param(
+        ["sweep", "--k", "2", "--m", "4", "--seed", "13", "--rounds", "10,20,40"],
+        "152d495b5b18ff6da7251f1331d3db17823f73eb179171067747487c4fb61eb9",
+        id="sweep",
+    ),
+]
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS)
+    def test_csv_digest(self, argv, digest, capsys):
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_exhausted_schedule_stops_every_command(self, capsys):
+        short = ["--schedule", "scripted:0,1", "--rounds", "5"]
+        assert main(["verify", *short]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "round 1: ok", "round 2: ok", "verify: all checks passed"
+        ]
+        assert main(["dump", "--what", "policy", *short]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("assign ")] == [
+            "assign 0 -> 0", "assign 1 -> 1"
+        ]
+
+    def test_dump_before_any_round_exits_2(self, capsys):
+        assert main(["dump", "--what", "policy", "--schedule", "scripted:"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no round completed yet\n"

@@ -112,10 +112,9 @@ class TestTireless:
         learner = TirelessLearner(session)
         learner.run_round()
         learner.run_round()
-        policy = learner.hypothesis
-        assert policy.summary.vertices == (0,)
-        assert policy.summary.edges() == [(0, 0, 0)]
-        assert policy.assignment == {0: 0, 1: 0}
+        assert learner.summary.vertices == (0,)
+        assert learner.summary.edges() == [(0, 0, 0)]
+        assert learner.assignment == {0: 0, 1: 0}
 
 
 class TestConservativeInit:

@@ -140,6 +140,15 @@ class TestRoundInvariants:
         failed = {c.name for c in report.failures()}
         assert "strong-homomorphism" in failed
 
+    def test_indistinguishable_domains_fail_irreducibility(self):
+        # two edgeless domains cannot be told apart, though the assignment
+        # is a surjective strong homomorphism onto them
+        world = LabeledDigraph(1, [0, 1])
+        report = check_round_invariants(world, LabeledDigraph(1, [0, 1]), {0: 0, 1: 1})
+        failed = {c.name for c in report.failures()}
+        assert "summary-irreducible" in failed
+        assert {"strong-homomorphism", "assignment-surjective"}.isdisjoint(failed)
+
     def test_summary_matches_reference_summary(self):
         learner, teacher = learner_after_rounds(seed=14, rounds=10)
         reference = summarize(teacher.peek_ground_truth()).summary

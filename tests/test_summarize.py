@@ -9,10 +9,9 @@ from domainlearn import (
     LabeledDigraph,
     equivalence_partition,
     is_irreducible,
-    is_strong_homomorphism,
     summarize,
 )
-from domainlearn.oracle import isomorphic_small
+from domainlearn.oracle import is_strong_homomorphism, isomorphic_small
 
 from .strategies import digraphs
 

@@ -218,7 +218,7 @@ class TestClassStructure:
         partition = equivalence_partition(teacher.peek_ground_truth())
         assert len(partition) == 3
         by_domain = {}
-        for v in teacher.revealed:
+        for v in teacher.peek_ground_truth().vertices:
             by_domain.setdefault(teacher.domain_of(v), []).append(v)
         assert sorted(partition) == sorted(by_domain.values())
 
@@ -232,7 +232,7 @@ class TestClassStructure:
         for cls in partition:
             domains = {teacher.domain_of(v) for v in cls}
             # every instance of a mentioned domain is inside the class
-            for v in teacher.revealed:
+            for v in teacher.peek_ground_truth().vertices:
                 if teacher.domain_of(v) in domains:
                     assert v in cls
 
