@@ -3,8 +3,6 @@ policy administration, with query-cost ledgers checked against closed-form
 bounds."""
 
 from .digraph import (
-    AccessRight,
-    Alphabet,
     DomainPolicy,
     ErrorSet,
     LabeledDigraph,
@@ -51,8 +49,6 @@ from .teacher import (
 )
 
 __all__ = [
-    "AccessRight",
-    "Alphabet",
     "ConservativeLearner",
     "DomainPolicy",
     "ErrorSet",

@@ -19,7 +19,6 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .digraph import Alphabet
 from .experiments import (
     CouponSummary,
     ExperimentConfig,
@@ -32,7 +31,7 @@ from .experiments import (
 from .graphio import digraph_to_dot, policy_to_dot, policy_to_text
 from .learners import LEARNER_KINDS, tree_to_dot, tree_to_text
 from .protocol import ProtocolViolation
-from .teacher import generate_template, template_to_text
+from .teacher import TemplateGenerationError, generate_template, template_to_text
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -73,7 +72,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             overrides[field_name] = value
     rounds = getattr(args, "rounds", None)
     if rounds is not None:
-        overrides["rounds"] = int(rounds.split(",")[0]) if "," in rounds else int(rounds)
+        if "," in rounds and args.command != "sweep":
+            raise ValueError(f"--rounds {rounds}: only sweep accepts a comma list")
+        overrides["rounds"] = int(rounds.split(",")[0])
     if args.config:
         return ExperimentConfig.from_file(args.config, **overrides)
     return replace(ExperimentConfig(), **overrides)
@@ -151,15 +152,14 @@ def _cmd_coupon(args: argparse.Namespace) -> int:
 
 def _cmd_dump(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    alphabet = Alphabet.default(config.k)
     template = generate_template(
         config.template_seed, config.m, config.k, config.edge_density
     )
     if args.what == "template":
         if args.format == "text":
-            _emit(template_to_text(template, alphabet), config.out)
+            _emit(template_to_text(template), config.out)
         else:
-            _emit(digraph_to_dot(template.graph, alphabet, name="template"), config.out)
+            _emit(digraph_to_dot(template.graph, name="template"), config.out)
         return 0
 
     # policy and tree dumps require running the configured learner first
@@ -179,13 +179,13 @@ def _cmd_dump(args: argparse.Namespace) -> int:
         return 2
     if args.what == "policy":
         render = policy_to_text if args.format == "text" else policy_to_dot
-        _emit(render(learner.summary, learner.assignment, alphabet), config.out)
+        _emit(render(learner.summary, learner.assignment), config.out)
         return 0
     if learner.tree is None:
         print("only the conservative learner has a decision tree", file=sys.stderr)
         return 1
     render = tree_to_text if args.format == "text" else tree_to_dot
-    _emit(render(learner.tree, alphabet), config.out)
+    _emit(render(learner.tree), config.out)
     return 0
 
 
@@ -218,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, ProtocolViolation) as exc:
+    except (ValueError, ProtocolViolation, TemplateGenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

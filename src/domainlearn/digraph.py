@@ -22,50 +22,6 @@ from typing import Iterable, Iterator
 Edge = tuple[int, int, int]  # (source vertex, right index, target vertex)
 
 
-@dataclass(frozen=True)
-class AccessRight:
-    """A named access right; ``index`` is its position in the alphabet."""
-
-    index: int
-    name: str
-
-
-class Alphabet:
-    """Dense, ordered collection of access rights with unique names."""
-
-    __slots__ = ("_rights", "_by_name")
-
-    def __init__(self, names: Iterable[str]):
-        rights = tuple(AccessRight(i, name) for i, name in enumerate(names))
-        if not rights:
-            raise ValueError("alphabet must contain at least one right")
-        by_name = {r.name: r.index for r in rights}
-        if len(by_name) != len(rights):
-            raise ValueError("access right names must be unique")
-        self._rights = rights
-        self._by_name = by_name
-
-    @classmethod
-    def default(cls, k: int) -> "Alphabet":
-        """The conventional alphabet r0, r1, ... r<k-1>."""
-        return cls(f"r{i}" for i in range(k))
-
-    def __len__(self) -> int:
-        return len(self._rights)
-
-    def __getitem__(self, index: int) -> AccessRight:
-        return self._rights[index]
-
-    def __iter__(self) -> Iterator[AccessRight]:
-        return iter(self._rights)
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise ValueError(f"unknown access right name {name!r}") from None
-
-
 class LabeledDigraph:
     """Finite edge-labelled digraph stored as per-right adjacency bitmasks.
 
@@ -265,9 +221,6 @@ class DomainPolicy:
                     f"assignment maps {v} to {domain}, not a summary vertex"
                 )
 
-    def allows(self, u: int, a: int, v: int) -> bool:
-        return self.summary.has_edge(self.assignment[u], a, self.assignment[v])
-
 
 @dataclass(frozen=True)
 class ErrorSet:
@@ -279,10 +232,6 @@ class ErrorSet:
     def __post_init__(self) -> None:
         if self.grant & self.deny:
             raise ValueError("a request cannot be both a grant and a deny error")
-
-    @classmethod
-    def empty(cls) -> "ErrorSet":
-        return cls(frozenset(), frozenset())
 
     def __len__(self) -> int:
         return len(self.grant) + len(self.deny)

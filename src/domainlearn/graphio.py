@@ -3,35 +3,33 @@
 The fixture text format is line-oriented:
 
     digraph k=<k> n=<n>
-    <u> <right-name> <v>
+    <u> r<a> <v>
 
-with one line per edge.  It requires the vertex set to be exactly
-0..n-1 (which holds for world templates and test fixtures); graphs with id
-gaps are rejected.  Policy debug dumps use a looser format with an explicit
-vertex list, because summaries keep their original representative ids.
+with one line per edge; right a is written ``r<a>``, 0 <= a < k.  It
+requires the vertex set to be exactly 0..n-1 (which holds for world
+templates and test fixtures); graphs with id gaps are rejected.  Policy
+debug dumps use a looser format with an explicit vertex list, because
+summaries keep their original representative ids.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from .digraph import Alphabet, LabeledDigraph
+from .digraph import LabeledDigraph
 
 
-def digraph_to_text(g: LabeledDigraph, alphabet: Alphabet | None = None) -> str:
-    alphabet = alphabet or Alphabet.default(g.k)
-    if len(alphabet) != g.k:
-        raise ValueError(f"alphabet has {len(alphabet)} rights, graph has k={g.k}")
+def digraph_to_text(g: LabeledDigraph) -> str:
     n = g.vertex_count
     if set(g.vertices) != set(range(n)):
         raise ValueError("text format requires dense vertex ids 0..n-1")
     lines = [f"digraph k={g.k} n={n}"]
     for u, a, v in g.edges():
-        lines.append(f"{u} {alphabet[a].name} {v}")
+        lines.append(f"{u} r{a} {v}")
     return "\n".join(lines) + "\n"
 
 
-def digraph_from_text(text: str, alphabet: Alphabet | None = None) -> LabeledDigraph:
+def digraph_from_text(text: str) -> LabeledDigraph:
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty graph text")
@@ -43,56 +41,43 @@ def digraph_from_text(text: str, alphabet: Alphabet | None = None) -> LabeledDig
         n = int(header[2].removeprefix("n="))
     except ValueError:
         raise ValueError(f"malformed header line: {lines[0]!r}") from None
-    alphabet = alphabet or Alphabet.default(k)
-    if len(alphabet) != k:
-        raise ValueError(f"alphabet has {len(alphabet)} rights, header says k={k}")
     g = LabeledDigraph(k, range(n))
+    rights = {f"r{a}": a for a in range(k)}
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"malformed edge line: {line!r}")
         u, name, v = parts
-        g.add_edge(int(u), alphabet.index_of(name), int(v))
+        if name not in rights:
+            raise ValueError(f"unknown access right name {name!r}")
+        g.add_edge(int(u), rights[name], int(v))
     return g
 
 
-def digraph_to_dot(
-    g: LabeledDigraph, alphabet: Alphabet | None = None, name: str = "G"
-) -> str:
-    alphabet = alphabet or Alphabet.default(g.k)
+def digraph_to_dot(g: LabeledDigraph, name: str = "G") -> str:
     lines = [f"digraph {name} {{"]
     for v in g.vertices:
         lines.append(f'  "{v}";')
     for u, a, v in g.edges():
-        lines.append(f'  "{u}" -> "{v}" [label="{alphabet[a].name}"];')
+        lines.append(f'  "{u}" -> "{v}" [label="r{a}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def policy_to_text(
-    summary: LabeledDigraph,
-    assignment: Mapping[int, int],
-    alphabet: Alphabet | None = None,
-) -> str:
+def policy_to_text(summary: LabeledDigraph, assignment: Mapping[int, int]) -> str:
     """Debug dump of a policy: summary vertices and edges, then one
     ``assign <entity> -> <domain>`` line per entity."""
-    alphabet = alphabet or Alphabet.default(summary.k)
     vertex_list = ",".join(str(v) for v in summary.vertices)
     lines = [f"summary k={summary.k} vertices={vertex_list}"]
     for u, a, v in summary.edges():
-        lines.append(f"edge {u} {alphabet[a].name} {v}")
+        lines.append(f"edge {u} r{a} {v}")
     for v in sorted(assignment):
         lines.append(f"assign {v} -> {assignment[v]}")
     return "\n".join(lines) + "\n"
 
 
-def policy_to_dot(
-    summary: LabeledDigraph,
-    assignment: Mapping[int, int],
-    alphabet: Alphabet | None = None,
-) -> str:
+def policy_to_dot(summary: LabeledDigraph, assignment: Mapping[int, int]) -> str:
     """DOT rendering of a policy: domain nodes sized by membership."""
-    alphabet = alphabet or Alphabet.default(summary.k)
     members: dict[int, list[int]] = {v: [] for v in summary.vertices}
     for entity in sorted(assignment):
         members[assignment[entity]].append(entity)
@@ -100,6 +85,6 @@ def policy_to_dot(
     for v in summary.vertices:
         lines.append(f'  "{v}" [label="domain {v}\\n{len(members[v])} member(s)"];')
     for u, a, v in summary.edges():
-        lines.append(f'  "{u}" -> "{v}" [label="{alphabet[a].name}"];')
+        lines.append(f'  "{u}" -> "{v}" [label="r{a}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -45,8 +45,8 @@ class Loop:
     def request_for(self, candidate: int) -> Edge:
         return (candidate, self.right, candidate)
 
-    def describe(self, names) -> str:
-        return f"loop({names[self.right].name})"
+    def describe(self) -> str:
+        return f"loop(r{self.right})"
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ class To:
     def request_for(self, candidate: int) -> Edge:
         return (candidate, self.right, self.target)
 
-    def describe(self, names) -> str:
-        return f"to({names[self.right].name}, {self.target})"
+    def describe(self) -> str:
+        return f"to(r{self.right}, {self.target})"
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,8 @@ class From:
     def request_for(self, candidate: int) -> Edge:
         return (self.source, self.right, candidate)
 
-    def describe(self, names) -> str:
-        return f"from({self.source}, {names[self.right].name})"
+    def describe(self) -> str:
+        return f"from({self.source}, r{self.right})"
 
 
 DecisionTest = Loop | To | From
@@ -152,7 +152,7 @@ def classify(tree: TreeNode, candidate: int, query: Callable[[int, int, int], bo
     return node.label
 
 
-def tree_to_text(tree: TreeNode, alphabet) -> str:
+def tree_to_text(tree: TreeNode) -> str:
     """Indented preorder dump of a decision tree."""
     lines: list[str] = []
 
@@ -161,7 +161,7 @@ def tree_to_text(tree: TreeNode, alphabet) -> str:
         if node.is_leaf:
             lines.append(f"{pad}leaf {node.label}")
         else:
-            lines.append(f"{pad}node {node.test.describe(alphabet)}")
+            lines.append(f"{pad}node {node.test.describe()}")
             walk(node.yes, depth + 1)
             walk(node.no, depth + 1)
 
@@ -169,7 +169,7 @@ def tree_to_text(tree: TreeNode, alphabet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def tree_to_dot(tree: TreeNode, alphabet) -> str:
+def tree_to_dot(tree: TreeNode) -> str:
     """DOT rendering: decision nodes annotated with their tests, yes/no arcs."""
     lines = ["digraph decision_tree {"]
     counter = 0
@@ -181,7 +181,7 @@ def tree_to_dot(tree: TreeNode, alphabet) -> str:
         if node.is_leaf:
             lines.append(f'  {node_id} [shape=box, label="leaf: {node.label}"];')
         else:
-            lines.append(f'  {node_id} [label="{node.test.describe(alphabet)}"];')
+            lines.append(f'  {node_id} [label="{node.test.describe()}"];')
             yes_id = walk(node.yes)
             no_id = walk(node.no)
             lines.append(f'  {node_id} -> {yes_id} [label="yes"];')

@@ -12,10 +12,9 @@ wired only into tests and verify mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
-from .digraph import Edge, LabeledDigraph
+from .digraph import LabeledDigraph
 
 ORACLE_VERTEX_LIMIT = 256
 ISOMORPHISM_VERTEX_LIMIT = 12
@@ -123,49 +122,31 @@ def is_strong_homomorphism(
     """True iff ``assignment`` preserves and reflects labelled edges:
     (u, a, v) in E(G) exactly when (assignment[u], a, assignment[v]) in E(H).
 
-    Checked by bucketing G's edges per image triple and comparing counts,
-    which is O(|E(G)| + |E(H)|) instead of the naive n^2 k sweep.
+    Checked by edge counting: for every pair of images (x, y) and right a,
+    the edges of G from the vertices mapped to x into those mapped to y must
+    number |x| * |y| when (x, a, y) is an edge of H and 0 otherwise.  Each
+    count is a sum of popcounts of out masks, so no edge is enumerated.
     """
     vertices = g.vertices
     for v in vertices:
         if v not in assignment:
             raise ValueError(f"assignment is not total: vertex {v} unmapped")
-    class_size: dict[int, int] = {}
+    classes: dict[int, list[int]] = {}
     for v in vertices:
         image = assignment[v]
         if not h.has_vertex(image):
             raise ValueError(f"assignment maps {v} to unknown vertex {image}")
-        class_size[image] = class_size.get(image, 0) + 1
-    mapped_count: dict[Edge, int] = {}
-    for u, a, v in g.edges():
-        key = (assignment[u], a, assignment[v])
-        if not h.has_edge(*key):
-            return False
-        mapped_count[key] = mapped_count.get(key, 0) + 1
-    for x, a, y in h.edges():
-        expected = class_size.get(x, 0) * class_size.get(y, 0)
-        if mapped_count.get((x, a, y), 0) != expected:
-            return False
+        classes.setdefault(image, []).append(v)
+    members = {y: sum(1 << v for v in cls) for y, cls in classes.items()}
+    for x, sources in classes.items():
+        for a in range(g.k):
+            out = [g.out_mask(a, u) for u in sources]
+            for y, targets in members.items():
+                count = sum((mask & targets).bit_count() for mask in out)
+                full = len(sources) * len(classes[y])
+                if count != (full if h.has_edge(x, a, y) else 0):
+                    return False
     return True
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class InvariantReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
 
 
 def _assignment_partition(assignment: Mapping[int, int]) -> list[list[int]]:
@@ -191,9 +172,7 @@ def check_round_invariants(
     summary: LabeledDigraph,
     assignment: Mapping[int, int],
     tree=None,
-    *,
-    limit: int = ORACLE_VERTEX_LIMIT,
-) -> InvariantReport:
+) -> dict[str, str]:
     """Validate a learner's working state against the revealed ground truth.
 
     Checks, in order: the summary is a subgraph of the revealed graph; the
@@ -203,59 +182,38 @@ def check_round_invariants(
     oracle partition; and (when a decision tree is given)
     replaying the tree classifies every revealed vertex to its assigned
     domain, with exactly one leaf per domain.
+
+    Returns the failed checks, name -> detail, in that order; empty when
+    every check passes.
     """
-    checks: list[CheckResult] = []
+    failed: dict[str, str] = {}
 
     missing_vertices = [v for v in summary.vertices if not ground_truth.has_vertex(v)]
     missing_edges = [e for e in summary.edges() if not ground_truth.has_edge(*e)]
-    checks.append(
-        CheckResult(
-            "summary-subgraph",
-            not missing_vertices and not missing_edges,
+    if missing_vertices or missing_edges:
+        failed["summary-subgraph"] = (
             f"foreign vertices {missing_vertices}, foreign edges {missing_edges}"
-            if missing_vertices or missing_edges
-            else "",
         )
-    )
 
     try:
-        hom = is_strong_homomorphism(ground_truth, summary, assignment)
-        detail = "" if hom else "some request decided differently by policy"
+        if not is_strong_homomorphism(ground_truth, summary, assignment):
+            failed["strong-homomorphism"] = "some request decided differently by policy"
     except ValueError as exc:
-        hom = False
-        detail = str(exc)
-    checks.append(CheckResult("strong-homomorphism", hom, detail))
+        failed["strong-homomorphism"] = str(exc)
 
-    surjective = set(assignment.values()) == set(summary.vertices)
-    checks.append(
-        CheckResult(
-            "assignment-surjective",
-            surjective,
-            ""
-            if surjective
-            else f"range {sorted(set(assignment.values()))} vs "
-            f"summary vertices {list(summary.vertices)}",
+    if set(assignment.values()) != set(summary.vertices):
+        failed["assignment-surjective"] = (
+            f"range {sorted(set(assignment.values()))} vs "
+            f"summary vertices {list(summary.vertices)}"
         )
-    )
 
-    irreducible = len(oracle_partition(summary, limit=limit)) == summary.vertex_count
-    checks.append(
-        CheckResult(
-            "summary-irreducible",
-            irreducible,
-            "" if irreducible else "two summary vertices are indistinguishable",
-        )
-    )
+    if len(oracle_partition(summary)) != summary.vertex_count:
+        failed["summary-irreducible"] = "two summary vertices are indistinguishable"
 
-    expected = oracle_partition(ground_truth, limit=limit)
+    expected = oracle_partition(ground_truth)
     actual = _assignment_partition(assignment)
-    checks.append(
-        CheckResult(
-            "partition-matches-oracle",
-            actual == expected,
-            "" if actual == expected else f"assignment {actual} vs oracle {expected}",
-        )
-    )
+    if actual != expected:
+        failed["partition-matches-oracle"] = f"assignment {actual} vs oracle {expected}"
 
     if tree is not None:
         mismatches = [
@@ -263,26 +221,14 @@ def check_round_invariants(
             for v in sorted(assignment)
             if replay_classification(tree, v, ground_truth) != assignment[v]
         ]
-        checks.append(
-            CheckResult(
-                "classify-agreement",
-                not mismatches,
-                "" if not mismatches else f"misclassified vertices {mismatches}",
-            )
-        )
+        if mismatches:
+            failed["classify-agreement"] = f"misclassified vertices {mismatches}"
         leaf_count = tree.leaf_count
         domain_count = len(set(assignment.values()))
-        checks.append(
-            CheckResult(
-                "leaf-count",
-                leaf_count == domain_count,
-                ""
-                if leaf_count == domain_count
-                else f"{leaf_count} leaves vs {domain_count} domains",
-            )
-        )
+        if leaf_count != domain_count:
+            failed["leaf-count"] = f"{leaf_count} leaves vs {domain_count} domains"
 
-    return InvariantReport(tuple(checks))
+    return failed
 
 
 def _vertex_signature(g: LabeledDigraph, v: int) -> tuple[tuple[int, int, int], ...]:
@@ -290,7 +236,7 @@ def _vertex_signature(g: LabeledDigraph, v: int) -> tuple[tuple[int, int, int], 
     sig = []
     for a in range(g.k):
         out = g.out_mask(a, v)
-        sig.append((bin(out).count("1"), bin(g.in_mask(a, v)).count("1"), (out >> v) & 1))
+        sig.append((out.bit_count(), g.in_mask(a, v).bit_count(), (out >> v) & 1))
     return tuple(sig)
 
 

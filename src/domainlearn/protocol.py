@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Mapping
 
 from .digraph import ErrorSet, LabeledDigraph, is_irreducible
@@ -67,11 +66,6 @@ class Teacher(abc.ABC):
         """Errors of the policy over the revealed induced subgraph."""
 
 
-class Phase(Enum):
-    MAY_ADVANCE = "may-advance"
-    AWAITING_CLEAN = "awaiting-clean"
-
-
 @dataclass(frozen=True)
 class RoundSnapshot:
     """Cumulative ledger state at the moment a round completed."""
@@ -109,21 +103,17 @@ class Session:
     def __init__(self, teacher: Teacher):
         self._teacher = teacher
         self.ledger = QueryLedger()
-        self._phase = Phase.MAY_ADVANCE
-        self._revealed: list[int] = []
+        # True from a next-vertex query until the round's first clean
+        # hypothesis test (SC-2)
+        self._awaiting_clean = False
         self._revealed_set: set[int] = set()
 
     @property
     def k(self) -> int:
         return self._teacher.k
 
-    @property
-    def revealed(self) -> tuple[int, ...]:
-        """Vertices revealed so far, in revelation order."""
-        return tuple(self._revealed)
-
     def next_vertex(self) -> int:
-        if self._phase is not Phase.MAY_ADVANCE:
+        if self._awaiting_clean:
             raise SC2Violation(
                 "next-vertex query issued before an error-free hypothesis test "
                 f"closed round {self.ledger.nvq_count}"
@@ -132,8 +122,7 @@ class Session:
         if vertex in self._revealed_set:
             raise ProtocolViolation(f"teacher repeated vertex {vertex}")
         self.ledger.nvq_count += 1
-        self._phase = Phase.AWAITING_CLEAN
-        self._revealed.append(vertex)
+        self._awaiting_clean = True
         self._revealed_set.add(vertex)
         return vertex
 
@@ -165,7 +154,7 @@ class Session:
         ledger = self.ledger
         ledger.htq_count += 1
         ledger.errors_cumulative += len(errors)
-        if not errors and self._phase is Phase.AWAITING_CLEAN:
+        if not errors and self._awaiting_clean:
             ledger.per_round.append(
                 RoundSnapshot(
                     n=ledger.nvq_count,
@@ -174,5 +163,5 @@ class Session:
                     errors_cum=ledger.errors_cumulative,
                 )
             )
-            self._phase = Phase.MAY_ADVANCE
+            self._awaiting_clean = False
         return errors

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .digraph import (
-    Alphabet,
     ErrorSet,
     DomainPolicy,
     LabeledDigraph,
@@ -38,10 +37,9 @@ class TeacherExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class WorldTemplate:
-    """An irreducible digraph over m domain-vertices, plus its provenance seed."""
+    """An irreducible digraph over m domain-vertices."""
 
     graph: LabeledDigraph
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.graph.vertex_count < 1:
@@ -70,7 +68,9 @@ def generate_template(
 
     Each of the m*m*k candidate edges is kept independently with probability
     ``edge_density``.  Deterministic given (seed, m, k, edge_density): failed
-    attempts retry with a seed derived by remixing the previous one.
+    attempts retry with a seed derived by remixing the previous one.  With
+    m > 1, a density of 0 or 1 is rejected at once: it makes every domain
+    indistinguishable, so no attempt could succeed.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -78,6 +78,11 @@ def generate_template(
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0.0 <= edge_density <= 1.0:
         raise ValueError(f"edge_density must be in [0, 1], got {edge_density}")
+    if m > 1 and edge_density in (0.0, 1.0):
+        raise ValueError(
+            f"edge_density {edge_density} makes all {m} domains indistinguishable; "
+            "use a value strictly between 0 and 1"
+        )
     attempt_seed = seed
     for _ in range(MAX_GENERATION_ATTEMPTS):
         rng = SplitMix64(attempt_seed)
@@ -88,7 +93,7 @@ def generate_template(
                     if rng.random() < edge_density:
                         graph.add_edge(u, a, v)
         if is_irreducible(graph):
-            return WorldTemplate(graph=graph, seed=seed)
+            return WorldTemplate(graph=graph)
         attempt_seed = mix64(attempt_seed)
     raise TemplateGenerationError(
         f"no irreducible template after {MAX_GENERATION_ATTEMPTS} attempts "
@@ -96,19 +101,19 @@ def generate_template(
     )
 
 
-def template_to_text(template: WorldTemplate, alphabet: Alphabet | None = None) -> str:
-    return f"domains m={template.m}\n" + digraph_to_text(template.graph, alphabet)
+def template_to_text(template: WorldTemplate) -> str:
+    return f"domains m={template.m}\n" + digraph_to_text(template.graph)
 
 
-def template_from_text(text: str, alphabet: Alphabet | None = None) -> WorldTemplate:
+def template_from_text(text: str) -> WorldTemplate:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("domains m="):
         raise ValueError("template text must start with a 'domains m=<m>' line")
     m = int(lines[0].removeprefix("domains m="))
-    graph = digraph_from_text("\n".join(lines[1:]), alphabet)
+    graph = digraph_from_text("\n".join(lines[1:]))
     if graph.vertex_count != m:
         raise ValueError(f"manifest says m={m} but graph has {graph.vertex_count}")
-    return WorldTemplate(graph=graph, seed=None)
+    return WorldTemplate(graph=graph)
 
 
 # -- revelation schedules ---------------------------------------------------

@@ -32,7 +32,9 @@ def brute_force_errors(g: LabeledDigraph, policy: DomainPolicy):
     for u in g.vertices:
         for a in range(g.k):
             for v in g.vertices:
-                allowed = policy.allows(u, a, v)
+                allowed = policy.summary.has_edge(
+                    policy.assignment[u], a, policy.assignment[v]
+                )
                 actual = g.has_edge(u, a, v)
                 if allowed and not actual:
                     grants.add((u, a, v))
@@ -224,6 +226,27 @@ class TestStrongHomomorphism:
     @given(digraphs())
     def test_identity_always_strong(self, g):
         assert is_strong_homomorphism(g, g, {v: v for v in g.vertices})
+
+    @given(digraphs(max_n=6), st.randoms(use_true_random=False))
+    @settings(max_examples=150)
+    def test_matches_literal_definition(self, g, rnd):
+        images = list(range(rnd.randint(1, 4)))
+        assignment = {v: rnd.choice(images) for v in g.vertices}
+        h_vertices = images + [9]  # 9 is never an image: the map is not onto H
+        candidates = [(x, a, y) for x in h_vertices for a in range(g.k) for y in h_vertices]
+        h_edges = [e for e in candidates if rnd.random() < 0.3]
+        if rnd.random() < 0.5:
+            # the image of G's edges, often a strong homomorphism
+            h_edges = [e for e in h_edges if 9 in (e[0], e[2])]
+            h_edges += [(assignment[u], a, assignment[v]) for u, a, v in g.edges()]
+        h = LabeledDigraph(g.k, h_vertices, h_edges)
+        literal = all(
+            g.has_edge(u, a, v) == h.has_edge(assignment[u], a, assignment[v])
+            for u in g.vertices
+            for a in range(g.k)
+            for v in g.vertices
+        )
+        assert is_strong_homomorphism(g, h, assignment) == literal
 
 
 class TestIrreducible:

@@ -373,6 +373,21 @@ class TestCli:
     def test_bad_config_exits_2(self, capsys):
         assert main(["run", "--schedule", "bogus"]) == 2
 
+    @pytest.mark.parametrize("command", ["run", "verify", "dump"])
+    def test_round_list_only_for_sweep(self, command, capsys):
+        assert main([command, "--rounds", "3,50"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --rounds 3,50: only sweep accepts a comma list\n"
+        )
+
+    def test_infeasible_density_exits_2(self, capsys):
+        assert main(["run", "--k", "1", "--m", "3", "--density", "1.0"]) == 2
+        assert "indistinguishable" in capsys.readouterr().err
+
+    def test_template_generation_failure_exits_2(self, capsys):
+        assert main(["run", "--k", "1", "--m", "2", "--density", "1e-9"]) == 2
+        assert capsys.readouterr().err.startswith("error: no irreducible template")
+
 
 # SHA-256 of each command's stdout, recorded at commit bf956c5: run and sweep
 # CSVs are a contract, so a refactor of how sessions are played must not move
@@ -412,7 +427,56 @@ PINNED_OUTPUTS = [
         "152d495b5b18ff6da7251f1331d3db17823f73eb179171067747487c4fb61eb9",
         id="sweep",
     ),
+    # recorded at commit 854ba15: dumps and verify reports, so that a change
+    # to how rights or check results are represented must not move them
+    pytest.param(
+        ["dump", "--what", "template", "--format", "text", *_PINNED_BASE],
+        "49cc05d0e7d646783678ad1a126c21e247328f8434fe9c7637306ebba4a3dc16",
+        id="dump-template-text",
+    ),
+    pytest.param(
+        ["dump", "--what", "template", "--format", "dot", *_PINNED_BASE],
+        "9bc1134472f5909571b1bff660c5587c7ae1960cee093bf82b071c5108847708",
+        id="dump-template-dot",
+    ),
+    pytest.param(
+        ["dump", "--what", "policy", "--format", "text", *_PINNED_BASE],
+        "9a95d263acd831efa7f8ba167534bbe19675465ac8c321d81b720de7baa58114",
+        id="dump-policy-text",
+    ),
+    pytest.param(
+        ["dump", "--what", "policy", "--format", "dot", *_PINNED_BASE],
+        "12b97e4b41fcc2c86a4f0fd602a2c7066998a0e64d135b3c9ba4501f2119577b",
+        id="dump-policy-dot",
+    ),
+    pytest.param(
+        ["dump", "--what", "tree", "--format", "text", *_PINNED_BASE],
+        "d32150eaeca2f3d345a32114ca024f1f0823d9294a65485a517a89b386710164",
+        id="dump-tree-text",
+    ),
+    pytest.param(
+        ["dump", "--what", "tree", "--format", "dot", *_PINNED_BASE],
+        "6d231a261393044831bad61d837443e39514600164f8643a08ec4d18c7e9627a",
+        id="dump-tree-dot",
+    ),
+    pytest.param(
+        ["verify", *_PINNED_BASE],
+        "170658c79d41a51cbd4711d136d30cf93b4f24d3fb61bd5f1fa4eb4d2f74de5c",
+        id="verify",
+    ),
 ]
+
+
+class CorruptsThirdRound(ConservativeLearner):
+    """Fault injection: after round 3 (its last), moves the newest vertex to
+    another domain, behind the monitor's back."""
+
+    def run_round(self):
+        super().run_round()
+        if self.rounds_completed == 3:
+            newest = max(self.assignment)
+            other = [x for x in self.summary.vertices if x != self.assignment[newest]]
+            self.assignment = {**self.assignment, newest: other[0]}
 
 
 class TestPinnedOutputs:
@@ -420,6 +484,17 @@ class TestPinnedOutputs:
     def test_csv_digest(self, argv, digest, capsys):
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_verify_failure_lines(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            experiments, "make_learner", lambda kind, session: CorruptsThirdRound(session)
+        )
+        assert main(["verify", "--k", "2", "--m", "3", "--seed", "13", "--rounds", "3"]) == 1
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "aef45f14b5803a0ea7ec3badce0ae6f1f7adb0bad24db538b6959673b9aac838"
+        )
+        assert "  leaf-count: 2 leaves vs 1 domains" in out.splitlines()
 
     def test_exhausted_schedule_stops_every_command(self, capsys):
         short = ["--schedule", "scripted:0,1", "--rounds", "5"]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from domainlearn import Alphabet, LabeledDigraph
+from domainlearn import LabeledDigraph
 from domainlearn.graphio import (
     digraph_from_text,
     digraph_to_dot,
@@ -22,14 +22,6 @@ def test_text_dump_format():
     assert digraph_to_text(g) == "digraph k=2 n=3\n0 r0 1\n0 r1 2\n"
 
 
-def test_text_dump_custom_alphabet():
-    g = LabeledDigraph(2, range(2), [(0, 0, 1), (1, 1, 0)])
-    alphabet = Alphabet(["read", "write"])
-    text = digraph_to_text(g, alphabet)
-    assert "0 read 1" in text and "1 write 0" in text
-    assert digraph_from_text(text, alphabet) == g
-
-
 def test_text_requires_dense_ids():
     g = LabeledDigraph(1, [0, 2], [(0, 0, 2)])
     with pytest.raises(ValueError):
@@ -42,8 +34,11 @@ def test_parse_rejects_malformed_header():
 
 
 def test_parse_rejects_unknown_right():
-    with pytest.raises(ValueError):
-        digraph_from_text("digraph k=1 n=2\n0 bogus 1\n")
+    # right a is spelled exactly r<a>, 0 <= a < k
+    assert digraph_from_text("digraph k=2 n=2\n0 r1 1\n").has_edge(0, 1, 1)
+    for name in ("bogus", "r01", "r1", "r-0", "R0"):
+        with pytest.raises(ValueError, match="unknown access right name"):
+            digraph_from_text(f"digraph k=1 n=2\n0 {name} 1\n")
 
 
 @given(digraphs())
@@ -53,8 +48,8 @@ def test_text_round_trip(g):
 
 def test_dot_export_labels_edges_with_right_names():
     g = LabeledDigraph(2, range(2), [(0, 1, 1)])
-    dot = digraph_to_dot(g, Alphabet(["read", "write"]))
-    assert '"0" -> "1" [label="write"];' in dot
+    dot = digraph_to_dot(g)
+    assert '"0" -> "1" [label="r1"];' in dot
     assert dot.startswith("digraph G {") and dot.rstrip().endswith("}")
 
 

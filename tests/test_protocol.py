@@ -16,7 +16,7 @@ from domainlearn.teacher import Scripted, SyntheticTeacher, WorldTemplate
 
 def edge_world(with_loop: bool = False) -> WorldTemplate:
     edges = [(0, 0, 1)] + ([(0, 0, 0)] if with_loop else [])
-    return WorldTemplate(LabeledDigraph(1, range(2), edges), seed=0)
+    return WorldTemplate(LabeledDigraph(1, range(2), edges))
 
 
 def make_session(script=(0, 1, 0, 1), with_loop=False) -> Session:
@@ -24,10 +24,10 @@ def make_session(script=(0, 1, 0, 1), with_loop=False) -> Session:
     return Session(teacher)
 
 
-def clean_hypothesis_for(session: Session) -> tuple[LabeledDigraph, dict[int, int]]:
-    """An enforcing single-domain hypothesis for a revealed prefix that has
-    no edges yet (first reveal of the edge_world script)."""
-    (u,) = session.revealed
+def clean_hypothesis_for(u: int) -> tuple[LabeledDigraph, dict[int, int]]:
+    """An enforcing single-domain hypothesis for a revealed prefix of the
+    one vertex ``u``, which has no edges yet (first reveal of the edge_world
+    script)."""
     return LabeledDigraph(1, [u]), {u: u}
 
 
@@ -45,15 +45,15 @@ class TestSC2:
 
     def test_nvq_after_clean_htq_succeeds(self):
         session = make_session()
-        session.next_vertex()
-        summary, assignment = clean_hypothesis_for(session)
+        u = session.next_vertex()
+        summary, assignment = clean_hypothesis_for(u)
         assert not session.hypothesis_test(summary, assignment)
         assert session.next_vertex() == 1
 
     def test_dirty_htq_does_not_close_round(self):
         session = make_session(script=(0, 1))
-        session.next_vertex()
-        summary, assignment = clean_hypothesis_for(session)
+        u = session.next_vertex()
+        summary, assignment = clean_hypothesis_for(u)
         session.hypothesis_test(summary, assignment)
         session.next_vertex()
         # hypothesis keeps both vertices in one domain: misses edge (0,r,1)
@@ -67,8 +67,8 @@ class TestSC2:
 class TestSC1:
     def test_reducible_hypothesis_rejected(self):
         session = make_session()
-        session.next_vertex()
-        session.hypothesis_test(*clean_hypothesis_for(session))
+        u = session.next_vertex()
+        session.hypothesis_test(*clean_hypothesis_for(u))
         session.next_vertex()
         # two isolated vertices are mutually indistinguishable: reducible
         reducible = LabeledDigraph(1, [0, 1])
@@ -77,8 +77,8 @@ class TestSC1:
 
     def test_non_surjective_assignment_rejected(self):
         session = make_session()
-        session.next_vertex()
-        session.hypothesis_test(*clean_hypothesis_for(session))
+        u = session.next_vertex()
+        session.hypothesis_test(*clean_hypothesis_for(u))
         session.next_vertex()
         summary = LabeledDigraph(1, [0, 1], [(0, 0, 1)])
         with pytest.raises(SC1Violation, match="surjective"):
@@ -108,8 +108,8 @@ class TestProtocolChecks:
 class TestLedger:
     def test_connection_answers_and_counts(self):
         session = make_session(script=(0, 1))
-        session.next_vertex()
-        session.hypothesis_test(*clean_hypothesis_for(session))
+        u = session.next_vertex()
+        session.hypothesis_test(*clean_hypothesis_for(u))
         session.next_vertex()
         assert session.connection(0, 0, 1) is True
         assert session.connection(1, 0, 0) is False
@@ -125,8 +125,8 @@ class TestLedger:
 
     def test_snapshot_per_completed_round(self):
         session = make_session(script=(0, 1))
-        session.next_vertex()
-        session.hypothesis_test(*clean_hypothesis_for(session))
+        u = session.next_vertex()
+        session.hypothesis_test(*clean_hypothesis_for(u))
         session.next_vertex()
         errors = session.hypothesis_test(LabeledDigraph(1, [0]), {0: 0, 1: 0})
         assert errors
@@ -140,8 +140,8 @@ class TestLedger:
 
     def test_errors_accumulate_per_htq(self):
         session = make_session(script=(0, 1))
-        session.next_vertex()
-        session.hypothesis_test(*clean_hypothesis_for(session))
+        u = session.next_vertex()
+        session.hypothesis_test(*clean_hypothesis_for(u))
         session.next_vertex()
         dirty_summary, dirty_assignment = LabeledDigraph(1, [0]), {0: 0, 1: 0}
         session.hypothesis_test(dirty_summary, dirty_assignment)

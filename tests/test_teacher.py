@@ -50,9 +50,17 @@ class TestGenerateTemplate:
         assert len(graphs) > 1
 
     def test_unreachable_irreducibility_fails(self):
-        # complete 2-vertex digraph is always reducible
+        # a density this low keeps no edge, and an edgeless 2-vertex digraph
+        # is always reducible
         with pytest.raises(TemplateGenerationError):
-            generate_template(seed=0, m=2, k=1, edge_density=1.0)
+            generate_template(seed=0, m=2, k=1, edge_density=1e-9)
+
+    @pytest.mark.parametrize("density", [0.0, 1.0])
+    def test_density_that_cannot_separate_domains(self, density):
+        # every domain gets the same edges: rejected before any attempt
+        with pytest.raises(ValueError, match="indistinguishable"):
+            generate_template(seed=0, m=2, k=2, edge_density=density)
+        assert generate_template(seed=0, m=1, k=2, edge_density=density).m == 1
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -62,7 +70,7 @@ class TestGenerateTemplate:
 
     def test_reducible_template_rejected_by_type(self):
         with pytest.raises(ValueError, match="irreducible"):
-            WorldTemplate(LabeledDigraph(1, range(2)), seed=0)
+            WorldTemplate(LabeledDigraph(1, range(2)))
 
 
 class TestSchedules:
@@ -124,7 +132,7 @@ class TestSchedules:
 
 def loop_free_pair_world() -> WorldTemplate:
     # two domains, single edge d0 -> d1
-    return WorldTemplate(LabeledDigraph(1, range(2), [(0, 0, 1)]), seed=0)
+    return WorldTemplate(LabeledDigraph(1, range(2), [(0, 0, 1)]))
 
 
 class TestEdgeRule:
