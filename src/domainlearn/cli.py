@@ -152,10 +152,11 @@ def _cmd_coupon(args: argparse.Namespace) -> int:
 
 def _cmd_dump(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    template = generate_template(
-        config.template_seed, config.m, config.k, config.edge_density
-    )
+    config.validate()
     if args.what == "template":
+        template = generate_template(
+            config.template_seed, config.m, config.k, config.edge_density
+        )
         if args.format == "text":
             _emit(template_to_text(template), config.out)
         else:

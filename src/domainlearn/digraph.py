@@ -25,21 +25,22 @@ Edge = tuple[int, int, int]  # (source vertex, right index, target vertex)
 class LabeledDigraph:
     """Finite edge-labelled digraph stored as per-right adjacency bitmasks.
 
-    Mutable only through :meth:`add_vertex` / :meth:`add_edge`; treat
-    instances as immutable values once fully constructed.  The masks are the
-    only edge store: for each right, ``out_mask(a, u)`` has bit v set iff
-    (u, a, v) is an edge, and ``in_mask(a, v)`` mirrors it.  Only non-zero
-    masks are kept, so two graphs are equal exactly when their vertex sets
-    and mask dicts are.
+    Mutable only through :meth:`add_vertex`, :meth:`add_edge` and
+    :meth:`connect`; treat instances as immutable values once fully
+    constructed.  The masks are the only edge store: for each right,
+    ``out_mask(a, u)`` has bit v set iff (u, a, v) is an edge, and
+    ``in_mask(a, v)`` mirrors it.  Only non-zero masks are kept, so two
+    graphs are equal exactly when their vertex sets and mask dicts are.
     """
 
-    __slots__ = ("k", "_vertices", "_edge_count", "_out", "_in")
+    __slots__ = ("k", "_vertices", "_vertex_mask", "_edge_count", "_out", "_in")
 
     def __init__(self, k: int, vertices: Iterable[int] = (), edges: Iterable[Edge] = ()):
         if k < 1:
             raise ValueError(f"alphabet size must be >= 1, got {k}")
         self.k = k
         self._vertices: set[int] = set()
+        self._vertex_mask = 0
         self._edge_count = 0
         self._out: list[dict[int, int]] = [{} for _ in range(k)]
         self._in: list[dict[int, int]] = [{} for _ in range(k)]
@@ -56,6 +57,7 @@ class LabeledDigraph:
         if v in self._vertices:
             raise ValueError(f"vertex {v} already present")
         self._vertices.add(v)
+        self._vertex_mask |= 1 << v
 
     def add_edge(self, u: int, a: int, v: int) -> None:
         """Insert edge (u, a, v); inserting an existing edge is a no-op."""
@@ -72,6 +74,39 @@ class LabeledDigraph:
         inn = self._in[a]
         inn[v] = inn.get(v, 0) | (1 << u)
         self._edge_count += 1
+
+    def connect(self, v: int, a: int, targets: int, sources: int) -> None:
+        """Insert (v, a, t) for every bit t of ``targets`` and (s, a, v) for
+        every bit s of ``sources``; existing edges are kept as they are.
+
+        Every argument is checked before anything is inserted, so a rejected
+        call leaves the graph unchanged.  A self-loop named by both masks is
+        one edge.
+        """
+        if v not in self._vertices:
+            raise ValueError(f"vertex {v} is not in the graph")
+        if not 0 <= a < self.k:
+            raise ValueError(f"right index {a} out of range [0, {self.k})")
+        if (targets | sources) & ~self._vertex_mask:
+            raise ValueError(
+                f"connect({v}, {a}, ...) names an endpoint outside the graph"
+            )
+        out, inn = self._out[a], self._in[a]
+        bit = 1 << v
+        known = out.get(v, 0)
+        new_targets = targets & ~known
+        if new_targets:
+            out[v] = known | new_targets
+            for t in _mask_bits(new_targets):
+                inn[t] = inn.get(t, 0) | bit
+        # read after the targets, so a self-loop inserted above is not new
+        known = inn.get(v, 0)
+        new_sources = sources & ~known
+        if new_sources:
+            inn[v] = known | new_sources
+            for s in _mask_bits(new_sources):
+                out[s] = out.get(s, 0) | bit
+        self._edge_count += new_targets.bit_count() + new_sources.bit_count()
 
     # -- inspection --------------------------------------------------------
 
@@ -137,43 +172,26 @@ def _mask_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _masks_indistinguishable(g: LabeledDigraph, u: int, v: int) -> bool:
-    # u and v see every vertex identically, with the pair itself treated
-    # interchangeably: per right the four pair edges are all present or all
-    # absent, and the out and in masks agree outside the pair.
-    pair = (1 << u) | (1 << v)
-    for a in range(g.k):
-        ou = g.out_mask(a, u)
-        ov = g.out_mask(a, v)
-        four = ((ou >> u) & 1) + ((ou >> v) & 1) + ((ov >> u) & 1) + ((ov >> v) & 1)
-        if four != 0 and four != 4:
-            return False
-        if (ou ^ ov) & ~pair:
-            return False
-        if (g.in_mask(a, u) ^ g.in_mask(a, v)) & ~pair:
-            return False
-    return True
-
-
 def equivalence_partition(g: LabeledDigraph) -> list[list[int]]:
     """Partition V(G) into maximal classes of pairwise-indistinguishable
     vertices.
 
-    Classes are ordered by their minimum vertex id and sorted internally.
-    Each vertex is compared against one representative per known class, so
-    the cost is O(k * n * classes) bitmask comparisons.
+    u and v are indistinguishable exactly when, for every right a,
+    ``out_mask(a, u) == out_mask(a, v)`` and ``in_mask(a, u) ==
+    in_mask(a, v)``.  Outside the pair that is the definition; on the pair,
+    equal bits u and v in those masks say that the four pair edges (u, a, u),
+    (u, a, v), (v, a, u), (v, a, v) are all present or all absent.  So each
+    vertex is keyed by the tuple of its 2k masks and the classes are the key
+    groups, found in one pass over the sorted vertices: O(k * n) dict lookups
+    and n hashes of 2k n-bit masks.  Classes are ordered by their minimum
+    vertex id and sorted internally.
     """
-    classes: list[list[int]] = []
-    reps: list[int] = []
+    outs, ins = g._out, g._in
+    classes: dict[tuple[int, ...], list[int]] = {}
     for v in g.vertices:
-        for idx, rep in enumerate(reps):
-            if _masks_indistinguishable(g, rep, v):
-                classes[idx].append(v)
-                break
-        else:
-            reps.append(v)
-            classes.append([v])
-    return classes
+        key = (*[out.get(v, 0) for out in outs], *[inn.get(v, 0) for inn in ins])
+        classes.setdefault(key, []).append(v)
+    return list(classes.values())
 
 
 def induced_subgraph(g: LabeledDigraph, subset: Iterable[int]) -> LabeledDigraph:

@@ -379,13 +379,16 @@ class TirelessLearner(Learner):
         u = session.next_vertex()
         graph.add_vertex(u)
         vertices = graph.vertices
+        connection = session.connection
         for a in range(session.k):
+            targets = sources = 0
             for v in vertices:
-                if session.connection(u, a, v):
-                    graph.add_edge(u, a, v)
+                if connection(u, a, v):
+                    targets |= 1 << v
             for v in vertices:
-                if v != u and session.connection(v, a, u):
-                    graph.add_edge(v, a, u)
+                if v != u and connection(v, a, u):
+                    sources |= 1 << v
+            graph.connect(u, a, targets, sources)
         policy = summarize(graph)
         errors = session.hypothesis_test(policy.summary, policy.assignment)
         if errors:

@@ -102,6 +102,7 @@ class Session:
 
     def __init__(self, teacher: Teacher):
         self._teacher = teacher
+        self._k = teacher.k
         self.ledger = QueryLedger()
         # True from a next-vertex query until the round's first clean
         # hypothesis test (SC-2)
@@ -110,7 +111,7 @@ class Session:
 
     @property
     def k(self) -> int:
-        return self._teacher.k
+        return self._k
 
     def next_vertex(self) -> int:
         if self._awaiting_clean:
@@ -131,8 +132,8 @@ class Session:
             raise ProtocolViolation(
                 f"connection query ({u}, {a}, {v}) references an unrevealed vertex"
             )
-        if not 0 <= a < self.k:
-            raise ProtocolViolation(f"right index {a} out of range [0, {self.k})")
+        if not 0 <= a < self._k:
+            raise ProtocolViolation(f"right index {a} out of range [0, {self._k})")
         self.ledger.cnq_count += 1
         return self._teacher.connection(u, a, v)
 

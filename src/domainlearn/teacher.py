@@ -240,7 +240,9 @@ class SyntheticTeacher(Teacher):
 
     Vertex ids are minted 0, 1, 2, ... in revelation order.  The revealed
     induced subgraph is maintained incrementally so hypothesis tests are
-    evaluated directly against it.
+    evaluated directly against it: a newcomer's edges under each right are
+    the member masks of its domain's template neighbours, inserted by one
+    :meth:`LabeledDigraph.connect` call.
     """
 
     def __init__(
@@ -252,6 +254,7 @@ class SyntheticTeacher(Teacher):
         self._template = template
         self._draws = domain_sequence(schedule, template.m, SplitMix64(draw_seed))
         self._domains: list[int] = []  # template domain of each revealed vertex
+        self._members = [0] * template.m  # revealed instances of each domain, as a bitmask
         self._graph = LabeledDigraph(template.k)
         self._class_count_cache: dict[frozenset[int], int] = {}
 
@@ -268,15 +271,21 @@ class SyntheticTeacher(Teacher):
             ) from None
         vertex = len(self._domains)
         self._domains.append(domain)
+        members = self._members
+        members[domain] |= 1 << vertex
         graph = self._graph
         template = self._template.graph
         graph.add_vertex(vertex)
         for a in range(template.k):
-            for other, other_domain in enumerate(self._domains):
-                if template.has_edge(domain, a, other_domain):
-                    graph.add_edge(vertex, a, other)
-                if other != vertex and template.has_edge(other_domain, a, domain):
-                    graph.add_edge(other, a, vertex)
+            out_domains = template.out_mask(a, domain)
+            in_domains = template.in_mask(a, domain)
+            targets = sources = 0
+            for other_domain, instances in enumerate(members):
+                if out_domains >> other_domain & 1:
+                    targets |= instances
+                if in_domains >> other_domain & 1:
+                    sources |= instances
+            graph.connect(vertex, a, targets, sources)
         return vertex
 
     def connection(self, u: int, a: int, v: int) -> bool:

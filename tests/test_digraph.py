@@ -16,7 +16,7 @@ from domainlearn import (
     induced_subgraph,
     is_irreducible,
 )
-from domainlearn.oracle import indistinguishable, is_strong_homomorphism
+from domainlearn.oracle import indistinguishable, is_strong_homomorphism, oracle_partition
 
 from .strategies import clone_vertex, digraphs, digraphs_with_pair
 
@@ -97,6 +97,69 @@ class TestMaskStore:
             assert LabeledDigraph(g.k, g.vertices, edges[1:]) != g
 
 
+def _copy(g: LabeledDigraph) -> LabeledDigraph:
+    return LabeledDigraph(g.k, g.vertices, g.edges())
+
+
+def _mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
+class TestConnect:
+    """``connect`` inserts a vertex's edges under one right from two masks;
+    it must build exactly what per-bit ``add_edge`` calls build."""
+
+    @given(digraphs(min_n=1), st.data())
+    def test_matches_per_bit_add_edge(self, g, data):
+        vertices = g.vertices
+        v = data.draw(st.sampled_from(vertices))
+        a = data.draw(st.integers(0, g.k - 1))
+        targets = data.draw(st.sets(st.sampled_from(vertices)))
+        sources = data.draw(st.sets(st.sampled_from(vertices)))
+        expected = _copy(g)
+        for t in targets:
+            expected.add_edge(v, a, t)
+        for s in sources:
+            expected.add_edge(s, a, v)
+        g.connect(v, a, _mask(targets), _mask(sources))
+        assert g == expected
+        assert g.edge_count == expected.edge_count == len(expected.edges())
+        for b in range(g.k):
+            for u in vertices:
+                for w in vertices:
+                    assert (g.out_mask(b, u) >> w) & 1 == (g.in_mask(b, w) >> u) & 1
+
+    def test_self_loop_in_both_masks_counts_once(self):
+        g = LabeledDigraph(1, [0, 1], [(0, 0, 1)])
+        g.connect(0, 0, 0b11, 0b01)
+        assert g.edges() == [(0, 0, 0), (0, 0, 1)]
+        assert g.edge_count == 2
+
+    @given(digraphs(min_n=1), st.data())
+    def test_rejection_leaves_graph_unchanged(self, g, data):
+        n = g.vertex_count  # vertices are 0..n-1, so n is unknown
+        vertices = g.vertices
+        v = data.draw(st.sampled_from(vertices))
+        a = data.draw(st.integers(0, g.k - 1))
+        targets = _mask(data.draw(st.sets(st.sampled_from(vertices))))
+        sources = _mask(data.draw(st.sets(st.sampled_from(vertices))))
+        before = _copy(g)
+        for bad in (
+            (n, a, targets, sources),
+            (v, g.k, targets, sources),
+            (v, -1, targets, sources),
+            (v, a, targets | 1 << n, sources),
+            (v, a, targets, sources | 1 << n),
+        ):
+            with pytest.raises(ValueError):
+                g.connect(*bad)
+            assert g == before
+            assert g.edge_count == before.edge_count
+            assert [g.in_mask(b, w) for b in range(g.k) for w in vertices] == [
+                before.in_mask(b, w) for b in range(g.k) for w in vertices
+            ]
+
+
 class TestIndistinguishable:
     def test_empty_graph_all_pairs_indistinguishable(self):
         g = LabeledDigraph(2, range(4))
@@ -165,6 +228,22 @@ class TestEquivalencePartition:
         cls_of = {v: i for i, cls in enumerate(partition) for v in cls}
         for u, v in itertools.combinations(g.vertices, 2):
             assert indistinguishable(g, u, v) == (cls_of[u] == cls_of[v])
+
+    def test_mutual_edges_without_loops_split_the_pair(self):
+        g = LabeledDigraph(1, [0, 1], [(0, 0, 1), (1, 0, 0)])
+        assert equivalence_partition(g) == [[0], [1]]
+
+    @given(digraphs(min_n=1, max_n=6), st.data())
+    def test_clone_joins_its_original(self, g, data):
+        original = data.draw(st.sampled_from(g.vertices))
+        loops = data.draw(st.sets(st.integers(0, g.k - 1)))
+        for a in loops:  # a looped original gives the pair all four edges
+            g.add_edge(original, a, original)
+        clone = g.vertex_count
+        extended = clone_vertex(g, original, clone)
+        partition = equivalence_partition(extended)
+        assert partition == oracle_partition(extended)
+        assert any(original in cls and clone in cls for cls in partition)
 
 
 class TestInducedSubgraph:

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from domainlearn import experiments
+from domainlearn import cli, experiments
 from domainlearn.cli import main
 from domainlearn.digraph import LabeledDigraph
 from domainlearn.experiments import (
@@ -387,6 +387,25 @@ class TestCli:
     def test_template_generation_failure_exits_2(self, capsys):
         assert main(["run", "--k", "1", "--m", "2", "--density", "1e-9"]) == 2
         assert capsys.readouterr().err.startswith("error: no irreducible template")
+
+    def test_dump_policy_generates_the_template_once(self, monkeypatch, capsys):
+        calls = []
+        original = experiments.generate_template
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "generate_template", counting)
+        monkeypatch.setattr(experiments, "generate_template", counting)
+        assert main(["dump", "--what", "policy", *_PINNED_BASE]) == 0
+        assert calls == [(13, 4, 2, 0.5)]
+
+    @pytest.mark.parametrize("extra", [[], ["--density", "1.0"]])
+    def test_dump_validates_before_generating(self, extra, capsys):
+        argv = ["dump", "--what", "template", "--rounds", "0", "--m", "3", "--k", "1"]
+        assert main(argv + extra) == 2
+        assert capsys.readouterr().err == "error: rounds must be >= 1\n"
 
 
 # SHA-256 of each command's stdout, recorded at commit bf956c5: run and sweep

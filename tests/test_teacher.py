@@ -170,19 +170,43 @@ class TestEdgeRule:
         ]
         assert not errors.deny
 
-    def test_revealed_subgraph_matches_edge_rule(self):
-        template = generate_template(seed=21, m=3, k=2, edge_density=0.5)
-        teacher = SyntheticTeacher(template, IidUniform(), draw_seed=9)
-        for _ in range(12):
-            teacher.next_vertex()
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 5),
+        st.integers(1, 3),
+        st.sampled_from([0.3, 0.5, 0.8]),
+        st.one_of(
+            st.just(IidUniform()),
+            st.integers(1, 4).map(NovelLast),
+            st.lists(st.integers(0, 4), max_size=14).map(lambda ds: Scripted(tuple(ds))),
+        ),
+        st.integers(0, 14),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_revealed_subgraph_matches_edge_rule(self, seed, m, k, density, schedule, reveals):
+        if isinstance(schedule, Scripted):
+            schedule = Scripted(tuple(d % m for d in schedule.domains))
+        try:
+            template = generate_template(seed, m, k, edge_density=density)
+        except TemplateGenerationError:
+            return
+        teacher = SyntheticTeacher(template, schedule, draw_seed=seed + 1)
+        for _ in range(reveals):
+            try:
+                teacher.next_vertex()
+            except TeacherExhausted:
+                break
         world = teacher.peek_ground_truth()
+        expected = 0
         for u in world.vertices:
-            for a in range(world.k):
+            for a in range(k):
                 for v in world.vertices:
-                    expected = template.graph.has_edge(
+                    edge = template.graph.has_edge(
                         teacher.domain_of(u), a, teacher.domain_of(v)
                     )
-                    assert world.has_edge(u, a, v) == expected
+                    assert world.has_edge(u, a, v) == edge
+                    expected += edge
+        assert world.edge_count == expected
 
 
 class TestDeterminism:
