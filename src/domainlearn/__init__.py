@@ -3,7 +3,6 @@ policy administration, with query-cost ledgers checked against closed-form
 bounds."""
 
 from .digraph import (
-    DomainPolicy,
     ErrorSet,
     LabeledDigraph,
     equivalence_partition,
@@ -50,7 +49,6 @@ from .teacher import (
 
 __all__ = [
     "ConservativeLearner",
-    "DomainPolicy",
     "ErrorSet",
     "From",
     "IidUniform",

@@ -17,7 +17,7 @@ produce identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 Edge = tuple[int, int, int]  # (source vertex, right index, target vertex)
 
@@ -221,26 +221,6 @@ def is_irreducible(g: LabeledDigraph) -> bool:
 
 
 @dataclass(frozen=True)
-class DomainPolicy:
-    """A domain-based policy: a summary digraph plus the assignment of
-    entities to its vertices (protection domains).
-
-    A request (u, a, v) is granted iff
-    (assignment[u], a, assignment[v]) is an edge of the summary.
-    """
-
-    summary: LabeledDigraph
-    assignment: dict[int, int]
-
-    def __post_init__(self) -> None:
-        for v, domain in self.assignment.items():
-            if not self.summary.has_vertex(domain):
-                raise ValueError(
-                    f"assignment maps {v} to {domain}, not a summary vertex"
-                )
-
-
-@dataclass(frozen=True)
 class ErrorSet:
     """Requests on which a policy and the ground-truth graph disagree."""
 
@@ -261,23 +241,26 @@ class ErrorSet:
         return request in self.grant or request in self.deny
 
 
-def error_set(g: LabeledDigraph, policy: DomainPolicy) -> ErrorSet:
+def error_set(
+    g: LabeledDigraph, summary: LabeledDigraph, assignment: Mapping[int, int]
+) -> ErrorSet:
     """All requests (u, a, v) over V(G) x rights x V(G) where the policy
-    decision differs from graph membership.
+    (``summary``, ``assignment``) decides differently from graph membership.
 
-    Grant errors are requests the policy allows but the graph lacks; deny
-    errors the reverse.  Evaluated per (source, right) with bitmasks, so the
-    cost is O(n * k * |V(summary)|) plus the size of the output.
+    The policy grants (u, a, v) iff (assignment[u], a, assignment[v]) is an
+    edge of ``summary``.  Grant errors are requests the policy allows but the
+    graph lacks; deny errors the reverse.  ``assignment`` must map every
+    vertex of g, or ``ValueError`` is raised.  Evaluated per (source, right)
+    with bitmasks, so the cost is O(n * k * |V(summary)|) plus the size of
+    the output.
     """
     vertices = g.vertices
-    assignment = policy.assignment
-    for v in vertices:
-        if v not in assignment:
-            raise ValueError(f"assignment is not total: vertex {v} unmapped")
-    summary = policy.summary
     member_mask: dict[int, int] = {}
     for v in vertices:
-        domain = assignment[v]
+        try:
+            domain = assignment[v]
+        except KeyError:
+            raise ValueError(f"assignment is not total: vertex {v} unmapped") from None
         member_mask[domain] = member_mask.get(domain, 0) | (1 << v)
     # allowed_mask[(x, a)]: targets granted to any source assigned to x.
     allowed_mask: dict[tuple[int, int], int] = {}

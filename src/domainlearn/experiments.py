@@ -268,7 +268,7 @@ def _verify_round(
         ground_truth, summary, learner.assignment, learner.tree
     )
     failures.extend(f"{name}: {detail}" for name, detail in failed.items())
-    reference = summarize(ground_truth).summary
+    reference, _ = summarize(ground_truth)
     if reference.vertex_count <= ISOMORPHISM_VERTEX_LIMIT:
         if not isomorphic_small(reference, summary):
             failures.append("summary not isomorphic to the reference summary")
@@ -375,7 +375,7 @@ def coupon_experiment(config: ExperimentConfig) -> CouponSummary:
     if not isinstance(schedule, (IidUniform, IidWeighted)):
         raise ValueError("coupon requires an IID schedule")
     m = config.m
-    probs = schedule_probabilities(schedule, m)
+    exact = exact_coverage_expectation(schedule_probabilities(schedule, m))
     total_draws = 0
     for trial in range(config.trials):
         rng = SplitMix64(derive_seed(config.template_seed, 0xC0F0, trial))
@@ -388,7 +388,6 @@ def coupon_experiment(config: ExperimentConfig) -> CouponSummary:
                 break
         total_draws += draws
     empirical = total_draws / config.trials
-    exact = exact_coverage_expectation(probs)
     closed = m * harmonic_number(m) if isinstance(schedule, IidUniform) else None
     return CouponSummary(
         m=m,

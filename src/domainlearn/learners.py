@@ -255,9 +255,9 @@ def revise(
     their minimum member, and re-enqueues the two new leaves.  Runs within
     2m worklist iterations for m final partitions.
 
-    ``observer`` (instrumented builds only) is called at the top of every
-    worklist iteration with the tree, the evolving assignment, and the
-    pending leaves.
+    ``observer`` (tests only; no learner passes one) is called at the top
+    of every worklist iteration with the tree, the evolving assignment, and
+    the pending leaves.
     """
     frozen = dict(assignment)
     frozen[new_vertex] = guess
@@ -389,24 +389,20 @@ class TirelessLearner(Learner):
                 if v != u and connection(v, a, u):
                     sources |= 1 << v
             graph.connect(u, a, targets, sources)
-        policy = summarize(graph)
-        errors = session.hypothesis_test(policy.summary, policy.assignment)
+        summary, assignment = summarize(graph)
+        errors = session.hypothesis_test(summary, assignment)
         if errors:
             raise LearnerInternalError(
                 f"tireless hypothesis of an exactly-known matrix returned "
                 f"{len(errors)} errors"
             )
-        self.summary, self.assignment = policy.summary, policy.assignment
+        self.summary, self.assignment = summary, assignment
         self.rounds_completed += 1
 
 
 class ConservativeLearner(Learner):
     """Occam's-razor strategy: presume newcomers are not novel; repair on
     proof to the contrary."""
-
-    def __init__(self, session: Session, *, revise_observer: ReviseObserver | None = None):
-        super().__init__(session)
-        self._revise_observer = revise_observer
 
     def run_round(self) -> None:
         if self.rounds_completed == 0:
@@ -446,13 +442,7 @@ class ConservativeLearner(Learner):
         # knowledge comes from the frozen (summary, extended, errors)
         # snapshot; no connection query is issued past this point.
         self.tree, self.assignment = revise(
-            self.tree,
-            self.summary,
-            self.assignment,
-            u,
-            guess,
-            errors,
-            observer=self._revise_observer,
+            self.tree, self.summary, self.assignment, u, guess, errors
         )
         representatives = sorted(set(self.assignment.values()))
         rebuilt = LabeledDigraph(session.k, representatives)

@@ -42,8 +42,13 @@ class SC2Violation(ProtocolViolation):
 class Teacher(abc.ABC):
     """Contract for the party holding ground truth.
 
-    Implementations must be truthful: all answers consistent with one fixed
-    graph and the set of vertices revealed so far.
+    A teacher is called only through a :class:`Session`, which validates
+    every query before passing it on: a teacher receives only connection
+    queries over revealed vertices and rights in [0, k), and only hypotheses
+    that pass SC-1 and whose assignment domain is exactly the revealed set.
+    It need not check them again.  Implementations must be truthful: all
+    answers consistent with one fixed graph and the set of vertices
+    revealed so far.
     """
 
     @property
@@ -57,7 +62,7 @@ class Teacher(abc.ABC):
 
     @abc.abstractmethod
     def connection(self, u: int, a: int, v: int) -> bool:
-        """Whether edge (u, a, v) exists; u and v must be revealed."""
+        """Whether edge (u, a, v) exists; u and v are revealed."""
 
     @abc.abstractmethod
     def hypothesis_test(
@@ -95,8 +100,10 @@ class QueryLedger:
 class Session:
     """Monitored protocol session binding one learner to one teacher.
 
-    The monitor, not the learner, owns the ledger, so reported cost cannot
-    be understated.  Strictly single-threaded; run independent sessions for
+    The monitor is the only place a query is validated: a malformed query
+    raises before the teacher sees it and before the ledger counts it.  The
+    monitor, not the learner, owns the ledger, so reported cost cannot be
+    understated.  Strictly single-threaded; run independent sessions for
     parallel experiments.
     """
 
@@ -149,7 +156,8 @@ class Session:
             raise SC1Violation("submitted summary is reducible")
         if set(assignment.values()) != set(summary.vertices):
             raise SC1Violation(
-                "submitted assignment is not surjective onto the summary vertices"
+                "submitted assignment is not surjective onto the summary vertices, "
+                "or maps a vertex outside them"
             )
         errors = self._teacher.hypothesis_test(summary, assignment)
         ledger = self.ledger

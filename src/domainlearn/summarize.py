@@ -11,16 +11,18 @@ isomorphic (not identical) summary.
 
 from __future__ import annotations
 
-from .digraph import DomainPolicy, LabeledDigraph, equivalence_partition, induced_subgraph
+from .digraph import LabeledDigraph, equivalence_partition, induced_subgraph
 
 
-def summarize(g: LabeledDigraph) -> DomainPolicy:
-    """Compute the canonical summary policy of ``g``.
+def summarize(g: LabeledDigraph) -> tuple[LabeledDigraph, dict[int, int]]:
+    """Compute the canonical summary policy of ``g`` as the pair
+    ``(summary, assignment)``.
 
-    Returns a policy whose summary is irreducible, whose assignment is a
-    surjective strong homomorphism from g onto it, and whose vertex set is
-    the minimum-id representative of each indistinguishability class.
-    Runs in time polynomial in |V(g)| and k.
+    The summary is irreducible and its vertex set is the minimum-id
+    representative of each indistinguishability class; the assignment maps
+    every vertex of g to its class representative, a surjective strong
+    homomorphism from g onto the summary.  Runs in time polynomial in
+    |V(g)| and k.
     """
     partition = equivalence_partition(g)
     assignment: dict[int, int] = {}
@@ -31,4 +33,4 @@ def summarize(g: LabeledDigraph) -> DomainPolicy:
         for v in vertex_class:
             assignment[v] = rep
     summary = induced_subgraph(g, representatives)
-    return DomainPolicy(summary=summary, assignment=assignment)
+    return summary, assignment

@@ -13,17 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .digraph import (
-    ErrorSet,
-    DomainPolicy,
-    LabeledDigraph,
-    error_set,
-    induced_subgraph,
-    is_irreducible,
-)
+from .digraph import ErrorSet, LabeledDigraph, error_set, is_irreducible
 from .graphio import digraph_from_text, digraph_to_text
-from .oracle import oracle_partition
-from .protocol import ProtocolViolation, Teacher
+from .protocol import Teacher
 from .rng import SplitMix64, mix64
 
 
@@ -242,7 +234,9 @@ class SyntheticTeacher(Teacher):
     induced subgraph is maintained incrementally so hypothesis tests are
     evaluated directly against it: a newcomer's edges under each right are
     the member masks of its domain's template neighbours, inserted by one
-    :meth:`LabeledDigraph.connect` call.
+    :meth:`LabeledDigraph.connect` call.  Like every :class:`Teacher` it
+    answers only queries a :class:`~domainlearn.protocol.Session` has
+    already validated, and checks none of them again.
     """
 
     def __init__(
@@ -256,7 +250,6 @@ class SyntheticTeacher(Teacher):
         self._domains: list[int] = []  # template domain of each revealed vertex
         self._members = [0] * template.m  # revealed instances of each domain, as a bitmask
         self._graph = LabeledDigraph(template.k)
-        self._class_count_cache: dict[frozenset[int], int] = {}
 
     @property
     def k(self) -> int:
@@ -290,21 +283,12 @@ class SyntheticTeacher(Teacher):
 
     def connection(self, u: int, a: int, v: int) -> bool:
         domains = self._domains
-        if not (0 <= u < len(domains) and 0 <= v < len(domains)):
-            raise ProtocolViolation(
-                f"connection query ({u}, {a}, {v}) references an unrevealed vertex"
-            )
         return self._template.graph.has_edge(domains[u], a, domains[v])
 
     def hypothesis_test(
         self, summary: LabeledDigraph, assignment: Mapping[int, int]
     ) -> ErrorSet:
-        if set(assignment) != set(range(len(self._domains))):
-            raise ProtocolViolation(
-                "hypothesis assignment domain must be exactly the revealed set"
-            )
-        policy = DomainPolicy(summary=summary, assignment=dict(assignment))
-        return error_set(self._graph, policy)
+        return error_set(self._graph, summary, assignment)
 
     # -- ground-truth backdoors: verification and tests only ----------------
 
@@ -316,23 +300,3 @@ class SyntheticTeacher(Teacher):
     def domain_of(self, v: int) -> int:
         """Template domain of a revealed vertex (ground-truth backdoor)."""
         return self._domains[v]
-
-    def revealed_domains(self) -> tuple[int, ...]:
-        """Domains of revealed vertices in revelation order (backdoor)."""
-        return tuple(self._domains)
-
-    def revealed_class_count(self) -> int:
-        """Number of indistinguishability classes of the revealed subgraph.
-
-        Computed on the template restricted to the revealed domains, which
-        by the instance edge rule has exactly the same class structure as
-        the revealed subgraph itself (instances of one domain are always
-        mutually indistinguishable).  Ground-truth backdoor.
-        """
-        revealed = frozenset(self._domains)
-        cached = self._class_count_cache.get(revealed)
-        if cached is None:
-            sub = induced_subgraph(self._template.graph, revealed)
-            cached = len(oracle_partition(sub))
-            self._class_count_cache[revealed] = cached
-        return cached

@@ -276,6 +276,15 @@ class TestCoupon:
         with pytest.raises(ValueError, match="IID"):
             coupon_experiment(config)
 
+    def test_too_many_classes_rejected_before_any_trial(self, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran before the m > 20 check")
+
+        monkeypatch.setattr(experiments, "domain_sequence", no_trials)
+        config = ExperimentConfig(m=21, trials=20_000, schedule="iid-uniform")
+        with pytest.raises(ValueError, match="20 classes"):
+            coupon_experiment(config)
+
 
 class TestCli:
     def test_run_writes_csv(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from domainlearn import (
     SC1Violation,
     SC2Violation,
     Session,
+    Teacher,
 )
 from domainlearn.teacher import Scripted, SyntheticTeacher, WorldTemplate
 
@@ -103,6 +104,97 @@ class TestProtocolChecks:
         session.next_vertex()
         with pytest.raises(ProtocolViolation, match="revealed"):
             session.hypothesis_test(LabeledDigraph(1, [0]), {0: 0, 7: 0})
+
+
+class RecordingTeacher(Teacher):
+    """Passes every query to a synthetic teacher and records its name."""
+
+    def __init__(self, inner: SyntheticTeacher):
+        self._inner = inner
+        self.calls: list[str] = []
+
+    @property
+    def k(self) -> int:
+        return self._inner.k
+
+    def next_vertex(self) -> int:
+        self.calls.append("next_vertex")
+        return self._inner.next_vertex()
+
+    def connection(self, u, a, v):
+        self.calls.append("connection")
+        return self._inner.connection(u, a, v)
+
+    def hypothesis_test(self, summary, assignment):
+        self.calls.append("hypothesis_test")
+        return self._inner.hypothesis_test(summary, assignment)
+
+
+def ledger_counters(session: Session) -> tuple[int, ...]:
+    ledger = session.ledger
+    return (
+        ledger.nvq_count,
+        ledger.cnq_count,
+        ledger.htq_count,
+        ledger.errors_cumulative,
+        len(ledger.per_round),
+    )
+
+
+# the enforcing policy of the edge_world after reveals d0, d1: vertex 0
+# (domain 0) has the edge to vertex 1 (domain 1)
+TWO_DOMAINS = LabeledDigraph(1, [0, 1], [(0, 0, 1)])
+
+MALFORMED_QUERIES = {
+    "cnq-unrevealed-vertex": lambda s: s.connection(0, 0, 3),
+    "cnq-right-k": lambda s: s.connection(0, 1, 1),
+    "cnq-right-minus-one": lambda s: s.connection(0, -1, 1),
+    "htq-extra-vertex": lambda s: s.hypothesis_test(
+        TWO_DOMAINS, {0: 0, 1: 1, 2: 0, 3: 0}
+    ),
+    "htq-missing-vertex": lambda s: s.hypothesis_test(TWO_DOMAINS, {0: 0, 1: 1}),
+    "htq-reducible-summary": lambda s: s.hypothesis_test(
+        LabeledDigraph(1, [0, 1]), {0: 0, 1: 1, 2: 0}
+    ),
+    "htq-not-surjective": lambda s: s.hypothesis_test(
+        TWO_DOMAINS, {0: 0, 1: 0, 2: 0}
+    ),
+    "htq-maps-outside-summary": lambda s: s.hypothesis_test(
+        TWO_DOMAINS, {0: 0, 1: 1, 2: 7}
+    ),
+}
+
+
+class TestSessionIsTheGate:
+    """A malformed query raises at the session, before the teacher is
+    called and before any ledger counter moves."""
+
+    def open_third_round(self) -> tuple[Session, RecordingTeacher]:
+        inner = SyntheticTeacher(edge_world(), Scripted((0, 1, 0)), draw_seed=5)
+        teacher = RecordingTeacher(inner)
+        session = Session(teacher)
+        u = session.next_vertex()
+        assert not session.hypothesis_test(*clean_hypothesis_for(u))
+        session.next_vertex()
+        assert not session.hypothesis_test(TWO_DOMAINS, {0: 0, 1: 1})
+        assert session.next_vertex() == 2  # revealed: 0, 1, 2; round 3 open
+        teacher.calls.clear()
+        return session, teacher
+
+    @pytest.mark.parametrize("query", MALFORMED_QUERIES.values(), ids=MALFORMED_QUERIES)
+    def test_malformed_query_never_reaches_teacher(self, query):
+        session, teacher = self.open_third_round()
+        before = ledger_counters(session)
+        with pytest.raises(ProtocolViolation):
+            query(session)
+        assert teacher.calls == []
+        assert ledger_counters(session) == before
+
+    def test_well_formed_queries_reach_teacher(self):
+        session, teacher = self.open_third_round()
+        assert session.connection(2, 0, 1) is True
+        assert not session.hypothesis_test(TWO_DOMAINS, {0: 0, 1: 1, 2: 0})
+        assert teacher.calls == ["connection", "hypothesis_test"]
 
 
 class TestLedger:

@@ -17,34 +17,33 @@ from .strategies import digraphs
 
 
 def test_empty_graph():
-    policy = summarize(LabeledDigraph(1))
-    assert policy.summary.vertex_count == 0
-    assert policy.assignment == {}
+    summary, assignment = summarize(LabeledDigraph(1))
+    assert summary.vertex_count == 0
+    assert assignment == {}
 
 
 def test_twin_collapse_example():
     g = LabeledDigraph(1, range(3), [(0, 0, 2), (1, 0, 2)])
-    policy = summarize(g)
-    assert policy.summary.vertices == (0, 2)
-    assert policy.summary.edges() == [(0, 0, 2)]
-    assert policy.assignment == {0: 0, 1: 0, 2: 2}
+    summary, assignment = summarize(g)
+    assert summary.vertices == (0, 2)
+    assert summary.edges() == [(0, 0, 2)]
+    assert assignment == {0: 0, 1: 0, 2: 2}
 
 
 def test_irreducible_input_maps_bijectively():
     g = LabeledDigraph(1, [0, 1], [(0, 0, 1)])
-    policy = summarize(g)
-    assert policy.summary == g
-    assert policy.assignment == {0: 0, 1: 1}
+    summary, assignment = summarize(g)
+    assert summary == g
+    assert assignment == {0: 0, 1: 1}
 
 
 @given(digraphs())
 @settings(max_examples=120)
 def test_summary_contract(g):
-    policy = summarize(g)
-    summary = policy.summary
+    summary, assignment = summarize(g)
     # surjective strong homomorphism onto an irreducible subgraph of g
-    assert is_strong_homomorphism(g, summary, policy.assignment)
-    assert set(policy.assignment.values()) == set(summary.vertices)
+    assert is_strong_homomorphism(g, summary, assignment)
+    assert set(assignment.values()) == set(summary.vertices)
     assert is_irreducible(summary)
     assert all(g.has_vertex(v) for v in summary.vertices)
     assert all(g.has_edge(*e) for e in summary.edges())
@@ -67,6 +66,6 @@ def test_unique_up_to_isomorphism(g, rnd):
     rnd.shuffle(shuffled)
     permutation = dict(zip(vertices, shuffled))
     relabelled = relabel(g, permutation)
-    original_summary = summarize(g).summary
-    relabelled_summary = summarize(relabelled).summary
+    original_summary, _ = summarize(g)
+    relabelled_summary, _ = summarize(relabelled)
     assert isomorphic_small(original_summary, relabelled_summary)
