@@ -9,8 +9,10 @@ Subcommands::
     dump    write a template, learned policy, or decision tree as text/DOT
 
 All subcommands accept ``--config <path>`` (a JSON file with the same field
-names as the flags); flags override the file.  Exit status is nonzero when a
-bound is violated, a monitor violation occurs, or a verify check fails.
+names as the flags); flags override the file.  Exit status is 1 when a
+bound is violated, a monitor violation occurs, or a verify check fails, and
+2, after one ``error: ...`` line, when the configuration is invalid or a
+file cannot be read or written.
 """
 
 from __future__ import annotations
@@ -219,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, ProtocolViolation, TemplateGenerationError) as exc:
+    except (ValueError, OSError, ProtocolViolation, TemplateGenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

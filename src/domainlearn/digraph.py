@@ -252,7 +252,8 @@ def error_set(
     graph lacks; deny errors the reverse.  ``assignment`` must map every
     vertex of g, or ``ValueError`` is raised.  Evaluated per (source, right)
     with bitmasks, so the cost is O(n * k * |V(summary)|) plus the size of
-    the output.
+    the output.  Of g it reads only ``k``, ``vertices`` and ``out_mask``, so
+    any object answering those three can stand in for the graph.
     """
     vertices = g.vertices
     member_mask: dict[int, int] = {}
@@ -270,9 +271,10 @@ def error_set(
             allowed_mask[key] = allowed_mask.get(key, 0) | member_mask[y]
     grant: list[Edge] = []
     deny: list[Edge] = []
+    k = g.k
     for u in vertices:
         domain = assignment[u]
-        for a in range(g.k):
+        for a in range(k):
             predicted = allowed_mask.get((domain, a), 0)
             actual = g.out_mask(a, u)
             difference = predicted ^ actual

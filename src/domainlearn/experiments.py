@@ -49,6 +49,10 @@ CSV_HEADER = "n,cnq_cum,htq_cum,errors_cum,observed_m,bound_tireless,bound_cons_
 _DRAW_STREAM = 0x1D5A7
 
 
+# JSON value types accepted per annotation of an ExperimentConfig field
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "str | None": (str, type(None))}
+
+
 @dataclass
 class ExperimentConfig:
     """Config for one experiment; JSON file fields and CLI flags are 1:1."""
@@ -83,11 +87,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "ExperimentConfig":
+        """Load a JSON object of config fields.  Unknown fields and values of
+        the wrong JSON type raise ``ValueError``: an int field takes an
+        integer, ``edge_density`` any number, and no field a boolean."""
         data = json.loads(Path(path).read_text())
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError(f"config {path} must hold a JSON object")
+        types = {f.name: _JSON_TYPES[f.type] for f in fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
             raise ValueError(f"unknown config fields {sorted(unknown)}")
+        for name, value in data.items():
+            if isinstance(value, bool) or not isinstance(value, types[name]):
+                raise ValueError(f"config field {name!r} has the wrong type: {value!r}")
         config = cls(**data)
         return replace(config, **overrides) if overrides else config
 

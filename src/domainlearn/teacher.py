@@ -4,8 +4,10 @@ domain template.
 The world behind the teacher is conceptually infinite: every vertex is an
 instance of one of m protection domains, and (u, a, v) is an edge iff the
 template has the edge (domain(u), a, domain(v)).  Instances are minted
-lazily as the revelation schedule asks for them, so only the revealed
-induced subgraph is ever materialized.
+lazily as the revelation schedule asks for them.  The teacher holds the
+revealed world as one target row per (right, domain), since all instances
+of a domain share their out-edges; the revealed induced subgraph is built
+as a :class:`LabeledDigraph` only when ground truth is peeked.
 """
 
 from __future__ import annotations
@@ -227,16 +229,39 @@ def schedule_probabilities(schedule: RevelationSchedule, m: int) -> tuple[float,
 # -- the teacher itself ------------------------------------------------------
 
 
+class _RevealedRows:
+    """Read-only view of the revealed graph, answering exactly what
+    :func:`error_set` reads: ``k``, ``vertices`` and ``out_mask``.  Vertex
+    u's targets under right a are the row of its domain."""
+
+    __slots__ = ("k", "_rows", "_domains")
+
+    def __init__(self, rows: list[list[int]], domains: list[int]):
+        self.k = len(rows)
+        self._rows = rows
+        self._domains = domains
+
+    @property
+    def vertices(self) -> range:
+        return range(len(self._domains))
+
+    def out_mask(self, a: int, u: int) -> int:
+        return self._rows[a][self._domains[u]]
+
+
 class SyntheticTeacher(Teacher):
     """Teacher over a template world with a configurable revelation schedule.
 
-    Vertex ids are minted 0, 1, 2, ... in revelation order.  The revealed
-    induced subgraph is maintained incrementally so hypothesis tests are
-    evaluated directly against it: a newcomer's edges under each right are
-    the member masks of its domain's template neighbours, inserted by one
-    :meth:`LabeledDigraph.connect` call.  Like every :class:`Teacher` it
-    answers only queries a :class:`~domainlearn.protocol.Session` has
-    already validated, and checks none of them again.
+    Vertex ids are minted 0, 1, 2, ... in revelation order.  The teacher
+    keeps, per right a and domain d, the row ``_rows[a][d]``: the mask of
+    revealed targets of any instance of d under a.  Revealing an instance of
+    domain x ORs its bit into the row of every template in-neighbour of x,
+    O(k * m) big-int ORs, and connection queries and hypothesis tests are
+    answered from the template and the rows alone.  The revealed induced
+    subgraph is built only by :meth:`peek_ground_truth`.  Like every
+    :class:`Teacher` it answers only queries a
+    :class:`~domainlearn.protocol.Session` has already validated, and
+    checks none of them again.
     """
 
     def __init__(
@@ -247,9 +272,20 @@ class SyntheticTeacher(Teacher):
     ):
         self._template = template
         self._draws = domain_sequence(schedule, template.m, SplitMix64(draw_seed))
+        graph = template.graph
+        # _in_domains[a][x]: the template domains d with edge (d, a, x)
+        self._in_domains = [
+            [
+                [d for d in range(template.m) if graph.has_edge(d, a, x)]
+                for x in range(template.m)
+            ]
+            for a in range(template.k)
+        ]
         self._domains: list[int] = []  # template domain of each revealed vertex
         self._members = [0] * template.m  # revealed instances of each domain, as a bitmask
-        self._graph = LabeledDigraph(template.k)
+        self._rows = [[0] * template.m for _ in range(template.k)]
+        self._view = _RevealedRows(self._rows, self._domains)
+        self._graph = LabeledDigraph(template.k)  # caught up by peek_ground_truth
 
     @property
     def k(self) -> int:
@@ -264,21 +300,11 @@ class SyntheticTeacher(Teacher):
             ) from None
         vertex = len(self._domains)
         self._domains.append(domain)
-        members = self._members
-        members[domain] |= 1 << vertex
-        graph = self._graph
-        template = self._template.graph
-        graph.add_vertex(vertex)
-        for a in range(template.k):
-            out_domains = template.out_mask(a, domain)
-            in_domains = template.in_mask(a, domain)
-            targets = sources = 0
-            for other_domain, instances in enumerate(members):
-                if out_domains >> other_domain & 1:
-                    targets |= instances
-                if in_domains >> other_domain & 1:
-                    sources |= instances
-            graph.connect(vertex, a, targets, sources)
+        bit = 1 << vertex
+        self._members[domain] |= bit
+        for rows, in_domains in zip(self._rows, self._in_domains):
+            for d in in_domains[domain]:
+                rows[d] |= bit
         return vertex
 
     def connection(self, u: int, a: int, v: int) -> bool:
@@ -288,14 +314,32 @@ class SyntheticTeacher(Teacher):
     def hypothesis_test(
         self, summary: LabeledDigraph, assignment: Mapping[int, int]
     ) -> ErrorSet:
-        return error_set(self._graph, summary, assignment)
+        return error_set(self._view, summary, assignment)
 
     # -- ground-truth backdoors: verification and tests only ----------------
 
     def peek_ground_truth(self) -> LabeledDigraph:
         """The revealed induced subgraph.  Verification/test harness only;
-        learners must never touch this.  Treat as read-only."""
-        return self._graph
+        learners must never touch this.  Treat as read-only.
+
+        The graph is built lazily: each call adds the vertices revealed since
+        the last one and connects each to its domain's targets and to the
+        instances of its domain's template in-neighbours, so the same object
+        is returned, caught up, every time.
+        """
+        graph = self._graph
+        built, n = graph.vertex_count, len(self._domains)
+        for v in range(built, n):
+            graph.add_vertex(v)
+        members = self._members
+        for v in range(built, n):
+            domain = self._domains[v]
+            for a in range(graph.k):
+                sources = 0
+                for d in self._in_domains[a][domain]:
+                    sources |= members[d]
+                graph.connect(v, a, self._rows[a][domain], sources)
+        return graph
 
     def domain_of(self, v: int) -> int:
         """Template domain of a revealed vertex (ground-truth backdoor)."""

@@ -25,6 +25,7 @@ from domainlearn.experiments import (
     verify_experiment,
 )
 from domainlearn.learners import ConservativeLearner
+from domainlearn.teacher import SyntheticTeacher
 
 
 class TestConfig:
@@ -60,6 +61,11 @@ class TestConfig:
         assert config.learner == "tireless"
         assert config.k == 2
         assert config.rounds == 9
+
+    def test_from_file_takes_an_integer_density(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"edge_density": 1, "out": None}))
+        assert ExperimentConfig.from_file(path).edge_density == 1
 
     def test_from_file_rejects_unknown_fields(self, tmp_path):
         path = tmp_path / "config.json"
@@ -382,6 +388,38 @@ class TestCli:
     def test_bad_config_exits_2(self, capsys):
         assert main(["run", "--schedule", "bogus"]) == 2
 
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["run", "--config", str(missing)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("k", "2"), ("rounds", 2.5), ("m", True), ("edge_density", "0.5"), ("out", 3)],
+    )
+    def test_config_field_of_the_wrong_type_exits_2(self, field, value, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({field: value}))
+        assert main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config field {field!r} has the wrong type: {value!r}\n"
+        )
+
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]")
+        assert main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: config {config} must hold a JSON object\n"
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "run.csv"
+        assert main(["run", "--rounds", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{out}'\n"
+        )
+
     @pytest.mark.parametrize("command", ["run", "verify", "dump"])
     def test_round_list_only_for_sweep(self, command, capsys):
         assert main([command, "--rounds", "3,50"]) == 2
@@ -510,6 +548,20 @@ class CorruptsThirdRound(ConservativeLearner):
 class TestPinnedOutputs:
     @pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS)
     def test_csv_digest(self, argv, digest, capsys):
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", ["run-conservative", "run-novel-last", "run-tireless"])
+    def test_measured_runs_build_no_ground_truth(self, name, monkeypatch, capsys):
+        (argv, digest), = [p.values for p in PINNED_OUTPUTS if p.id == name]
+
+        def refuse(*args):
+            raise AssertionError("a run with the oracle off built the revealed graph")
+
+        monkeypatch.setattr(SyntheticTeacher, "peek_ground_truth", refuse)
+        if "tireless" not in argv:
+            # the tireless learner's own reconstruction is built by connect
+            monkeypatch.setattr(LabeledDigraph, "connect", refuse)
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

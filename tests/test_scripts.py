@@ -1,0 +1,44 @@
+"""Smoke tests of the experiment scripts in ``scripts/``: each runs in its
+own interpreter with small arguments, so a renamed import or field in
+``domainlearn.experiments`` fails here instead of silently."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from domainlearn.experiments import CSV_HEADER
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_cost_curves(tmp_path):
+    out = tmp_path / "cost_curves.csv"
+    result = run_script("cost_curves.py", "--rounds", "5,10", "--out", str(out), cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    lines = out.read_text().splitlines()
+    assert lines[0] == "learner," + CSV_HEADER
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["tireless", "5"], ["conservative", "5"], ["tireless", "10"], ["conservative", "10"],
+    ]
+
+
+def test_coupon_demo(tmp_path):
+    result = run_script("coupon_demo.py", "--trials", "50", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert "uniform domains (m=5, 50 trials)" in result.stdout
+    assert "skewed domains (0.5, 0.3, 0.2) (m=3, 50 trials)" in result.stdout

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domainlearn import LabeledDigraph, equivalence_partition
+from domainlearn import LabeledDigraph, equivalence_partition, error_set
 from domainlearn.oracle import oracle_partition
+from domainlearn.summarize import summarize
 from domainlearn.rng import SplitMix64
 from domainlearn.teacher import (
     IidUniform,
@@ -202,6 +203,69 @@ class TestEdgeRule:
                     assert world.has_edge(u, a, v) == edge
                     expected += edge
         assert world.edge_count == expected
+
+
+class TestRowView:
+    """Hypothesis tests are answered from the per-(right, domain) rows, and
+    the revealed graph is caught up only when peeked; both must agree with
+    the edge rule and with ``error_set`` on the materialized graph."""
+
+    @given(
+        st.data(),
+        st.integers(0, 10_000),
+        st.integers(1, 5),
+        st.integers(1, 3),
+        st.sampled_from([0.3, 0.5, 0.8]),
+        st.one_of(
+            st.just(IidUniform()),
+            st.integers(1, 4).map(NovelLast),
+            st.lists(st.integers(0, 4), max_size=14).map(lambda ds: Scripted(tuple(ds))),
+        ),
+        st.integers(1, 14),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_hypothesis_test_equals_error_set_of_the_peeked_graph(
+        self, data, seed, m, k, density, schedule, reveals
+    ):
+        if isinstance(schedule, Scripted):
+            schedule = Scripted(tuple(d % m for d in schedule.domains))
+        try:
+            template = generate_template(seed, m, k, edge_density=density)
+        except TemplateGenerationError:
+            return
+        teacher = SyntheticTeacher(template, schedule, draw_seed=seed + 1)
+        for n in range(1, reveals + 1):
+            try:
+                teacher.next_vertex()
+            except TeacherExhausted:
+                break
+            # peek on some rounds only, so each catch-up starts part-way
+            if not data.draw(st.booleans(), label="peek"):
+                continue
+            world = teacher.peek_ground_truth()
+            domains = [teacher.domain_of(v) for v in range(n)]
+            assert world == LabeledDigraph(
+                k,
+                range(n),
+                [
+                    (u, a, v)
+                    for u in range(n)
+                    for a in range(k)
+                    for v in range(n)
+                    if template.graph.has_edge(domains[u], a, domains[v])
+                ],
+            )
+            size = data.draw(st.integers(1, 4), label="summary size")
+            cells = st.tuples(
+                st.integers(0, size - 1), st.integers(0, k - 1), st.integers(0, size - 1)
+            )
+            summary = LabeledDigraph(k, range(size), data.draw(st.sets(cells), label="edges"))
+            assignment = {
+                v: data.draw(st.integers(0, size - 1), label=f"domain of {v}")
+                for v in range(n)
+            }
+            for policy in ((summary, assignment), summarize(world)):
+                assert teacher.hypothesis_test(*policy) == error_set(world, *policy)
 
 
 class TestDeterminism:
