@@ -272,18 +272,15 @@ class SyntheticTeacher(Teacher):
     ):
         self._template = template
         self._draws = domain_sequence(schedule, template.m, SplitMix64(draw_seed))
-        graph = template.graph
         # _in_domains[a][x]: the template domains d with edge (d, a, x)
+        m = template.m
         self._in_domains = [
-            [
-                [d for d in range(template.m) if graph.has_edge(d, a, x)]
-                for x in range(template.m)
-            ]
+            [[d for d in range(m) if template.graph.has_edge(d, a, x)] for x in range(m)]
             for a in range(template.k)
         ]
         self._domains: list[int] = []  # template domain of each revealed vertex
-        self._members = [0] * template.m  # revealed instances of each domain, as a bitmask
-        self._rows = [[0] * template.m for _ in range(template.k)]
+        self._members = [0] * m  # revealed instances of each domain, as a bitmask
+        self._rows = [[0] * m for _ in range(template.k)]
         self._view = _RevealedRows(self._rows, self._domains)
         self._graph = LabeledDigraph(template.k)  # caught up by peek_ground_truth
 
