@@ -12,14 +12,18 @@ All subcommands accept ``--config <path>`` (a JSON file with the same field
 names as the flags); flags override the file.  Exit status is 1 when a
 bound is violated, a monitor violation occurs, or a verify check fails, and
 2, after one ``error: ...`` line, when the configuration is invalid or a
-file cannot be read or written.
+file cannot be read or written.  The configuration is validated and
+``--out`` opened before any round is played, so neither error wastes a
+run, and an invalid configuration leaves ``--out`` untouched.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
+from typing import Iterator, TextIO
 
 from .experiments import (
     CouponSummary,
@@ -89,17 +93,21 @@ def _round_list(args: argparse.Namespace, config: ExperimentConfig) -> list[int]
     return [int(part) for part in rounds.split(",") if part.strip()]
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+@contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """The stream a command writes to: ``out`` opened for writing, or
+    stdout.  Commands open it after validating their configuration and
+    before doing any work, so an unwritable path fails at once."""
+    if not out:
+        yield sys.stdout
+        return
+    with open(out, "w", newline="") as handle:
+        yield handle
 
 
-def _emit_report(report, out: str | None) -> int:
+def _emit_report(report, stream: TextIO) -> int:
     """Write a run or sweep CSV, print its violations, return its exit code."""
-    _emit(report.to_csv(), out)
+    stream.write(report.to_csv())
     for violation in report.violations:
         print(f"violation: {violation}", file=sys.stderr)
     return report.exit_code
@@ -107,14 +115,23 @@ def _emit_report(report, out: str | None) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    return _emit_report(run_experiment(config), config.out)
+    config.validate()
+    with _output(config.out) as stream:
+        return _emit_report(run_experiment(config), stream)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     if config.oracle_checks == "off":
         config = replace(config, oracle_checks="every")
-    report = verify_experiment(config)
+    config.validate()
+    with _output(config.out) as stream:
+        report = verify_experiment(config)
+        stream.write(_verify_text(report))
+    return report.exit_code
+
+
+def _verify_text(report) -> str:
     lines = []
     for verdict in report.rounds:
         status = "ok" if verdict.passed else "FAIL"
@@ -124,18 +141,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for violation in report.violations:
         lines.append(f"violation: {violation}")
     lines.append("verify: " + ("all checks passed" if report.all_passed else "FAILED"))
-    _emit("\n".join(lines) + "\n", config.out)
-    return report.exit_code
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    return _emit_report(sweep_experiment(config, _round_list(args, config)), config.out)
+    round_counts = _round_list(args, config)
+    for rounds in round_counts:
+        replace(config, rounds=rounds).validate()
+    with _output(config.out) as stream:
+        return _emit_report(sweep_experiment(config, round_counts), stream)
 
 
 def _cmd_coupon(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    summary: CouponSummary = coupon_experiment(config)
+    config.validate()
+    with _output(config.out) as stream:
+        summary: CouponSummary = coupon_experiment(config)
+        if config.out:
+            stream.write(summary.to_csv())
     lines = [
         f"domains: {summary.m}",
         f"trials: {summary.trials}",
@@ -146,8 +170,6 @@ def _cmd_coupon(args: argparse.Namespace) -> int:
         lines.append(
             f"uniform closed form m*H_m: {summary.uniform_closed_form:.6f}"
         )
-    if config.out:
-        _emit(summary.to_csv(), config.out)
     print("\n".join(lines))
     return 0
 
@@ -155,14 +177,21 @@ def _cmd_coupon(args: argparse.Namespace) -> int:
 def _cmd_dump(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     config.validate()
+    if args.what == "tree" and config.learner != "conservative":
+        raise ValueError("only the conservative learner has a decision tree")
+    with _output(config.out) as stream:
+        return _dump(args, config, stream)
+
+
+def _dump(args: argparse.Namespace, config: ExperimentConfig, stream: TextIO) -> int:
     if args.what == "template":
         template = generate_template(
             config.template_seed, config.m, config.k, config.edge_density
         )
         if args.format == "text":
-            _emit(template_to_text(template), config.out)
+            stream.write(template_to_text(template))
         else:
-            _emit(digraph_to_dot(template.graph, name="template"), config.out)
+            stream.write(digraph_to_dot(template.graph, name="template"))
         return 0
 
     # policy and tree dumps require running the configured learner first
@@ -182,13 +211,10 @@ def _cmd_dump(args: argparse.Namespace) -> int:
         return 2
     if args.what == "policy":
         render = policy_to_text if args.format == "text" else policy_to_dot
-        _emit(render(learner.summary, learner.assignment), config.out)
+        stream.write(render(learner.summary, learner.assignment))
         return 0
-    if learner.tree is None:
-        print("only the conservative learner has a decision tree", file=sys.stderr)
-        return 1
     render = tree_to_text if args.format == "text" else tree_to_dot
-    _emit(render(learner.tree), config.out)
+    stream.write(render(learner.tree))
     return 0
 
 

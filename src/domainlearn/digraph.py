@@ -182,14 +182,16 @@ def equivalence_partition(g: LabeledDigraph) -> list[list[int]]:
     equal bits u and v in those masks say that the four pair edges (u, a, u),
     (u, a, v), (v, a, u), (v, a, v) are all present or all absent.  So each
     vertex is keyed by the tuple of its 2k masks and the classes are the key
-    groups, found in one pass over the sorted vertices: O(k * n) dict lookups
-    and n hashes of 2k n-bit masks.  Classes are ordered by their minimum
-    vertex id and sorted internally.
+    groups.  Each of the 2k mask dicts is read once, as a column over the
+    sorted vertices, and the columns are zipped into the keys: 2k list
+    comprehensions of n dict lookups, then one dict pass hashing n keys of
+    2k n-bit masks.  Classes are ordered by their minimum vertex id and
+    sorted internally.
     """
-    outs, ins = g._out, g._in
+    vertices = g.vertices
+    columns = [[masks.get(v, 0) for v in vertices] for masks in (*g._out, *g._in)]
     classes: dict[tuple[int, ...], list[int]] = {}
-    for v in g.vertices:
-        key = (*[out.get(v, 0) for out in outs], *[inn.get(v, 0) for inn in ins])
+    for v, key in zip(vertices, zip(*columns)):
         classes.setdefault(key, []).append(v)
     return list(classes.values())
 

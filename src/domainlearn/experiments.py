@@ -37,6 +37,7 @@ from .teacher import (
     IidWeighted,
     SyntheticTeacher,
     TeacherExhausted,
+    check_template_parameters,
     domain_sequence,
     generate_template,
     parse_schedule,
@@ -84,6 +85,7 @@ class ExperimentConfig:
                 "use a larger every=<j> or fewer rounds"
             )
         parse_schedule(self.schedule)
+        check_template_parameters(self.m, self.k, self.edge_density)
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "ExperimentConfig":

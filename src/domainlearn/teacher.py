@@ -55,17 +55,10 @@ class WorldTemplate:
 MAX_GENERATION_ATTEMPTS = 10_000
 
 
-def generate_template(
-    seed: int, m: int, k: int, edge_density: float
-) -> WorldTemplate:
-    """Sample an irreducible m-domain template.
-
-    Each of the m*m*k candidate edges is kept independently with probability
-    ``edge_density``.  Deterministic given (seed, m, k, edge_density): failed
-    attempts retry with a seed derived by remixing the previous one.  With
-    m > 1, a density of 0 or 1 is rejected at once: it makes every domain
-    indistinguishable, so no attempt could succeed.
-    """
+def check_template_parameters(m: int, k: int, edge_density: float) -> None:
+    """Raise ``ValueError`` unless :func:`generate_template` can succeed on
+    these parameters.  With m > 1, a density of 0 or 1 makes every domain
+    indistinguishable, so no attempt could succeed."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 1:
@@ -77,6 +70,20 @@ def generate_template(
             f"edge_density {edge_density} makes all {m} domains indistinguishable; "
             "use a value strictly between 0 and 1"
         )
+
+
+def generate_template(
+    seed: int, m: int, k: int, edge_density: float
+) -> WorldTemplate:
+    """Sample an irreducible m-domain template.
+
+    Each of the m*m*k candidate edges is kept independently with probability
+    ``edge_density``.  Deterministic given (seed, m, k, edge_density): failed
+    attempts retry with a seed derived by remixing the previous one.
+    Parameters that :func:`check_template_parameters` rejects raise its
+    ``ValueError`` before any attempt.
+    """
+    check_template_parameters(m, k, edge_density)
     attempt_seed = seed
     for _ in range(MAX_GENERATION_ATTEMPTS):
         rng = SplitMix64(attempt_seed)
@@ -256,9 +263,11 @@ class SyntheticTeacher(Teacher):
     keeps, per right a and domain d, the row ``_rows[a][d]``: the mask of
     revealed targets of any instance of d under a.  Revealing an instance of
     domain x ORs its bit into the row of every template in-neighbour of x,
-    O(k * m) big-int ORs, and connection queries and hypothesis tests are
-    answered from the template and the rows alone.  The revealed induced
-    subgraph is built only by :meth:`peek_ground_truth`.  Like every
+    O(k * m) big-int ORs.  Connection queries and hypothesis tests are
+    answered from the rows alone: (u, a, v) is an edge iff bit v of u's
+    domain row under a is set, so the template is not kept past
+    ``__init__``.  The revealed induced subgraph is built only by
+    :meth:`peek_ground_truth`.  Like every
     :class:`Teacher` it answers only queries a
     :class:`~domainlearn.protocol.Session` has already validated, and
     checks none of them again.
@@ -270,7 +279,6 @@ class SyntheticTeacher(Teacher):
         schedule: RevelationSchedule,
         draw_seed: int,
     ):
-        self._template = template
         self._draws = domain_sequence(schedule, template.m, SplitMix64(draw_seed))
         # _in_domains[a][x]: the template domains d with edge (d, a, x)
         m = template.m
@@ -286,7 +294,7 @@ class SyntheticTeacher(Teacher):
 
     @property
     def k(self) -> int:
-        return self._template.k
+        return len(self._rows)
 
     def next_vertex(self) -> int:
         try:
@@ -305,8 +313,7 @@ class SyntheticTeacher(Teacher):
         return vertex
 
     def connection(self, u: int, a: int, v: int) -> bool:
-        domains = self._domains
-        return self._template.graph.has_edge(domains[u], a, domains[v])
+        return (self._rows[a][self._domains[u]] >> v) & 1 == 1
 
     def hypothesis_test(
         self, summary: LabeledDigraph, assignment: Mapping[int, int]

@@ -18,6 +18,28 @@ def digraphs(draw, min_n: int = 0, max_n: int = 8, max_k: int = 3) -> LabeledDig
 
 
 @st.composite
+def blown_up_digraphs(draw, max_base: int = 4, max_n: int = 12) -> LabeledDigraph:
+    """A digraph whose vertices are copies of the vertices of a drawn base
+    digraph, in a drawn order: (u, a, v) is an edge iff (base[u], a, base[v])
+    is a base edge.  Copies of one base vertex are indistinguishable, so the
+    classes have several members with interleaved ids."""
+    base = draw(digraphs(min_n=1, max_n=max_base))
+    copies = draw(st.lists(st.sampled_from(base.vertices), max_size=max_n))
+    n = len(copies)
+    return LabeledDigraph(
+        base.k,
+        range(n),
+        [
+            (u, a, v)
+            for u in range(n)
+            for a in range(base.k)
+            for v in range(n)
+            if base.has_edge(copies[u], a, copies[v])
+        ],
+    )
+
+
+@st.composite
 def digraphs_with_pair(draw, max_n: int = 8, max_k: int = 3):
     g = draw(digraphs(min_n=2, max_n=max_n, max_k=max_k))
     vertices = g.vertices

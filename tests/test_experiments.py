@@ -292,6 +292,20 @@ class TestCoupon:
             coupon_experiment(config)
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("no round may be played")
+
+
+# each command that writes --out, and the experiment function it plays
+_EXPERIMENT_OF_COMMAND = [
+    (["run"], "run_experiment"),
+    (["sweep"], "sweep_experiment"),
+    (["verify"], "verify_experiment"),
+    (["coupon"], "coupon_experiment"),
+    (["dump", "--what", "policy"], "_play"),
+]
+
+
 class TestCli:
     def test_run_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
@@ -380,10 +394,15 @@ class TestCli:
                      "--seed", "5", "--rounds", "6"]) == 0
         assert "digraph policy" in capsys.readouterr().out
 
-    def test_dump_tree_requires_conservative(self, capsys):
+    def test_dump_tree_requires_conservative(self, monkeypatch, capsys):
+        # a usage error: rejected before any round is played
+        monkeypatch.setattr(cli, "_play", _must_not_run)
         code = main(["dump", "--what", "tree", "--learner", "tireless",
                      "--k", "1", "--m", "2", "--seed", "5", "--rounds", "3"])
-        assert code == 1
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: only the conservative learner has a decision tree\n"
+        )
 
     def test_bad_config_exits_2(self, capsys):
         assert main(["run", "--schedule", "bogus"]) == 2
@@ -419,6 +438,31 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: [Errno 2] No such file or directory: '{out}'\n"
         )
+
+    @pytest.mark.parametrize("command,experiment", _EXPERIMENT_OF_COMMAND)
+    def test_unwritable_out_fails_before_any_round(
+        self, command, experiment, monkeypatch, tmp_path, capsys
+    ):
+        monkeypatch.setattr(cli, experiment, _must_not_run)
+        out = tmp_path / "missing" / "x.csv"
+        assert main([*command, "--rounds", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{out}'\n"
+        )
+
+    @pytest.mark.parametrize("command,experiment", _EXPERIMENT_OF_COMMAND)
+    @pytest.mark.parametrize("invalid", [["--rounds", "0"], ["--density", "1.0", "--m", "3"]])
+    def test_invalid_config_leaves_out_untouched(
+        self, command, experiment, invalid, monkeypatch, tmp_path, capsys
+    ):
+        monkeypatch.setattr(cli, experiment, _must_not_run)
+        kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+        kept.write_text("earlier output\n")
+        for out in (kept, absent):
+            assert main([*command, *invalid, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+        assert kept.read_text() == "earlier output\n"
+        assert not absent.exists()
 
     @pytest.mark.parametrize("command", ["run", "verify", "dump"])
     def test_round_list_only_for_sweep(self, command, capsys):

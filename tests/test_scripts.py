@@ -4,6 +4,7 @@ own interpreter with small arguments, so a renamed import or field in
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -42,3 +43,31 @@ def test_coupon_demo(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "uniform domains (m=5, 50 trials)" in result.stdout
     assert "skewed domains (0.5, 0.3, 0.2) (m=3, 50 trials)" in result.stdout
+
+
+def test_bench_pairs(tmp_path):
+    # one pair of 1 s with the repo on both sides
+    result = run_script(
+        "bench_pairs.py", str(ROOT), str(ROOT), "--label", "smoke", "--pairs", "tireless=1",
+        "--seconds", "1", "--trace-seconds", "1", "--claim", "tireless:rounds_per_s",
+        cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert record["label"] == "smoke"
+    assert [(r["side"], r["workload"], r["trace"]) for r in record["runs"]] == [
+        ("parent", "tireless", 0), ("change", "tireless", 0),
+        ("parent", "tireless", 1), ("change", "tireless", 1),
+    ]
+    assert all(r["result"]["failed"] == 0 and r["lines"] for r in record["runs"])
+    summary = record["summary"]["tireless"]
+    assert summary["pairs"] == 1
+    assert summary["failed"] == {"parent": [0], "change": [0]}
+    rate = summary["rounds_per_s"]
+    assert rate["parent"]["q1"] == rate["parent"]["median"] == rate["parent"]["q3"] > 0
+    assert rate["change_wins"] in (0, 1)
+    assert summary["cnq_total"]["parent"] == summary["cnq_total"]["change"]
+    assert summary["cnq_total"]["change_wins"] == 0
+    assert record["claim"]["change_wins"].endswith("of 1 pairs")
+    cnq_calls = record["traced"]["tireless"]["protocol.cnq_calls"]
+    assert cnq_calls["parent"] == cnq_calls["change"] == summary["cnq_total"]["parent"]["median"]

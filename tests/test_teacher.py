@@ -201,6 +201,7 @@ class TestEdgeRule:
                         teacher.domain_of(u), a, teacher.domain_of(v)
                     )
                     assert world.has_edge(u, a, v) == edge
+                    assert teacher.connection(u, a, v) == edge
                     expected += edge
         assert world.edge_count == expected
 
