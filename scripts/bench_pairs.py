@@ -15,9 +15,9 @@ Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --label LABEL
 Each directory must be a checkout holding ``bench/`` and ``src/``; in a
 ``git clone`` at the revision to measure, the record also names each
 side's revision and the change's commit subject.  The record is written to
-the current directory.  ``--trace-seconds``
-adds one ``--trace 1`` run per side and workload at seed 0, whose per-layer
-metrics are summarised side by side.  ``--claim`` records whether the
+the current directory.  ``--trace-seconds`` adds as many ``--trace 1``
+pairs per workload, of that length and in the same order, and records
+each per-layer metric's median per side.  ``--claim`` records whether the
 change's gain on that workload and metric meets the rule: it wins at least
 nine tenths of the pairs, and its median differs from the parent's by more
 than the distance between the parent's quartiles.
@@ -151,22 +151,17 @@ def main() -> int:
             m["name"] for m in spec["end_to_end"]
         }:
             parser.error(f"--claim {args.claim}: not a measured workload and end-to-end metric")
+    lengths = {0: args.seconds, 1: args.trace_seconds} if args.trace_seconds else {0: args.seconds}
     runs: list[dict] = []
     for workload, count in args.pairs.items():
-        for seed in range(count):
-            order = SIDES if seed % 2 == 0 else SIDES[::-1]
-            for side in order:
-                run = bench_run(trees[side], workload, seed, 0, args.seconds)
-                runs.append({"side": side, "workload": workload, "seed": seed, "trace": 0,
-                             "seconds": args.seconds, **run})
-                rate = run["result"]["metrics"]["rounds_per_s"]["value"]
-                print(f"{workload} pair {seed} {side}: rounds_per_s {rate:.5g}, "
-                      f"failed {run['result']['failed']}", flush=True)
-        if args.trace_seconds:
-            for side in SIDES:
-                run = bench_run(trees[side], workload, 0, 1, args.trace_seconds)
-                runs.append({"side": side, "workload": workload, "seed": 0, "trace": 1,
-                             "seconds": args.trace_seconds, **run})
+        for trace, seconds in lengths.items():
+            for seed in range(count):
+                for side in SIDES if seed % 2 == 0 else SIDES[::-1]:
+                    run = bench_run(trees[side], workload, seed, trace, seconds)
+                    runs.append({"side": side, "workload": workload, "seed": seed,
+                                 "trace": trace, "seconds": seconds, **run})
+                    print(f"{workload} pair {seed} trace {trace} {side}: "
+                          f"failed {run['result']['failed']}", flush=True)
 
     untraced = [r for r in runs if r["trace"] == 0]
     summary = {
@@ -175,8 +170,13 @@ def main() -> int:
     }
     traced = {
         workload: {
-            metric: {r["side"]: r["result"]["metrics"][metric]["value"] for r in runs
-                     if r["trace"] == 1 and r["workload"] == workload}
+            metric: {
+                side: statistics.median(
+                    r["result"]["metrics"][metric]["value"] for r in runs
+                    if r["trace"] == 1 and r["workload"] == workload and r["side"] == side
+                )
+                for side in SIDES
+            }
             for metric in (m["name"] for m in spec["per_layer"])
         }
         for workload in args.pairs
@@ -194,7 +194,8 @@ def main() -> int:
         "protocol": (
             "Runs were strictly sequential. Pair i used seed i, with the parent first in even "
             f"pairs and the change first in odd ones, all at {args.seconds:g} s."
-            + (f" Trace 1: one {args.trace_seconds:g} s run per side and workload at seed 0."
+            + (f" Then as many trace 1 pairs per workload, in the same order, at "
+               f"{args.trace_seconds:g} s; 'traced' holds each per-layer metric's median."
                if args.trace_seconds else "")
         ),
         "repeats": dict(args.pairs),
