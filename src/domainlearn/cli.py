@@ -30,6 +30,7 @@ from .experiments import (
     ExperimentConfig,
     _play,
     coupon_experiment,
+    coupon_schedule,
     run_experiment,
     sweep_experiment,
     verify_experiment,
@@ -155,7 +156,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_coupon(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    config.validate()
+    coupon_schedule(config)
     with _output(config.out) as stream:
         summary: CouponSummary = coupon_experiment(config)
         if config.out:

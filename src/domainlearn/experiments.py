@@ -35,8 +35,10 @@ from .summarize import summarize
 from .teacher import (
     IidUniform,
     IidWeighted,
+    RevelationSchedule,
     SyntheticTeacher,
     TeacherExhausted,
+    check_schedule,
     check_template_parameters,
     domain_sequence,
     generate_template,
@@ -84,8 +86,9 @@ class ExperimentConfig:
                 f"but the last check would run at round {last_check}; "
                 "use a larger every=<j> or fewer rounds"
             )
-        parse_schedule(self.schedule)
+        schedule = parse_schedule(self.schedule)
         check_template_parameters(self.m, self.k, self.edge_density)
+        check_schedule(schedule, self.m)
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "ExperimentConfig":
@@ -382,12 +385,19 @@ class CouponSummary:
         )
 
 
-def coupon_experiment(config: ExperimentConfig) -> CouponSummary:
-    """Monte Carlo draws-until-coverage versus the exact expectation."""
+def coupon_schedule(config: ExperimentConfig) -> RevelationSchedule:
+    """The schedule of a valid coupon config; ``ValueError`` unless the
+    config is valid and its schedule IID."""
     config.validate()
     schedule = parse_schedule(config.schedule)
     if not isinstance(schedule, (IidUniform, IidWeighted)):
         raise ValueError("coupon requires an IID schedule")
+    return schedule
+
+
+def coupon_experiment(config: ExperimentConfig) -> CouponSummary:
+    """Monte Carlo draws-until-coverage versus the exact expectation."""
+    schedule = coupon_schedule(config)
     m = config.m
     exact = exact_coverage_expectation(schedule_probabilities(schedule, m))
     total_draws = 0

@@ -160,23 +160,33 @@ class NovelLast:
 RevelationSchedule = Scripted | IidUniform | IidWeighted | NovelLast
 
 
-def domain_sequence(
-    schedule: RevelationSchedule, m: int, rng: SplitMix64
-) -> Iterator[int]:
-    """Domain indices drawn per the schedule; finite for Scripted/NovelLast."""
+def check_schedule(schedule: RevelationSchedule, m: int) -> None:
+    """Raise ``ValueError`` unless ``schedule`` draws from m domains: every
+    scripted domain lies in [0, m), and a weighted schedule has m
+    probabilities."""
     if isinstance(schedule, Scripted):
         for d in schedule.domains:
             if not 0 <= d < m:
                 raise ValueError(f"scripted domain {d} out of range [0, {m})")
-            yield d
+    elif isinstance(schedule, IidWeighted) and len(schedule.probs) != m:
+        raise ValueError(
+            f"schedule has {len(schedule.probs)} probabilities for m={m} domains"
+        )
+
+
+def domain_sequence(
+    schedule: RevelationSchedule, m: int, rng: SplitMix64
+) -> Iterator[int]:
+    """Domain indices drawn per the schedule; finite for Scripted/NovelLast.
+    A schedule that :func:`check_schedule` rejects raises its ``ValueError``
+    at the first draw."""
+    check_schedule(schedule, m)
+    if isinstance(schedule, Scripted):
+        yield from schedule.domains
     elif isinstance(schedule, IidUniform):
         while True:
             yield rng.randrange(m)
     elif isinstance(schedule, IidWeighted):
-        if len(schedule.probs) != m:
-            raise ValueError(
-                f"schedule has {len(schedule.probs)} probabilities for m={m} domains"
-            )
         cumulative = []
         acc = 0.0
         for p in schedule.probs:
@@ -225,10 +235,7 @@ def schedule_probabilities(schedule: RevelationSchedule, m: int) -> tuple[float,
     if isinstance(schedule, IidUniform):
         return tuple(1.0 / m for _ in range(m))
     if isinstance(schedule, IidWeighted):
-        if len(schedule.probs) != m:
-            raise ValueError(
-                f"schedule has {len(schedule.probs)} probabilities for m={m} domains"
-            )
+        check_schedule(schedule, m)
         return schedule.probs
     raise ValueError(f"schedule {schedule!r} is not an IID schedule")
 
@@ -267,10 +274,9 @@ class SyntheticTeacher(Teacher):
     answered from the rows alone: (u, a, v) is an edge iff bit v of u's
     domain row under a is set, so the template is not kept past
     ``__init__``.  The revealed induced subgraph is built only by
-    :meth:`peek_ground_truth`.  Like every
-    :class:`Teacher` it answers only queries a
-    :class:`~domainlearn.protocol.Session` has already validated, and
-    checks none of them again.
+    :meth:`peek_ground_truth`.  Like every :class:`Teacher` it answers only
+    queries a :class:`~domainlearn.protocol.Session` has already validated,
+    and checks none of them again.
     """
 
     def __init__(

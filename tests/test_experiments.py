@@ -439,6 +439,13 @@ class TestCli:
             f"error: [Errno 2] No such file or directory: '{out}'\n"
         )
 
+    def test_coupon_needs_an_iid_schedule_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "coupon.csv"
+        out.write_text("earlier output\n")
+        assert main(["coupon", "--schedule", "novel-last:3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: coupon requires an IID schedule\n"
+        assert out.read_text() == "earlier output\n"
+
     @pytest.mark.parametrize("command,experiment", _EXPERIMENT_OF_COMMAND)
     def test_unwritable_out_fails_before_any_round(
         self, command, experiment, monkeypatch, tmp_path, capsys
@@ -451,7 +458,12 @@ class TestCli:
         )
 
     @pytest.mark.parametrize("command,experiment", _EXPERIMENT_OF_COMMAND)
-    @pytest.mark.parametrize("invalid", [["--rounds", "0"], ["--density", "1.0", "--m", "3"]])
+    @pytest.mark.parametrize("invalid", [
+        ["--rounds", "0"],
+        ["--density", "1.0", "--m", "3"],
+        ["--schedule", "iid-weighted:0.5,0.5", "--m", "3"],
+        ["--schedule", "scripted:0,1,2", "--m", "2"],
+    ])
     def test_invalid_config_leaves_out_untouched(
         self, command, experiment, invalid, monkeypatch, tmp_path, capsys
     ):
