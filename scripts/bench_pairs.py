@@ -14,10 +14,11 @@ Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --label LABEL
 
 Each directory must be a checkout holding ``bench/`` and ``src/``; in a
 ``git clone`` at the revision to measure, the record also names each
-side's revision and the change's commit subject.  The record is written to
-the current directory.  ``--trace-seconds`` adds as many ``--trace 1``
-pairs per workload, of that length and in the same order, and records
-each per-layer metric's median per side.  ``--claim`` records whether the
+side's revision and the subjects of the change's commits since the
+parent.  The record is written to the current directory.
+``--trace-seconds`` adds as many ``--trace 1`` pairs per workload, of that
+length and in the same order, and records each per-layer metric's median
+per side.  ``--claim`` records whether the
 change's gain on that workload and metric meets the rule: it wins at least
 nine tenths of the pairs, and its median differs from the parent's by more
 than the distance between the parent's quartiles.
@@ -48,12 +49,13 @@ def parse_pairs(text: str) -> dict[str, int]:
     return pairs
 
 
-def git_head(tree: Path, fmt: str) -> str:
-    """``git log -1 --format=<fmt>`` of ``tree``, or "unknown" outside git."""
+def git_log(tree: Path, fmt: str, revisions: str = "-1") -> str:
+    """``git log --format=<fmt> <revisions>`` in ``tree``, or "unknown"
+    outside git or when a revision is not in its history."""
     try:
         out = subprocess.run(
-            ["git", "log", "-1", f"--format={fmt}"], capture_output=True, text=True, cwd=tree,
-            check=True,
+            ["git", "log", f"--format={fmt}", revisions], capture_output=True, text=True,
+            cwd=tree, check=True,
         )
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
@@ -163,6 +165,7 @@ def main() -> int:
                     print(f"{workload} pair {seed} trace {trace} {side}: "
                           f"failed {run['result']['failed']}", flush=True)
 
+    parent_revision = git_log(trees["parent"], "%H")
     untraced = [r for r in runs if r["trace"] == 0]
     summary = {
         workload: summarise([r for r in untraced if r["workload"] == workload], spec["end_to_end"])
@@ -184,9 +187,11 @@ def main() -> int:
     }
     record = {
         "label": args.label,
-        "change": git_head(trees["change"], "%s"),
-        "parent_revision": git_head(trees["parent"], "%H"),
-        "change_revision": git_head(trees["change"], "%H"),
+        "change": "; ".join(
+            reversed(git_log(trees["change"], "%s", f"{parent_revision}..HEAD").splitlines())
+        ),
+        "parent_revision": parent_revision,
+        "change_revision": git_log(trees["change"], "%H"),
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "host": f"{platform.machine()} {platform.system()}; timings are host-normalised by bench/calibrate.py",
