@@ -4,24 +4,22 @@
 Runs ``bench/run.py`` of each tree, strictly one run at a time.  Pair i of a
 workload uses seed i; the parent runs first in even pairs and the change
 first in odd ones, so drift of the host's speed favours neither side.
-Writes ``BENCH_<label>.json``: the medians and quartiles of every
-end-to-end metric per side, how many pairs the change won (ties count for
-neither), and every run's raw output lines and result.
+Then it runs as many ``--trace 1`` pairs per workload, in the same order,
+a third as long.  Writes ``BENCH_<label>.json``: per workload and
+end-to-end metric, each side's median and quartiles, how many pairs the
+change won (ties count for neither) and whether that win is a claimable
+gain (at least nine tenths of the pairs won, and the medians further apart
+than the parent's quartiles); each per-layer metric's traced median per
+side; and every run's raw output lines and result.
 
 Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --label LABEL
        --pairs tireless=10,cons-iid=3,cons-adversarial=3,verify=3
-       [--seconds 28] [--trace-seconds 10] [--claim tireless:rounds_per_s]
+       [--seconds 28]
 
 Each directory must be a checkout holding ``bench/`` and ``src/``; in a
 ``git clone`` at the revision to measure, the record also names each
 side's revision and the subjects of the change's commits since the
 parent.  The record is written to the current directory.
-``--trace-seconds`` adds as many ``--trace 1`` pairs per workload, of that
-length and in the same order, and records each per-layer metric's median
-per side.  ``--claim`` records whether the
-change's gain on that workload and metric meets the rule: it wins at least
-nine tenths of the pairs, and its median differs from the parent's by more
-than the distance between the parent's quartiles.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+TRACE_SHARE = 1 / 3  # traced pairs run this share of --seconds
 
 
 def parse_pairs(text: str) -> dict[str, int]:
@@ -90,7 +89,8 @@ def quartiles(values: list[float]) -> dict[str, float]:
 
 def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric: each side's quartiles, the change's wins over
-    the pairs and its median's relative change; plus blocks and failures."""
+    the pairs, its median's relative change and whether the gain is
+    claimable; plus blocks and failures."""
     by_side = {side: [r for r in runs if r["side"] == side] for side in SIDES}
     summary: dict = {"pairs": len(by_side["change"])}
     for metric in metrics:
@@ -102,10 +102,13 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
         )
         stats = {side: quartiles(values[side]) for side in SIDES}
         parent_median = stats["parent"]["median"]
+        parent_iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
         summary[name] = {
             **stats,
             "change_wins": wins,
             "median_change": stats["change"]["median"] / parent_median - 1 if parent_median else 0.0,
+            "gain_claimable": wins >= 0.9 * summary["pairs"]
+            and abs(stats["change"]["median"] - parent_median) > parent_iqr,
         }
     summary["blocks"] = {side: [blocks(r) for r in by_side[side]] for side in SIDES}
     summary["failed"] = {side: [r["result"]["failed"] for r in by_side[side]] for side in SIDES}
@@ -117,23 +120,6 @@ def blocks(run: dict) -> int | None:
     return int(match.group(1)) if match else None
 
 
-def claim(summary: dict, workload: str, metric: str) -> dict:
-    entry = summary[workload][metric]
-    parent, change = entry["parent"], entry["change"]
-    pairs = summary[workload]["pairs"]
-    iqr = parent["q3"] - parent["q1"]
-    return {
-        "workload": workload,
-        "metric": metric,
-        "parent_median": parent["median"],
-        "change_median": change["median"],
-        "parent_iqr": iqr,
-        "change_wins": f"{entry['change_wins']} of {pairs} pairs",
-        "holds": entry["change_wins"] >= 0.9 * pairs
-        and abs(change["median"] - parent["median"]) > iqr,
-    }
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="source tree of the parent")
@@ -141,19 +127,11 @@ def main() -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--pairs", type=parse_pairs, required=True, help="<workload>=<count>,...")
     parser.add_argument("--seconds", type=float, default=28)
-    parser.add_argument("--trace-seconds", type=float, default=0)
-    parser.add_argument("--claim", help="<workload>:<metric> the change claims a gain on")
     args = parser.parse_args()
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    claimed = args.claim.split(":", 1) if args.claim else None
-    if claimed:
-        if len(claimed) != 2 or claimed[0] not in args.pairs or claimed[1] not in {
-            m["name"] for m in spec["end_to_end"]
-        }:
-            parser.error(f"--claim {args.claim}: not a measured workload and end-to-end metric")
-    lengths = {0: args.seconds, 1: args.trace_seconds} if args.trace_seconds else {0: args.seconds}
+    lengths = {0: args.seconds, 1: args.seconds * TRACE_SHARE}
     runs: list[dict] = []
     for workload, count in args.pairs.items():
         for trace, seconds in lengths.items():
@@ -183,7 +161,6 @@ def main() -> int:
             for metric in (m["name"] for m in spec["per_layer"])
         }
         for workload in args.pairs
-        if args.trace_seconds
     }
     record = {
         "label": args.label,
@@ -198,13 +175,11 @@ def main() -> int:
         "command": "python3 bench/run.py --workload <workload> --seed <seed> --trace <trace> --seconds <seconds>",
         "protocol": (
             "Runs were strictly sequential. Pair i used seed i, with the parent first in even "
-            f"pairs and the change first in odd ones, all at {args.seconds:g} s."
-            + (f" Then as many trace 1 pairs per workload, in the same order, at "
-               f"{args.trace_seconds:g} s; 'traced' holds each per-layer metric's median."
-               if args.trace_seconds else "")
+            f"pairs and the change first in odd ones, all at {args.seconds:g} s. Then as many "
+            f"trace 1 pairs per workload, in the same order, at {lengths[1]:g} s; 'traced' "
+            "holds each per-layer metric's median."
         ),
         "repeats": dict(args.pairs),
-        "claim": claim(summary, *claimed) if claimed else None,
         "summary": summary,
         "traced": traced,
         "runs": runs,
@@ -217,9 +192,8 @@ def main() -> int:
             parent, change = entry[metric]["parent"], entry[metric]["change"]
             print(f"  {workload:17} {metric:14} parent {parent['median']:12.5g} "
                   f"change {change['median']:12.5g} ({entry[metric]['median_change']:+.1%}, "
-                  f"wins {entry[metric]['change_wins']}/{entry['pairs']})")
-    if record["claim"]:
-        print(f"claim {args.claim}: {'holds' if record['claim']['holds'] else 'NOT met'}")
+                  f"wins {entry[metric]['change_wins']}/{entry['pairs']}"
+                  f"{', claimable' if entry[metric]['gain_claimable'] else ''})")
     return 0
 
 

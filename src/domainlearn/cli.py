@@ -36,7 +36,7 @@ from .experiments import (
     verify_experiment,
 )
 from .graphio import digraph_to_dot, policy_to_dot, policy_to_text
-from .learners import LEARNER_KINDS, tree_to_dot, tree_to_text
+from .learners import LEARNER_KINDS, TREE_LEARNER_KINDS, tree_to_dot, tree_to_text
 from .protocol import ProtocolViolation
 from .teacher import TemplateGenerationError, generate_template, template_to_text
 
@@ -178,8 +178,8 @@ def _cmd_coupon(args: argparse.Namespace) -> int:
 def _cmd_dump(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     config.validate()
-    if args.what == "tree" and config.learner != "conservative":
-        raise ValueError("only the conservative learner has a decision tree")
+    if args.what == "tree" and config.learner not in TREE_LEARNER_KINDS:
+        raise ValueError(f"the {config.learner} learner has no decision tree")
     with _output(config.out) as stream:
         return _dump(args, config, stream)
 

@@ -350,12 +350,15 @@ def sweep_experiment(config: ExperimentConfig, round_counts: list[int]) -> Sweep
 # -- coupon-collector experiment -----------------------------------------------
 
 
+EXACT_COVERAGE_LIMIT = 20
+
+
 def exact_coverage_expectation(probs: tuple[float, ...]) -> float:
     """Expected draws until every class has appeared at least once, by
     inclusion-exclusion over the per-class probabilities."""
     m = len(probs)
-    if m > 20:
-        raise ValueError("inclusion-exclusion limited to 20 classes")
+    if m > EXACT_COVERAGE_LIMIT:
+        raise ValueError(f"inclusion-exclusion limited to {EXACT_COVERAGE_LIMIT} classes")
     total = 0.0
     for size in range(1, m + 1):
         sign = 1.0 if size % 2 == 1 else -1.0
@@ -387,11 +390,14 @@ class CouponSummary:
 
 def coupon_schedule(config: ExperimentConfig) -> RevelationSchedule:
     """The schedule of a valid coupon config; ``ValueError`` unless the
-    config is valid and its schedule IID."""
+    config is valid, its schedule IID and its domains few enough for the
+    exact expectation."""
     config.validate()
     schedule = parse_schedule(config.schedule)
     if not isinstance(schedule, (IidUniform, IidWeighted)):
         raise ValueError("coupon requires an IID schedule")
+    if config.m > EXACT_COVERAGE_LIMIT:
+        raise ValueError(f"inclusion-exclusion limited to {EXACT_COVERAGE_LIMIT} classes")
     return schedule
 
 

@@ -461,6 +461,8 @@ class ConservativeLearner(Learner):
 
 _LEARNERS = {"tireless": TirelessLearner, "conservative": ConservativeLearner}
 LEARNER_KINDS = tuple(_LEARNERS)
+# the kinds whose learner keeps a decision tree
+TREE_LEARNER_KINDS = ("conservative",)
 
 
 def make_learner(kind: str, session: Session) -> Learner:

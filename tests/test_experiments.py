@@ -400,9 +400,7 @@ class TestCli:
         code = main(["dump", "--what", "tree", "--learner", "tireless",
                      "--k", "1", "--m", "2", "--seed", "5", "--rounds", "3"])
         assert code == 2
-        assert capsys.readouterr().err == (
-            "error: only the conservative learner has a decision tree\n"
-        )
+        assert capsys.readouterr().err == "error: the tireless learner has no decision tree\n"
 
     def test_bad_config_exits_2(self, capsys):
         assert main(["run", "--schedule", "bogus"]) == 2
@@ -439,11 +437,18 @@ class TestCli:
             f"error: [Errno 2] No such file or directory: '{out}'\n"
         )
 
-    def test_coupon_needs_an_iid_schedule_before_writing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("invalid,message", [
+        (["--schedule", "novel-last:3"], "coupon requires an IID schedule"),
+        (["--m", "21"], "inclusion-exclusion limited to 20 classes"),
+    ])
+    def test_coupon_rejects_before_writing(
+        self, invalid, message, monkeypatch, tmp_path, capsys
+    ):
+        monkeypatch.setattr(cli, "coupon_experiment", _must_not_run)
         out = tmp_path / "coupon.csv"
         out.write_text("earlier output\n")
-        assert main(["coupon", "--schedule", "novel-last:3", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: coupon requires an IID schedule\n"
+        assert main(["coupon", *invalid, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert out.read_text() == "earlier output\n"
 
     @pytest.mark.parametrize("command,experiment", _EXPERIMENT_OF_COMMAND)

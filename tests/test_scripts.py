@@ -49,8 +49,7 @@ def test_bench_pairs(tmp_path):
     # one pair of 1 s with the repo on both sides
     result = run_script(
         "bench_pairs.py", str(ROOT), str(ROOT), "--label", "smoke", "--pairs", "tireless=1",
-        "--seconds", "1", "--trace-seconds", "1", "--claim", "tireless:rounds_per_s",
-        cwd=tmp_path,
+        "--seconds", "1", cwd=tmp_path,
     )
     assert result.returncode == 0, result.stderr
     record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
@@ -68,6 +67,8 @@ def test_bench_pairs(tmp_path):
     assert rate["change_wins"] in (0, 1)
     assert summary["cnq_total"]["parent"] == summary["cnq_total"]["change"]
     assert summary["cnq_total"]["change_wins"] == 0
-    assert record["claim"]["change_wins"].endswith("of 1 pairs")
+    assert not summary["cnq_total"]["gain_claimable"]
+    # one pair has no spread, so a won pair is a claimable gain
+    assert rate["gain_claimable"] == (rate["change_wins"] == 1)
     cnq_calls = record["traced"]["tireless"]["protocol.cnq_calls"]
     assert cnq_calls["parent"] == cnq_calls["change"] == summary["cnq_total"]["parent"]["median"]
