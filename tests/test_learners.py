@@ -5,7 +5,9 @@ injected-fault detection."""
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -21,6 +23,8 @@ from domainlearn import (
     edg,
     revise,
 )
+from domainlearn.experiments import ExperimentConfig, _play
+from domainlearn.graphio import policy_to_text
 from domainlearn.learners import (
     From,
     LearnerInternalError,
@@ -319,6 +323,57 @@ class TestReviseSplitKinds:
             learner = ConservativeLearner(session)
             for _ in range(10):
                 learner.run_round()  # raises LearnerInternalError on any breach
+
+
+def tree_tests(node: TreeNode):
+    """Every decision test of a tree, in preorder."""
+    if not node.is_leaf:
+        yield node.test
+        yield from tree_tests(node.yes)
+        yield from tree_tests(node.no)
+
+
+# conservative sessions over k 1-3, m 2-8, ten template seeds, one iid and
+# one adversarial schedule each: 240 sessions, about 6,400 rounds and 830
+# splits, 32 of them on a witness other than the newcomer
+REVISION_CORPUS = [
+    ExperimentConfig(k=k, m=m, template_seed=seed, schedule=schedule, rounds=30)
+    for k, m, seed in itertools.product((1, 2, 3), (2, 3, 5, 8), range(10))
+    for schedule in ("iid-uniform", "novel-last:20")
+]
+REVISION_CORPUS_DIGEST = "d68df4fb5aaf827cd721753cac0a53cfd4c02c5cc33089d9bc0c7a0a376ccefd"
+
+
+class TestPinnedRevisions:
+    """Revision pinned round by round: the tree text, the policy text and
+    the ledger snapshot of every completed round of a fixed corpus hash to
+    one recorded digest."""
+
+    def test_revision_corpus_digest(self):
+        digest = hashlib.sha256()
+        witness_splits = 0
+        for config in REVISION_CORPUS:
+            seen = Counter()
+
+            def record(_round_no, session, _teacher, learner):
+                nonlocal seen, witness_splits
+                snapshot = session.ledger.per_round[-1]
+                digest.update(tree_to_text(learner.tree).encode())
+                digest.update(policy_to_text(learner.summary, learner.assignment).encode())
+                digest.update(
+                    f"{snapshot.n},{snapshot.cnq_cum},{snapshot.htq_cum},"
+                    f"{snapshot.errors_cum}\n".encode()
+                )
+                tests = Counter(tree_tests(learner.tree))
+                newcomer = snapshot.n - 1
+                for test in (tests - seen).elements():
+                    witness = getattr(test, "target", getattr(test, "source", newcomer))
+                    witness_splits += witness != newcomer
+                seen = tests
+
+            assert _play(config, record) == []
+        assert witness_splits > 0  # the corpus still covers third-party witnesses
+        assert digest.hexdigest() == REVISION_CORPUS_DIGEST
 
 
 class TestReviseInvariants:
