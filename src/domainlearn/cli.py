@@ -14,12 +14,15 @@ bound is violated, a monitor violation occurs, or a verify check fails, and
 2, after one ``error: ...`` line, when the configuration is invalid or a
 file cannot be read or written.  The configuration is validated and
 ``--out`` opened before any round is played, so neither error wastes a
-run, and an invalid configuration leaves ``--out`` untouched.
+run.  ``--out`` is written only when the command completes, so an invalid
+configuration or a template that cannot be generated leaves an earlier
+file untouched.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -96,14 +99,20 @@ def _round_list(args: argparse.Namespace, config: ExperimentConfig) -> list[int]
 
 @contextmanager
 def _output(out: str | None) -> Iterator[TextIO]:
-    """The stream a command writes to: ``out`` opened for writing, or
-    stdout.  Commands open it after validating their configuration and
-    before doing any work, so an unwritable path fails at once."""
+    """The stream a command writes to: stdout, or a buffer for ``out``.
+    Commands enter it after validating their configuration and before doing
+    any work.  ``out`` is opened for appending, so an unwritable path fails
+    at once but nothing is truncated; only when the command returns is the
+    file truncated and the buffer written.  A command that fails leaves an
+    earlier file as it was, and an absent one empty."""
     if not out:
         yield sys.stdout
         return
-    with open(out, "w", newline="") as handle:
-        yield handle
+    with open(out, "a", newline="") as handle:
+        buffer = io.StringIO()
+        yield buffer
+        handle.truncate(0)
+        handle.write(buffer.getvalue())
 
 
 def _emit_report(report, stream: TextIO) -> int:

@@ -237,21 +237,23 @@ def revise(
     returned the non-empty ``errors``.  The frozen extended assignment and
     ``errors`` drive all edge deductions; no connection query is issued.
 
-    Every leaf enters a FIFO worklist.  For each leaf's partition the three
-    error-discrepancy patterns are probed in fixed order (edges into the new
-    vertex, edges out of it, self-loops), scanning rights in ascending
-    order.  Those three patterns miss one real case: the newcomer can agree
-    with its guessed class on every pairwise edge yet differ from it through
-    a third-party witness, in which case all the resulting errors sit
-    uniformly on the witness's class and none of the patterns fire.  A
-    fallback sweep therefore probes every revealed witness (ascending id,
-    rights ascending, incoming test before outgoing) for a mixed deduced
-    edge column over the partition.  Error membership alone decides whether
-    a column is mixed: leaves start as frozen classes and only split, so all
-    members of a leaf share one frozen domain, the policy term of
-    :func:`edg` is constant over them, and a column is mixed exactly when
-    its error membership is.  The first hit of either stage splits
-    the partition around the deduced edge truth, relabels both sides by
+    Every error involves the newcomer x: the previous round closed on a
+    clean test of the same summary, and the frozen assignment keeps the
+    earlier vertices' domains.  So on a leaf of two or more members only
+    x's own loop can be wrong.  Leaves start as frozen classes and only
+    split, so the members of a leaf share one frozen domain and the policy
+    term of :func:`edg` is constant over them.  A test therefore separates
+    a leaf exactly when its error column
+    ``[test.request_for(v) in wrong for v in members]`` is mixed.
+
+    Every leaf enters a FIFO worklist; singleton leaves are final.  For the
+    others the candidate tests are tried in one fixed order, rights
+    ascending within each group: ``To(a, x)``, then ``From(x, a)``, then
+    ``Loop(a)``, then for every revealed witness w (ascending id)
+    ``To(a, w)`` before ``From(w, a)``.  The witnesses catch a newcomer
+    that agrees with its guessed class on every pairwise edge yet differs
+    from it through a third party.  The first test with a mixed column
+    splits the leaf around the deduced edge truth, relabels both sides by
     their minimum member, and re-enqueues the two new leaves.  Runs within
     2m worklist iterations for m final partitions.
 
@@ -266,9 +268,21 @@ def revise(
     k = summary.k
     # 2m iterations suffice in theory; |updated| bounds m, the rest is slack.
     budget = 4 * len(updated) + 8
+    wrong = errors.grant | errors.deny
 
-    def deduced(u: int, a: int, v: int) -> bool:
-        return edg(u, a, v, summary, frozen, errors)
+    def candidates() -> Iterator[DecisionTest]:
+        rights = range(k)
+        yield from (To(a, new_vertex) for a in rights)
+        yield from (From(new_vertex, a) for a in rights)
+        yield from (Loop(a) for a in rights)
+        for witness in sorted(updated):
+            for a in rights:
+                yield To(a, witness)
+                yield From(witness, a)
+
+    def separates(test: DecisionTest, members: list[int]) -> bool:
+        column = [test.request_for(v) in wrong for v in members]
+        return any(column) and not all(column)
 
     while worklist:
         if observer is not None:
@@ -281,51 +295,16 @@ def revise(
             )
         leaf = worklist.popleft()
         members = sorted(v for v, rep in updated.items() if rep == leaf.label)
-
-        split_test: DecisionTest | None = None
-        probe: Callable[[int], Edge] | None = None
-        for a in range(k):
-            flags = [(v, a, new_vertex) in errors for v in members]
-            if any(flags) and not all(flags):
-                split_test = To(a, new_vertex)
-                probe = lambda v, a=a: (v, a, new_vertex)
-                break
-        if split_test is None:
-            for a in range(k):
-                flags = [(new_vertex, a, v) in errors for v in members]
-                if any(flags) and not all(flags):
-                    split_test = From(new_vertex, a)
-                    probe = lambda v, a=a: (new_vertex, a, v)
-                    break
-        if split_test is None and new_vertex in members:
-            for a in range(k):
-                if (new_vertex, a, new_vertex) in errors and any(
-                    (v, a, v) not in errors for v in members
-                ):
-                    split_test = Loop(a)
-                    probe = lambda v, a=a: (v, a, v)
-                    break
-        if split_test is None and len(members) > 1:
-            # fallback witness sweep for third-party-witness distinctions
-            for witness in sorted(updated):
-                for a in range(k):
-                    flags = [(v, a, witness) in errors for v in members]
-                    if any(flags) and not all(flags):
-                        split_test = To(a, witness)
-                        probe = lambda v, a=a, w=witness: (v, a, w)
-                        break
-                    flags = [(witness, a, v) in errors for v in members]
-                    if any(flags) and not all(flags):
-                        split_test = From(witness, a)
-                        probe = lambda v, a=a, w=witness: (w, a, v)
-                        break
-                if split_test is not None:
-                    break
-
+        if len(members) < 2:
+            continue
+        split_test = next((t for t in candidates() if separates(t, members)), None)
         if split_test is None:
             continue
 
-        yes_side = [v for v in members if deduced(*probe(v))]
+        yes_side = [
+            v for v in members
+            if edg(*split_test.request_for(v), summary, frozen, errors)
+        ]
         no_side = [v for v in members if v not in yes_side]
         if not yes_side or not no_side:
             raise LearnerInternalError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .digraph import ErrorSet, LabeledDigraph, error_set, is_irreducible
-from .graphio import digraph_from_text, digraph_to_text
+from .graphio import digraph_to_text
 from .protocol import Teacher
 from .rng import SplitMix64, mix64
 
@@ -104,17 +104,6 @@ def generate_template(
 
 def template_to_text(template: WorldTemplate) -> str:
     return f"domains m={template.m}\n" + digraph_to_text(template.graph)
-
-
-def template_from_text(text: str) -> WorldTemplate:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("domains m="):
-        raise ValueError("template text must start with a 'domains m=<m>' line")
-    m = int(lines[0].removeprefix("domains m="))
-    graph = digraph_from_text("\n".join(lines[1:]))
-    if graph.vertex_count != m:
-        raise ValueError(f"manifest says m={m} but graph has {graph.vertex_count}")
-    return WorldTemplate(graph=graph)
 
 
 # -- revelation schedules ---------------------------------------------------

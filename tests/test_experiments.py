@@ -24,8 +24,9 @@ from domainlearn.experiments import (
     sweep_experiment,
     verify_experiment,
 )
+from domainlearn.graphio import digraph_from_text
 from domainlearn.learners import ConservativeLearner
-from domainlearn.teacher import SyntheticTeacher
+from domainlearn.teacher import SyntheticTeacher, generate_template
 
 
 class TestConfig:
@@ -318,6 +319,14 @@ class TestCli:
         assert lines[0] == CSV_HEADER
         assert lines[1:] == ["1,1,1,0,1,1,1,0", "2,4,2,0,2,4,2,5", "3,9,3,0,2,9,3,7"]
 
+    def test_out_replaces_an_earlier_file(self, tmp_path, capsys):
+        args = ["run", "--k", "2", "--m", "3", "--seed", "8", "--rounds", "4"]
+        out = tmp_path / "run.csv"
+        out.write_text("earlier output, longer than the CSV\n" * 50)
+        assert main(args + ["--out", str(out)]) == 0
+        assert main(args) == 0
+        assert out.read_text() == capsys.readouterr().out
+
     def test_run_repeated_byte_identical(self, tmp_path):
         args = ["run", "--learner", "conservative", "--k", "2", "--m", "3",
                 "--seed", "8", "--rounds", "10"]
@@ -379,10 +388,10 @@ class TestCli:
         code = main(["dump", "--what", "template", "--k", "2", "--m", "3",
                      "--seed", "7"])
         assert code == 0
-        text = capsys.readouterr().out
-        from domainlearn.teacher import template_from_text
-
-        assert template_from_text(text).m == 3
+        manifest, *graph_lines = capsys.readouterr().out.splitlines()
+        assert manifest == "domains m=3"
+        graph = digraph_from_text("\n".join(graph_lines))
+        assert graph == generate_template(seed=7, m=3, k=2, edge_density=0.5).graph
 
     def test_dump_tree_and_policy(self, capsys):
         assert main(["dump", "--what", "tree", "--learner", "conservative",
@@ -495,6 +504,14 @@ class TestCli:
     def test_template_generation_failure_exits_2(self, capsys):
         assert main(["run", "--k", "1", "--m", "2", "--density", "1e-9"]) == 2
         assert capsys.readouterr().err.startswith("error: no irreducible template")
+
+    def test_template_generation_failure_leaves_out_untouched(self, tmp_path, capsys):
+        kept = tmp_path / "kept.csv"
+        kept.write_text("earlier output\n")
+        args = ["run", "--k", "1", "--m", "2", "--density", "1e-9", "--out", str(kept)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: no irreducible template")
+        assert kept.read_text() == "earlier output\n"
 
     def test_dump_policy_generates_the_template_once(self, monkeypatch, capsys):
         calls = []

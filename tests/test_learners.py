@@ -69,6 +69,9 @@ PAIR_WORLD = world([(0, 0, 1)])
 LOOP_WORLD = world([(0, 0, 1), (1, 0, 0), (1, 0, 1)])
 # d1 -> d0 only: forces the revision to split on a from test
 FROM_WORLD = world([(1, 0, 0)])
+# d0 -> d2 only: revealed in the order d0, d2, d1, the third vertex differs
+# from its guessed class only through the first one, a third-party witness
+WITNESS_WORLD = world([(0, 0, 2)], m=3)
 
 
 class TestTireless:
@@ -301,6 +304,19 @@ class TestReviseSplitKinds:
         assert learner.tree.test == From(1, 0)
         assert learner.assignment == {0: 0, 1: 1}
         assert learner.summary.edges() == [(1, 0, 0)]
+
+    def test_witness_split(self):
+        session, _ = start_session(WITNESS_WORLD, (0, 2, 1))
+        learner = ConservativeLearner(session)
+        learner.run_round()
+        learner.run_round()
+        assert tree_to_text(learner.tree) == "node to(r0, 1)\n  leaf 0\n  leaf 1\n"
+        learner.run_round()  # vertex 2 is classified to leaf 1
+        assert learner.tree.no.test == From(0, 0)
+        assert learner.assignment == {0: 0, 1: 1, 2: 2}
+        assert tree_to_text(learner.tree) == (
+            "node to(r0, 1)\n  leaf 0\n  node from(0, r0)\n    leaf 1\n    leaf 2\n"
+        )
 
     def test_single_split_adds_one_node(self):
         session, _ = start_session(PAIR_WORLD, (0, 0, 1))

@@ -26,8 +26,6 @@ from domainlearn.teacher import (
     generate_template,
     parse_schedule,
     schedule_probabilities,
-    template_from_text,
-    template_to_text,
 )
 
 from .ground_truth import revealed_class_count, revealed_domains
@@ -329,16 +327,3 @@ class TestClassStructure:
             for v in teacher.peek_ground_truth().vertices:
                 if teacher.domain_of(v) in domains:
                     assert v in cls
-
-
-class TestTemplateIO:
-    def test_round_trip(self):
-        template = generate_template(seed=2, m=3, k=2, edge_density=0.5)
-        text = template_to_text(template)
-        assert text.startswith("domains m=3\ndigraph k=2 n=3\n")
-        loaded = template_from_text(text)
-        assert loaded.graph == template.graph
-
-    def test_manifest_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            template_from_text("domains m=2\ndigraph k=1 n=1\n")
