@@ -270,19 +270,13 @@ def revise(
     budget = 4 * len(updated) + 8
     wrong = errors.grant | errors.deny
 
-    def candidates() -> Iterator[DecisionTest]:
-        rights = range(k)
-        yield from (To(a, new_vertex) for a in rights)
-        yield from (From(new_vertex, a) for a in rights)
-        yield from (Loop(a) for a in rights)
-        for witness in sorted(updated):
-            for a in rights:
-                yield To(a, witness)
-                yield From(witness, a)
-
-    def separates(test: DecisionTest, members: list[int]) -> bool:
-        column = [test.request_for(v) in wrong for v in members]
-        return any(column) and not all(column)
+    rights = range(k)
+    candidates: list[DecisionTest] = [
+        *(To(a, new_vertex) for a in rights),
+        *(From(new_vertex, a) for a in rights),
+        *(Loop(a) for a in rights),
+        *(test for w in sorted(updated) for a in rights for test in (To(a, w), From(w, a))),
+    ]
 
     while worklist:
         if observer is not None:
@@ -297,8 +291,11 @@ def revise(
         members = sorted(v for v, rep in updated.items() if rep == leaf.label)
         if len(members) < 2:
             continue
-        split_test = next((t for t in candidates() if separates(t, members)), None)
-        if split_test is None:
+        for split_test in candidates:
+            column = [split_test.request_for(v) in wrong for v in members]
+            if any(column) and not all(column):
+                break
+        else:
             continue
 
         yes_side = [
