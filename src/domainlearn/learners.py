@@ -265,12 +265,10 @@ def revise(
     frozen[new_vertex] = guess
     updated = dict(frozen)
     worklist: deque[TreeNode] = deque(tree.leaves())
-    k = summary.k
     # 2m iterations suffice in theory; |updated| bounds m, the rest is slack.
     budget = 4 * len(updated) + 8
     wrong = errors.grant | errors.deny
-
-    rights = range(k)
+    rights = range(summary.k)
     candidates: list[DecisionTest] = [
         *(To(a, new_vertex) for a in rights),
         *(From(new_vertex, a) for a in rights),
