@@ -7,10 +7,12 @@ first in odd ones, so drift of the host's speed favours neither side.
 Then it runs as many ``--trace 1`` pairs per workload, in the same order,
 a third as long.  Writes ``BENCH_<label>.json``: per workload and
 end-to-end metric, each side's median and quartiles, how many pairs the
-change won (ties count for neither) and whether that win is a claimable
+change won (ties count for neither), whether that win is a claimable
 gain (at least nine tenths of the pairs won, and the medians further apart
-than the parent's quartiles); each per-layer metric's traced median per
-side; and every run's raw output lines and result.
+than the parent's quartiles) and whether the change's median is worse than
+the parent's by more than the metric's ``BENCHMARK.json`` bound (printed
+as ``REGRESSION``); each per-layer metric's traced median per side; and
+every run's raw output lines and result.
 
 Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --label LABEL
        --pairs tireless=10,cons-iid=3,cons-adversarial=3,verify=3
@@ -89,8 +91,9 @@ def quartiles(values: list[float]) -> dict[str, float]:
 
 def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric: each side's quartiles, the change's wins over
-    the pairs, its median's relative change and whether the gain is
-    claimable; plus blocks and failures."""
+    the pairs, its median's relative change, whether the gain is claimable
+    and whether the change exceeds the metric's bound; plus blocks and
+    failures."""
     by_side = {side: [r for r in runs if r["side"] == side] for side in SIDES}
     summary: dict = {"pairs": len(by_side["change"])}
     for metric in metrics:
@@ -103,12 +106,14 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
         stats = {side: quartiles(values[side]) for side in SIDES}
         parent_median = stats["parent"]["median"]
         parent_iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+        median_change = stats["change"]["median"] / parent_median - 1 if parent_median else 0.0
         summary[name] = {
             **stats,
             "change_wins": wins,
-            "median_change": stats["change"]["median"] / parent_median - 1 if parent_median else 0.0,
+            "median_change": median_change,
             "gain_claimable": wins >= 0.9 * summary["pairs"]
             and abs(stats["change"]["median"] - parent_median) > parent_iqr,
+            "exceeds_bound": (-median_change if higher else median_change) > metric["bound"],
         }
     summary["blocks"] = {side: [blocks(r) for r in by_side[side]] for side in SIDES}
     summary["failed"] = {side: [r["result"]["failed"] for r in by_side[side]] for side in SIDES}
@@ -118,6 +123,12 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
 def blocks(run: dict) -> int | None:
     match = re.search(r": (\d+) untraced", run["lines"][0] if run["lines"] else "")
     return int(match.group(1)) if match else None
+
+
+def median_blocks(counts: list[int | None]) -> float:
+    """The median of the known block counts, or NaN if none is known."""
+    known = [count for count in counts if count is not None]
+    return statistics.median(known) if known else float("nan")
 
 
 def main() -> int:
@@ -190,10 +201,15 @@ def main() -> int:
     for workload, entry in summary.items():
         for metric in (m["name"] for m in spec["end_to_end"]):
             parent, change = entry[metric]["parent"], entry[metric]["change"]
+            blocks_note = ""
+            if metric == "peak_rss_mb":
+                parent_blocks, change_blocks = (median_blocks(entry["blocks"][side]) for side in SIDES)
+                blocks_note = f", blocks {parent_blocks:g} -> {change_blocks:g}"
             print(f"  {workload:17} {metric:14} parent {parent['median']:12.5g} "
                   f"change {change['median']:12.5g} ({entry[metric]['median_change']:+.1%}, "
                   f"wins {entry[metric]['change_wins']}/{entry['pairs']}"
-                  f"{', claimable' if entry[metric]['gain_claimable'] else ''})")
+                  f"{', claimable' if entry[metric]['gain_claimable'] else ''}{blocks_note})"
+                  f"{' REGRESSION' if entry[metric]['exceeds_bound'] else ''}")
     return 0
 
 

@@ -25,7 +25,7 @@ import argparse
 import io
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Iterator, TextIO
 
 from .experiments import (
@@ -45,56 +45,52 @@ from .teacher import TemplateGenerationError, generate_template, template_to_tex
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """The config flags; each stores into the ExperimentConfig field it sets."""
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--learner", choices=LEARNER_KINDS)
     parser.add_argument("--k", type=int, help="alphabet size (number of rights)")
     parser.add_argument("--m", type=int, help="number of world domains")
-    parser.add_argument("--density", type=float, help="template edge density")
-    parser.add_argument("--seed", type=int, help="template seed")
+    parser.add_argument(
+        "--density", dest="edge_density", metavar="DENSITY", type=float,
+        help="template edge density",
+    )
+    parser.add_argument(
+        "--seed", dest="template_seed", metavar="SEED", type=int, help="template seed"
+    )
     parser.add_argument(
         "--schedule",
         help="iid-uniform | iid-weighted:p0,p1,... | scripted:d0,d1,... | novel-last:<prefix>",
     )
     parser.add_argument("--rounds", help="round count (comma list for sweep)")
     parser.add_argument("--trials", type=int, help="Monte Carlo trials (coupon)")
-    parser.add_argument("--oracle", help="off | every | every=<j>")
+    parser.add_argument(
+        "--oracle", dest="oracle_checks", metavar="ORACLE", help="off | every | every=<j>"
+    )
     parser.add_argument("--out", help="output file path (default: stdout)")
 
 
-_FLAG_TO_FIELD = {
-    "learner": "learner",
-    "k": "k",
-    "m": "m",
-    "density": "edge_density",
-    "seed": "template_seed",
-    "schedule": "schedule",
-    "trials": "trials",
-    "oracle": "oracle_checks",
-    "out": "out",
-}
-
-
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    overrides = {}
-    for flag, field_name in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field_name] = value
-    rounds = getattr(args, "rounds", None)
-    if rounds is not None:
-        if "," in rounds and args.command != "sweep":
-            raise ValueError(f"--rounds {rounds}: only sweep accepts a comma list")
-        overrides["rounds"] = int(rounds.split(",")[0])
+    overrides = {
+        field.name: getattr(args, field.name)
+        for field in fields(ExperimentConfig)
+        if getattr(args, field.name) is not None
+    }
+    if args.rounds is not None:
+        # a single run plays the first count of the list
+        overrides["rounds"] = _round_list(args)[0]
     if args.config:
         return ExperimentConfig.from_file(args.config, **overrides)
     return replace(ExperimentConfig(), **overrides)
 
 
-def _round_list(args: argparse.Namespace, config: ExperimentConfig) -> list[int]:
-    rounds = getattr(args, "rounds", None)
-    if rounds is None:
-        return [config.rounds]
-    return [int(part) for part in rounds.split(",") if part.strip()]
+def _round_list(args: argparse.Namespace) -> list[int]:
+    """The round counts of ``--rounds``; only sweep accepts a comma list."""
+    if "," in args.rounds and args.command != "sweep":
+        raise ValueError(f"--rounds {args.rounds}: only sweep accepts a comma list")
+    counts = [int(part) for part in args.rounds.split(",") if part.strip()]
+    if not counts:
+        raise ValueError(f"--rounds {args.rounds!r}: no round count")
+    return counts
 
 
 @contextmanager
@@ -156,7 +152,7 @@ def _verify_text(report) -> str:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    round_counts = _round_list(args, config)
+    round_counts = [config.rounds] if args.rounds is None else _round_list(args)
     for rounds in round_counts:
         replace(config, rounds=rounds).validate()
     with _output(config.out) as stream:

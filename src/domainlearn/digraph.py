@@ -31,9 +31,11 @@ class LabeledDigraph:
     ``out_mask(a, u)`` has bit v set iff (u, a, v) is an edge, and
     ``in_mask(a, v)`` mirrors it.  Only non-zero masks are kept, so two
     graphs are equal exactly when their vertex sets and mask dicts are.
+    Nothing else is stored about the edges: :attr:`edge_count` is the
+    popcount of the out masks.
     """
 
-    __slots__ = ("k", "_vertices", "_vertex_mask", "_edge_count", "_out", "_in")
+    __slots__ = ("k", "_vertices", "_vertex_mask", "_out", "_in")
 
     def __init__(self, k: int, vertices: Iterable[int] = (), edges: Iterable[Edge] = ()):
         if k < 1:
@@ -41,7 +43,6 @@ class LabeledDigraph:
         self.k = k
         self._vertices: set[int] = set()
         self._vertex_mask = 0
-        self._edge_count = 0
         self._out: list[dict[int, int]] = [{} for _ in range(k)]
         self._in: list[dict[int, int]] = [{} for _ in range(k)]
         for v in vertices:
@@ -73,7 +74,6 @@ class LabeledDigraph:
         out[u] = targets | bit
         inn = self._in[a]
         inn[v] = inn.get(v, 0) | (1 << u)
-        self._edge_count += 1
 
     def connect(self, v: int, a: int, targets: int, sources: int) -> None:
         """Insert (v, a, t) for every bit t of ``targets`` and (s, a, v) for
@@ -106,7 +106,6 @@ class LabeledDigraph:
             inn[v] = known | new_sources
             for s in _mask_bits(new_sources):
                 out[s] = out.get(s, 0) | bit
-        self._edge_count += new_targets.bit_count() + new_sources.bit_count()
 
     # -- inspection --------------------------------------------------------
 
@@ -120,7 +119,7 @@ class LabeledDigraph:
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return sum(mask.bit_count() for out in self._out for mask in out.values())
 
     def has_vertex(self, v: int) -> bool:
         return v in self._vertices
@@ -212,7 +211,6 @@ def induced_subgraph(g: LabeledDigraph, subset: Iterable[int]) -> LabeledDigraph
                 mask = source.get(v, 0) & keep_mask
                 if mask:
                     target[v] = mask
-        sub._edge_count += sum(mask.bit_count() for mask in sub._out[a].values())
     return sub
 
 

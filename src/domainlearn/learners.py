@@ -222,9 +222,8 @@ ReviseObserver = Callable[[TreeNode, dict[int, int], tuple[TreeNode, ...]], None
 def revise(
     tree: TreeNode,
     summary: LabeledDigraph,
-    assignment: Mapping[int, int],
+    frozen: Mapping[int, int],
     new_vertex: int,
-    guess: int,
     errors: ErrorSet,
     *,
     observer: ReviseObserver | None = None,
@@ -232,19 +231,25 @@ def revise(
     """Repair tree and assignment after a failed indistinguishability bet.
 
     Input contract: (summary, assignment, tree) satisfied the learner's
-    invariants before ``new_vertex`` arrived, the tree classified it to
-    ``guess``, and the hypothesis test of (summary, assignment[new->guess])
-    returned the non-empty ``errors``.  The frozen extended assignment and
-    ``errors`` drive all edge deductions; no connection query is issued.
+    invariants before ``new_vertex`` arrived, the tree classified it to the
+    domain ``frozen[new_vertex]``, ``frozen`` is that assignment extended by
+    the newcomer, and the hypothesis test of (summary, frozen) returned the
+    non-empty ``errors``.  ``frozen`` and ``errors`` drive all edge
+    deductions; no connection query is issued.  ``frozen`` is left as it
+    is, and the repaired assignment is a new dict.
 
     Every error involves the newcomer x: the previous round closed on a
     clean test of the same summary, and the frozen assignment keeps the
     earlier vertices' domains.  So on a leaf of two or more members only
     x's own loop can be wrong.  Leaves start as frozen classes and only
-    split, so the members of a leaf share one frozen domain and the policy
-    term of :func:`edg` is constant over them.  A test therefore separates
+    split, so the members of a leaf share one frozen domain and, for any
+    test, the policy bit ``summary.has_edge(frozen[u], a, frozen[v])`` of
+    their requests (u, a, v) is one constant.  A test therefore separates
     a leaf exactly when its error column
-    ``[test.request_for(v) in wrong for v in members]`` is mixed.
+    ``[test.request_for(v) in wrong for v in members]`` is mixed, and a
+    member's request is an edge (the yes side) exactly when its error bit
+    differs from that policy bit (see :func:`edg`).  A mixed column leaves
+    neither side empty.
 
     Every leaf enters a FIFO worklist; singleton leaves are final.  For the
     others the candidate tests are tried in one fixed order, rights
@@ -253,16 +258,14 @@ def revise(
     ``To(a, w)`` before ``From(w, a)``.  The witnesses catch a newcomer
     that agrees with its guessed class on every pairwise edge yet differs
     from it through a third party.  The first test with a mixed column
-    splits the leaf around the deduced edge truth, relabels both sides by
-    their minimum member, and re-enqueues the two new leaves.  Runs within
-    2m worklist iterations for m final partitions.
+    splits the leaf, relabels both sides by their minimum member, and
+    re-enqueues the two new leaves.  Runs within 2m worklist iterations
+    for m final partitions.
 
     ``observer`` (tests only; no learner passes one) is called at the top
     of every worklist iteration with the tree, the evolving assignment, and
     the pending leaves.
     """
-    frozen = dict(assignment)
-    frozen[new_vertex] = guess
     updated = dict(frozen)
     worklist: deque[TreeNode] = deque(tree.leaves())
     # 2m iterations suffice in theory; |updated| bounds m, the rest is slack.
@@ -296,16 +299,10 @@ def revise(
         else:
             continue
 
-        yes_side = [
-            v for v in members
-            if edg(*split_test.request_for(v), summary, frozen, errors)
-        ]
-        no_side = [v for v in members if v not in yes_side]
-        if not yes_side or not no_side:
-            raise LearnerInternalError(
-                f"split on {split_test!r} produced an empty side; "
-                "input contract violated"
-            )
+        u, a, v = split_test.request_for(members[0])
+        allowed = summary.has_edge(frozen[u], a, frozen[v])
+        yes_side = [v for v, error in zip(members, column) if error != allowed]
+        no_side = [v for v, error in zip(members, column) if error == allowed]
         yes_leaf, no_leaf = leaf.split(split_test, yes_side[0], no_side[0])
         for v in yes_side:
             updated[v] = yes_side[0]
@@ -336,7 +333,6 @@ class Learner:
         self.assignment: dict[int, int] = {}
         self.tree: TreeNode | None = None
         self.reconstruction: LabeledDigraph | None = None
-        self.rounds_completed = 0
 
 
 class TirelessLearner(Learner):
@@ -371,7 +367,6 @@ class TirelessLearner(Learner):
                 f"{len(errors)} errors"
             )
         self.summary, self.assignment = summary, assignment
-        self.rounds_completed += 1
 
 
 class ConservativeLearner(Learner):
@@ -379,11 +374,10 @@ class ConservativeLearner(Learner):
     proof to the contrary."""
 
     def run_round(self) -> None:
-        if self.rounds_completed == 0:
+        if self.tree is None:
             self._first_round()
         else:
             self._later_round()
-        self.rounds_completed += 1
 
     def _first_round(self) -> None:
         session = self._session
@@ -415,9 +409,7 @@ class ConservativeLearner(Learner):
         # then rebuild the summary over the new representatives.  All edge
         # knowledge comes from the frozen (summary, extended, errors)
         # snapshot; no connection query is issued past this point.
-        self.tree, self.assignment = revise(
-            self.tree, self.summary, self.assignment, u, guess, errors
-        )
+        self.tree, self.assignment = revise(self.tree, self.summary, extended, u, errors)
         representatives = sorted(set(self.assignment.values()))
         rebuilt = LabeledDigraph(session.k, representatives)
         for x in representatives:

@@ -613,7 +613,7 @@ class CorruptsThirdRound(ConservativeLearner):
 
     def run_round(self):
         super().run_round()
-        if self.rounds_completed == 3:
+        if self._session.ledger.nvq_count == 3:
             newest = max(self.assignment)
             other = [x for x in self.summary.vertices if x != self.assignment[newest]]
             self.assignment = {**self.assignment, newest: other[0]}

@@ -278,8 +278,10 @@ class TestReviseWorkedTrace:
         summary = LabeledDigraph(1, [0])
         tree = TreeNode.leaf(0)
         errors = ErrorSet(grant=frozenset(), deny=frozenset({(0, 0, 1)}))
-        new_tree, assignment = revise(tree, summary, {0: 0}, 1, 0, errors)
+        frozen = {0: 0, 1: 0}
+        new_tree, assignment = revise(tree, summary, frozen, 1, errors)
         assert assignment == {0: 0, 1: 1}
+        assert frozen == {0: 0, 1: 0} and assignment is not frozen
         assert new_tree.test == To(0, 1)
         assert new_tree.yes.label == 0 and new_tree.no.label == 1
 
@@ -328,10 +330,9 @@ class TestReviseSplitKinds:
         assert learner.tree.leaf_count == 2
 
     def test_splits_never_produce_empty_sides(self):
-        # members of a partition share the frozen assignment image, so a
-        # firing discrepancy check always yields two non-empty sides; the
-        # revision's internal guard is unreachable defensive depth.  Exercise
-        # a batch of revising worlds and check the guard stayed silent.
+        # members of a leaf share one policy bit per test, so a mixed error
+        # column always yields two non-empty sides.  Exercise a batch of
+        # revising worlds and check the learner's guards stayed silent.
         for seed in range(20):
             template = generate_template(seed + 200, m=4, k=2, edge_density=0.5)
             teacher = SyntheticTeacher(template, IidUniform(), draw_seed=seed)
@@ -450,6 +451,32 @@ class TestReviseInvariants:
                 self.run_instrumented(monkeypatch, seed=seed + 50, rounds=10, m=4, k=2)
             )
         assert revisions >= 4  # the instrumented runs actually revised
+
+
+class TestReviseContract:
+    """``revise`` leaves the frozen hypothesis it is given as it was, since
+    the learner rebuilds the summary from that same dict afterwards, and
+    returns the repaired assignment as a new dict."""
+
+    def test_frozen_hypothesis_is_not_mutated(self, monkeypatch):
+        calls = []
+
+        def checked(tree, summary, frozen, new_vertex, errors, **kwargs):
+            before = dict(frozen)
+            result = revise(tree, summary, frozen, new_vertex, errors, **kwargs)
+            assert frozen == before
+            assert result[1] is not frozen
+            calls.append(new_vertex)
+            return result
+
+        monkeypatch.setattr("domainlearn.learners.revise", checked)
+        for seed in range(6):
+            template = generate_template(seed + 300, m=4, k=2, edge_density=0.5)
+            session = Session(SyntheticTeacher(template, IidUniform(), draw_seed=seed))
+            learner = ConservativeLearner(session)
+            for _ in range(12):
+                learner.run_round()
+        assert len(calls) >= 6  # the sessions actually revised
 
 
 class TestConservativeRounds:

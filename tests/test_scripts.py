@@ -4,6 +4,7 @@ own interpreter with small arguments, so a renamed import or field in
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -68,7 +69,35 @@ def test_bench_pairs(tmp_path):
     assert summary["cnq_total"]["parent"] == summary["cnq_total"]["change"]
     assert summary["cnq_total"]["change_wins"] == 0
     assert not summary["cnq_total"]["gain_claimable"]
+    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert all(isinstance(summary[name]["exceeds_bound"], bool) for name in metrics)
+    assert summary["cnq_total"]["exceeds_bound"] is False
+    assert "peak_rss_mb" in result.stdout and "blocks" in result.stdout
     # one pair has no spread, so a won pair is a claimable gain
     assert rate["gain_claimable"] == (rate["change_wins"] == 1)
     cnq_calls = record["traced"]["tireless"]["protocol.cnq_calls"]
     assert cnq_calls["parent"] == cnq_calls["change"] == summary["cnq_total"]["parent"]["median"]
+
+
+def test_bench_pairs_flags_a_change_past_its_bound():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    metrics = [
+        {"name": "rounds_per_s", "better": "higher", "bound": 0.25},
+        {"name": "round_p50_ms", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+    ]
+    # rounds_per_s -26% and peak_rss_mb +12.5% are past their bounds,
+    # round_p50_ms +20% is within it
+    values = {"parent": (100.0, 1.0, 20.0), "change": (74.0, 1.2, 22.5)}
+    runs = [
+        {"side": side, "lines": [], "result": {"failed": 0, "metrics": {
+            m["name"]: {"value": value} for m, value in zip(metrics, values[side])
+        }}}
+        for side in ("parent", "change")
+    ]
+    summary = bench_pairs.summarise(runs, metrics)
+    assert summary["rounds_per_s"]["exceeds_bound"] is True
+    assert summary["round_p50_ms"]["exceeds_bound"] is False
+    assert summary["peak_rss_mb"]["exceeds_bound"] is True
