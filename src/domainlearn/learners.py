@@ -299,8 +299,8 @@ def revise(
         else:
             continue
 
-        u, a, v = split_test.request_for(members[0])
-        allowed = summary.has_edge(frozen[u], a, frozen[v])
+        source, right, target = split_test.request_for(members[0])
+        allowed = summary.has_edge(frozen[source], right, frozen[target])
         yes_side = [v for v, error in zip(members, column) if error != allowed]
         no_side = [v for v, error in zip(members, column) if error == allowed]
         yes_leaf, no_leaf = leaf.split(split_test, yes_side[0], no_side[0])
@@ -319,9 +319,10 @@ def revise(
 
 class Learner:
     """State every strategy exposes after a completed round: the released
-    ``summary`` and ``assignment``, the decision ``tree`` (None for a learner
-    that keeps none) and the ``reconstruction`` of the revealed matrix (None
-    for a learner that does not rebuild it).
+    ``summary`` and ``assignment``, the decision ``tree`` (None before the
+    first round and for a learner that keeps none) and the
+    ``reconstruction`` of the revealed matrix (None for a learner that does
+    not rebuild it).
 
     Each strategy defines its own ``run_round``, which plays one round
     through the session.
