@@ -11,8 +11,9 @@ change won (ties count for neither), whether that win is a claimable
 gain (at least nine tenths of the pairs won, and the medians further apart
 than the parent's quartiles) and whether the change's median is worse than
 the parent's by more than the metric's ``BENCHMARK.json`` bound (printed
-as ``REGRESSION``); each per-layer metric's traced median per side; and
-every run's raw output lines and result.
+as ``REGRESSION``); per workload, each side's share of failed sessions
+(``REGRESSION`` when the change's is larger); each per-layer metric's
+traced median per side; and every run's raw output lines and result.
 
 Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --label LABEL
        --pairs tireless=10,cons-iid=3,cons-adversarial=3,verify=3
@@ -92,8 +93,9 @@ def quartiles(values: list[float]) -> dict[str, float]:
 def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric: each side's quartiles, the change's wins over
     the pairs, its median's relative change, whether the gain is claimable
-    and whether the change exceeds the metric's bound; plus blocks and
-    failures."""
+    and whether the change exceeds the metric's bound; plus blocks,
+    failures, each side's failed share of the attempted sessions and
+    whether the change's share is the larger."""
     by_side = {side: [r for r in runs if r["side"] == side] for side in SIDES}
     summary: dict = {"pairs": len(by_side["change"])}
     for metric in metrics:
@@ -117,6 +119,11 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
         }
     summary["blocks"] = {side: [blocks(r) for r in by_side[side]] for side in SIDES}
     summary["failed"] = {side: [r["result"]["failed"] for r in by_side[side]] for side in SIDES}
+    attempted = {side: sum(r["result"]["attempted"] for r in by_side[side]) for side in SIDES}
+    summary["failed_share"] = {
+        side: sum(summary["failed"][side]) / max(1, attempted[side]) for side in SIDES
+    }
+    summary["failed_share_grew"] = summary["failed_share"]["change"] > summary["failed_share"]["parent"]
     return summary
 
 
@@ -210,6 +217,9 @@ def main() -> int:
                   f"wins {entry[metric]['change_wins']}/{entry['pairs']}"
                   f"{', claimable' if entry[metric]['gain_claimable'] else ''}{blocks_note})"
                   f"{' REGRESSION' if entry[metric]['exceeds_bound'] else ''}")
+        share = entry["failed_share"]
+        print(f"  {workload:17} {'failed_share':14} parent {share['parent']:12.5g} "
+              f"change {share['change']:12.5g}{' REGRESSION' if entry['failed_share_grew'] else ''}")
     return 0
 
 

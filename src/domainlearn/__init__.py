@@ -3,7 +3,6 @@ policy administration, with query-cost ledgers checked against closed-form
 bounds."""
 
 from .digraph import (
-    ErrorSet,
     LabeledDigraph,
     equivalence_partition,
     error_set,
@@ -49,7 +48,6 @@ from .teacher import (
 
 __all__ = [
     "ConservativeLearner",
-    "ErrorSet",
     "From",
     "IidUniform",
     "IidWeighted",

@@ -14,9 +14,11 @@ bound is violated, a monitor violation occurs, or a verify check fails, and
 2, after one ``error: ...`` line, when the configuration is invalid or a
 file cannot be read or written.  The configuration is validated and
 ``--out`` opened before any round is played, so neither error wastes a
-run.  ``--out`` is written only when the command completes, so an invalid
-configuration or a template that cannot be generated leaves an earlier
-file untouched.
+run.  Exit status 3, after one ``internal error: ...`` line, means the
+learner saw a state its algorithm rules out with a truthful teacher
+(``LearnerInternalError``).  ``--out`` is written only when the command
+completes, so an invalid configuration, a template that cannot be
+generated or an internal error leaves an earlier file untouched.
 """
 
 from __future__ import annotations
@@ -39,8 +41,13 @@ from .experiments import (
     verify_experiment,
 )
 from .graphio import digraph_to_dot, policy_to_dot, policy_to_text
-from .learners import LEARNER_KINDS, TREE_LEARNER_KINDS, tree_to_dot, tree_to_text
-from .protocol import ProtocolViolation
+from .learners import (
+    LEARNER_KINDS,
+    TREE_LEARNER_KINDS,
+    LearnerInternalError,
+    tree_to_dot,
+    tree_to_text,
+)
 from .teacher import TemplateGenerationError, generate_template, template_to_text
 
 
@@ -253,9 +260,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, ProtocolViolation, TemplateGenerationError) as exc:
+    except (ValueError, OSError, TemplateGenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except LearnerInternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

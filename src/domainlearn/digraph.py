@@ -16,7 +16,6 @@ produce identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 Edge = tuple[int, int, int]  # (source vertex, right index, target vertex)
@@ -220,39 +219,20 @@ def is_irreducible(g: LabeledDigraph) -> bool:
     return len(equivalence_partition(g)) == g.vertex_count
 
 
-@dataclass(frozen=True)
-class ErrorSet:
-    """Requests on which a policy and the ground-truth graph disagree."""
-
-    grant: frozenset[Edge]
-    deny: frozenset[Edge]
-
-    def __post_init__(self) -> None:
-        if self.grant & self.deny:
-            raise ValueError("a request cannot be both a grant and a deny error")
-
-    def __len__(self) -> int:
-        return len(self.grant) + len(self.deny)
-
-    def __bool__(self) -> bool:
-        return bool(self.grant) or bool(self.deny)
-
-    def __contains__(self, request: Edge) -> bool:
-        return request in self.grant or request in self.deny
-
-
 def error_set(
     g: LabeledDigraph, summary: LabeledDigraph, assignment: Mapping[int, int]
-) -> ErrorSet:
+) -> frozenset[Edge]:
     """All requests (u, a, v) over V(G) x rights x V(G) where the policy
     (``summary``, ``assignment``) decides differently from graph membership.
 
     The policy grants (u, a, v) iff (assignment[u], a, assignment[v]) is an
-    edge of ``summary``.  Grant errors are requests the policy allows but the
-    graph lacks; deny errors the reverse.  ``assignment`` must map every
-    vertex of g, or ``ValueError`` is raised.  Evaluated per (source, right)
-    with bitmasks, so the cost is O(n * k * |V(summary)|) plus the size of
-    the output.  Of g it reads only ``k``, ``vertices`` and ``out_mask``, so
+    edge of ``summary``.  The set does not record which way a request is
+    wrong, because the policy already says it: a wrong request was wrongly
+    granted (the graph lacks it) exactly when the policy allows it, and
+    wrongly denied otherwise.  ``assignment`` must map every vertex of g,
+    or ``ValueError`` is raised.  Evaluated per (source, right) with
+    bitmasks, so the cost is O(n * k * |V(summary)|) plus the size of the
+    output.  Of g it reads only ``k``, ``vertices`` and ``out_mask``, so
     any object answering those three can stand in for the graph.
     """
     vertices = g.vertices
@@ -269,19 +249,14 @@ def error_set(
         if y in member_mask:
             key = (x, a)
             allowed_mask[key] = allowed_mask.get(key, 0) | member_mask[y]
-    grant: list[Edge] = []
-    deny: list[Edge] = []
+    errors: list[Edge] = []
     k = g.k
     for u in vertices:
         domain = assignment[u]
         for a in range(k):
-            predicted = allowed_mask.get((domain, a), 0)
-            actual = g.out_mask(a, u)
-            difference = predicted ^ actual
+            difference = allowed_mask.get((domain, a), 0) ^ g.out_mask(a, u)
             if not difference:
                 continue
-            for v in _mask_bits(difference & predicted):
-                grant.append((u, a, v))
-            for v in _mask_bits(difference & actual):
-                deny.append((u, a, v))
-    return ErrorSet(frozenset(grant), frozenset(deny))
+            for v in _mask_bits(difference):
+                errors.append((u, a, v))
+    return frozenset(errors)

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
-from .digraph import Edge, ErrorSet, LabeledDigraph
+from .digraph import Edge, LabeledDigraph
 from .protocol import Session
 from .summarize import summarize
 
@@ -202,15 +202,17 @@ def edg(
     v: int,
     summary: LabeledDigraph,
     assignment: Mapping[int, int],
-    errors: ErrorSet,
+    errors: frozenset[Edge],
 ) -> bool:
     """Whether (u, a, v) is an edge of the revealed subgraph, deduced from a
     tested hypothesis instead of a connection query.
 
     ``errors`` must be the hypothesis-test response for exactly
-    (summary, assignment).  The request is an edge iff the policy decision
-    and the error verdict disagree in the xor sense: either the policy
-    allows it and it is not an error, or the policy denies it and it is.
+    (summary, assignment): the set of wrongly decided requests.  Membership
+    is all it needs.  The request is an edge iff the policy decision and
+    the error verdict disagree in the xor sense: either the policy allows
+    it and it is not an error, or the policy denies it and it is (a wrong
+    request the policy allows was wrongly granted).
     """
     allowed = summary.has_edge(assignment[u], a, assignment[v])
     return allowed != ((u, a, v) in errors)
@@ -224,7 +226,7 @@ def revise(
     summary: LabeledDigraph,
     frozen: Mapping[int, int],
     new_vertex: int,
-    errors: ErrorSet,
+    errors: frozenset[Edge],
     *,
     observer: ReviseObserver | None = None,
 ) -> tuple[TreeNode, dict[int, int]]:
@@ -234,9 +236,9 @@ def revise(
     invariants before ``new_vertex`` arrived, the tree classified it to the
     domain ``frozen[new_vertex]``, ``frozen`` is that assignment extended by
     the newcomer, and the hypothesis test of (summary, frozen) returned the
-    non-empty ``errors``.  ``frozen`` and ``errors`` drive all edge
-    deductions; no connection query is issued.  ``frozen`` is left as it
-    is, and the repaired assignment is a new dict.
+    non-empty set ``errors`` of wrongly decided requests.  ``frozen`` and
+    ``errors`` drive all edge deductions; no connection query is issued.
+    ``frozen`` is left as it is, and the repaired assignment is a new dict.
 
     Every error involves the newcomer x: the previous round closed on a
     clean test of the same summary, and the frozen assignment keeps the
@@ -246,7 +248,7 @@ def revise(
     test, the policy bit ``summary.has_edge(frozen[u], a, frozen[v])`` of
     their requests (u, a, v) is one constant.  A test therefore separates
     a leaf exactly when its error column
-    ``[test.request_for(v) in wrong for v in members]`` is mixed, and a
+    ``[test.request_for(v) in errors for v in members]`` is mixed, and a
     member's request is an edge (the yes side) exactly when its error bit
     differs from that policy bit (see :func:`edg`).  A mixed column leaves
     neither side empty.
@@ -270,7 +272,6 @@ def revise(
     worklist: deque[TreeNode] = deque(tree.leaves())
     # 2m iterations suffice in theory; |updated| bounds m, the rest is slack.
     budget = 4 * len(updated) + 8
-    wrong = errors.grant | errors.deny
     rights = range(summary.k)
     candidates: list[DecisionTest] = [
         *(To(a, new_vertex) for a in rights),
@@ -293,7 +294,7 @@ def revise(
         if len(members) < 2:
             continue
         for split_test in candidates:
-            column = [split_test.request_for(v) in wrong for v in members]
+            column = [split_test.request_for(v) in errors for v in members]
             if any(column) and not all(column):
                 break
         else:
@@ -399,24 +400,23 @@ class ConservativeLearner(Learner):
     def _later_round(self) -> None:
         session = self._session
         u = session.next_vertex()
-        guess = classify(self.tree, u, session.connection)
-        extended = dict(self.assignment)
-        extended[u] = guess
-        errors = session.hypothesis_test(self.summary, extended)
+        # The bet extends the released assignment in place.
+        frozen = self.assignment
+        frozen[u] = classify(self.tree, u, session.connection)
+        errors = session.hypothesis_test(self.summary, frozen)
         if not errors:
-            self.assignment = extended
             return
         # The newcomer is novel: repair tree/assignment from the error set,
         # then rebuild the summary over the new representatives.  All edge
-        # knowledge comes from the frozen (summary, extended, errors)
+        # knowledge comes from the frozen (summary, assignment, errors)
         # snapshot; no connection query is issued past this point.
-        self.tree, self.assignment = revise(self.tree, self.summary, extended, u, errors)
+        self.tree, self.assignment = revise(self.tree, self.summary, frozen, u, errors)
         representatives = sorted(set(self.assignment.values()))
         rebuilt = LabeledDigraph(session.k, representatives)
         for x in representatives:
             for a in range(session.k):
                 for y in representatives:
-                    if edg(x, a, y, self.summary, extended, errors):
+                    if edg(x, a, y, self.summary, frozen, errors):
                         rebuilt.add_edge(x, a, y)
         self.summary = rebuilt
         confirm = session.hypothesis_test(self.summary, self.assignment)

@@ -23,7 +23,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .digraph import ErrorSet, LabeledDigraph, is_irreducible
+from .digraph import Edge, LabeledDigraph, is_irreducible
 
 
 class ProtocolViolation(RuntimeError):
@@ -67,8 +67,11 @@ class Teacher(abc.ABC):
     @abc.abstractmethod
     def hypothesis_test(
         self, summary: LabeledDigraph, assignment: Mapping[int, int]
-    ) -> ErrorSet:
-        """Errors of the policy over the revealed induced subgraph."""
+    ) -> frozenset[Edge]:
+        """The requests over the revealed vertices that the policy decides
+        differently from the revealed induced subgraph, as one set.  Which
+        of them were wrongly granted needs no answer: those the policy
+        allows."""
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,7 @@ class Session:
 
     def hypothesis_test(
         self, summary: LabeledDigraph, assignment: Mapping[int, int]
-    ) -> ErrorSet:
+    ) -> frozenset[Edge]:
         if set(assignment) != self._revealed_set:
             raise ProtocolViolation(
                 "hypothesis assignment domain must be exactly the revealed set; "

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .digraph import ErrorSet, LabeledDigraph, error_set, is_irreducible
+from .digraph import Edge, LabeledDigraph, error_set, is_irreducible
 from .graphio import digraph_to_text
 from .protocol import Teacher
 from .rng import SplitMix64, mix64
@@ -312,7 +312,7 @@ class SyntheticTeacher(Teacher):
 
     def hypothesis_test(
         self, summary: LabeledDigraph, assignment: Mapping[int, int]
-    ) -> ErrorSet:
+    ) -> frozenset[Edge]:
         return error_set(self._view, summary, assignment)
 
     # -- ground-truth backdoors: verification and tests only ----------------

@@ -509,6 +509,22 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: no irreducible template")
         assert kept.read_text() == "earlier output\n"
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_learner_internal_error_exits_3(self, command, monkeypatch, tmp_path, capsys):
+        # a single-vertex hypothesis read off its own loops cannot be wrong,
+        # so an error on the first test is a state the learner rules out
+        monkeypatch.setattr(
+            SyntheticTeacher, "hypothesis_test", lambda *_: frozenset({(0, 0, 0)})
+        )
+        kept = tmp_path / "kept.csv"
+        kept.write_text("earlier output\n")
+        args = [command, "--learner", "conservative", "--rounds", "3", "--out", str(kept)]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: initial single-vertex hypothesis returned errors\n"
+        assert "Traceback" not in err
+        assert kept.read_text() == "earlier output\n"
+
     def test_dump_policy_generates_the_template_once(self, monkeypatch, capsys):
         calls = []
         original = experiments.generate_template

@@ -13,7 +13,6 @@ import pytest
 
 from domainlearn import (
     ConservativeLearner,
-    ErrorSet,
     LabeledDigraph,
     SC1Violation,
     SC2Violation,
@@ -213,22 +212,22 @@ class TestEdg:
     H = LabeledDigraph(1, [0], [(0, 0, 0)])  # allows everything within domain 0
 
     def test_allowed_not_error(self):
-        errors = ErrorSet(frozenset(), frozenset())
-        assert edg(0, 0, 1, self.H, {0: 0, 1: 0}, errors) is True
+        assert edg(0, 0, 1, self.H, {0: 0, 1: 0}, frozenset()) is True
 
     def test_allowed_and_error(self):
-        errors = ErrorSet(grant=frozenset({(0, 0, 1)}), deny=frozenset())
+        # a wrongly granted request
+        errors = frozenset({(0, 0, 1)})
         assert edg(0, 0, 1, self.H, {0: 0, 1: 0}, errors) is False
 
     def test_denied_and_error(self):
+        # a wrongly denied request
         empty_h = LabeledDigraph(1, [0])
-        errors = ErrorSet(grant=frozenset(), deny=frozenset({(0, 0, 1)}))
+        errors = frozenset({(0, 0, 1)})
         assert edg(0, 0, 1, empty_h, {0: 0, 1: 0}, errors) is True
 
     def test_denied_not_error(self):
         empty_h = LabeledDigraph(1, [0])
-        errors = ErrorSet(frozenset(), frozenset())
-        assert edg(0, 0, 1, empty_h, {0: 0, 1: 0}, errors) is False
+        assert edg(0, 0, 1, empty_h, {0: 0, 1: 0}, frozenset()) is False
 
 
 class TestReviseWorkedTrace:
@@ -277,7 +276,7 @@ class TestReviseWorkedTrace:
         # the same trace exercised as a pure function call
         summary = LabeledDigraph(1, [0])
         tree = TreeNode.leaf(0)
-        errors = ErrorSet(grant=frozenset(), deny=frozenset({(0, 0, 1)}))
+        errors = frozenset({(0, 0, 1)})  # denied by the edgeless summary
         frozen = {0: 0, 1: 0}
         new_tree, assignment = revise(tree, summary, frozen, 1, errors)
         assert assignment == {0: 0, 1: 1}
@@ -391,6 +390,51 @@ class TestPinnedRevisions:
             assert _play(config, record) == []
         assert witness_splits > 0  # the corpus still covers third-party witnesses
         assert digest.hexdigest() == REVISION_CORPUS_DIGEST
+
+
+def failed_bets(config: ExperimentConfig, monkeypatch) -> list[tuple[int, int, frozenset, int]]:
+    """(round, k, errors, newcomer) of every hypothesis test of ``config``'s
+    session that returned errors; for the conservative learner these are
+    its failed bets, since any other dirty test is an internal error.  The
+    newcomer is the largest vertex of the tested assignment."""
+    bets = []
+    original = Session.hypothesis_test
+
+    def recording(session, summary, assignment):
+        errors = original(session, summary, assignment)
+        if errors:
+            bets.append((len(assignment), session.k, errors, max(assignment)))
+        return errors
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Session, "hypothesis_test", recording)
+        assert _play(config, lambda *_: None) == []
+    return bets
+
+
+class TestFailedBetErrors:
+    """The per-round facts behind the cumulative error bound k(2n+1)(m-1):
+    a failed bet at round n returns at most k(2n-1) errors, all of them in
+    the newcomer's row or column, the fact :func:`revise` rests on."""
+
+    def test_bound_and_newcomer_over_the_corpus(self, monkeypatch):
+        count = 0
+        for config in REVISION_CORPUS:
+            for n, k, errors, newcomer in failed_bets(config, monkeypatch):
+                count += 1
+                assert newcomer == n - 1  # vertex ids are reveal order
+                assert len(errors) <= k * (2 * n - 1)
+                assert all(newcomer in (u, v) for u, _, v in errors)
+        assert count == 817
+
+    @pytest.mark.parametrize("k,m,seed,schedule,round_no,size", [
+        (1, 2, 6, "novel-last:5", 6, 11),
+        (2, 5, 9, "iid-uniform", 4, 14),
+    ])
+    def test_bound_is_met_with_equality(self, k, m, seed, schedule, round_no, size, monkeypatch):
+        config = ExperimentConfig(k=k, m=m, template_seed=seed, schedule=schedule, rounds=round_no)
+        bets = {n: len(errors) for n, _, errors, _ in failed_bets(config, monkeypatch)}
+        assert bets[round_no] == size == k * (2 * round_no - 1)
 
 
 class TestReviseInvariants:
@@ -607,7 +651,7 @@ class TestInternalFailures:
         class DirtyHtqTeacher(SyntheticTeacher):
             def hypothesis_test(self, summary, assignment):
                 u = next(iter(assignment))
-                return ErrorSet(grant=frozenset({(u, 0, u)}), deny=frozenset())
+                return frozenset({(u, 0, u)})
 
         teacher = DirtyHtqTeacher(PAIR_WORLD, Scripted((0,)), draw_seed=1)
         session = Session(teacher)

@@ -63,6 +63,8 @@ def test_bench_pairs(tmp_path):
     summary = record["summary"]["tireless"]
     assert summary["pairs"] == 1
     assert summary["failed"] == {"parent": [0], "change": [0]}
+    assert summary["failed_share"] == {"parent": 0.0, "change": 0.0}
+    assert summary["failed_share_grew"] is False
     rate = summary["rounds_per_s"]
     assert rate["parent"]["q1"] == rate["parent"]["median"] == rate["parent"]["q3"] > 0
     assert rate["change_wins"] in (0, 1)
@@ -91,13 +93,25 @@ def test_bench_pairs_flags_a_change_past_its_bound():
     # rounds_per_s -26% and peak_rss_mb +12.5% are past their bounds,
     # round_p50_ms +20% is within it
     values = {"parent": (100.0, 1.0, 20.0), "change": (74.0, 1.2, 22.5)}
-    runs = [
-        {"side": side, "lines": [], "result": {"failed": 0, "metrics": {
-            m["name"]: {"value": value} for m, value in zip(metrics, values[side])
-        }}}
-        for side in ("parent", "change")
-    ]
-    summary = bench_pairs.summarise(runs, metrics)
+
+    def runs(failed):
+        return [
+            {"side": side, "lines": [], "result": {
+                "attempted": 10, "failed": failed[side], "metrics": {
+                    m["name"]: {"value": value} for m, value in zip(metrics, values[side])
+                }}}
+            for side in ("parent", "change")
+        ]
+
+    summary = bench_pairs.summarise(runs({"parent": 0, "change": 0}), metrics)
     assert summary["rounds_per_s"]["exceeds_bound"] is True
     assert summary["round_p50_ms"]["exceeds_bound"] is False
     assert summary["peak_rss_mb"]["exceeds_bound"] is True
+    # equal failed shares are no regression, one failure against none is
+    assert summary["failed_share_grew"] is False
+    summary = bench_pairs.summarise(runs({"parent": 1, "change": 1}), metrics)
+    assert summary["failed_share"] == {"parent": 0.1, "change": 0.1}
+    assert summary["failed_share_grew"] is False
+    summary = bench_pairs.summarise(runs({"parent": 0, "change": 1}), metrics)
+    assert summary["failed_share"] == {"parent": 0.0, "change": 0.1}
+    assert summary["failed_share_grew"] is True
