@@ -13,7 +13,8 @@ than the parent's quartiles) and whether the change's median is worse than
 the parent's by more than the metric's ``BENCHMARK.json`` bound (printed
 as ``REGRESSION``); per workload, each side's share of failed sessions
 (``REGRESSION`` when the change's is larger); each per-layer metric's
-traced median per side; and every run's raw output lines and result.
+traced median per side; each side's source size (``src_lines``, the lines
+of ``src/domainlearn/*.py``); and every run's raw output lines and result.
 
 Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --label LABEL
        --pairs tireless=10,cons-iid=3,cons-adversarial=3,verify=3
@@ -62,6 +63,13 @@ def git_log(tree: Path, fmt: str, revisions: str = "-1") -> str:
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
     return out.stdout.strip()
+
+
+def src_lines(tree: Path) -> int:
+    """The total line count of ``tree``'s ``src/domainlearn/*.py``."""
+    return sum(
+        len(path.read_text().splitlines()) for path in (tree / "src" / "domainlearn").glob("*.py")
+    )
 
 
 def bench_run(tree: Path, workload: str, seed: int, trace: int, seconds: float) -> dict:
@@ -198,6 +206,7 @@ def main() -> int:
             "holds each per-layer metric's median."
         ),
         "repeats": dict(args.pairs),
+        "src_lines": {side: src_lines(trees[side]) for side in SIDES},
         "summary": summary,
         "traced": traced,
         "runs": runs,
@@ -205,6 +214,9 @@ def main() -> int:
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
+    lines = record["src_lines"]
+    print(f"  src_lines parent {lines['parent']} change {lines['change']} "
+          f"({lines['change'] - lines['parent']:+d})")
     for workload, entry in summary.items():
         for metric in (m["name"] for m in spec["end_to_end"]):
             parent, change = entry[metric]["parent"], entry[metric]["change"]

@@ -10,8 +10,9 @@ Subcommands::
 
 All subcommands accept ``--config <path>`` (a JSON file with the same field
 names as the flags); flags override the file.  Exit status is 1 when a
-bound is violated, a monitor violation occurs, or a verify check fails, and
-2, after one ``error: ...`` line, when the configuration is invalid or a
+bound is violated, a monitor violation occurs, or a verify check fails or
+no round was checked, and 2, after one ``error: ...`` line, when the
+configuration is invalid (a verify interval past its rounds included) or a
 file cannot be read or written.  The configuration is validated and
 ``--out`` opened before any round is played, so neither error wastes a
 run.  Exit status 3, after one ``internal error: ...`` line, means the
@@ -39,6 +40,7 @@ from .experiments import (
     run_experiment,
     sweep_experiment,
     verify_experiment,
+    verify_step,
 )
 from .graphio import digraph_to_dot, policy_to_dot, policy_to_text
 from .learners import (
@@ -137,7 +139,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     if config.oracle_checks == "off":
         config = replace(config, oracle_checks="every")
-    config.validate()
+    verify_step(config)
     with _output(config.out) as stream:
         report = verify_experiment(config)
         stream.write(_verify_text(report))

@@ -185,7 +185,6 @@ def _bound_violations(learner_kind: str, rows: list[RoundRow]) -> list[str]:
 
 @dataclass
 class RunReport:
-    config: ExperimentConfig
     rows: list[RoundRow]
     violations: list[str] = field(default_factory=list)
 
@@ -245,7 +244,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
     violations = _play(config, record)
     violations.extend(_bound_violations(config.learner, rows))
-    return RunReport(config=config, rows=rows, violations=violations)
+    return RunReport(rows=rows, violations=violations)
 
 
 # -- verify mode --------------------------------------------------------------
@@ -260,7 +259,6 @@ class RoundVerdict:
 
 @dataclass
 class VerifyReport:
-    config: ExperimentConfig
     rounds: list[RoundVerdict]
     violations: list[str] = field(default_factory=list)
 
@@ -292,10 +290,21 @@ def _verify_round(
     return failures
 
 
-def verify_experiment(config: ExperimentConfig) -> VerifyReport:
+def verify_step(config: ExperimentConfig) -> int:
+    """The oracle check interval of a valid verify config; ``ValueError``
+    unless the config is valid and checks at least one of its rounds."""
+    config.validate()
     mode, step = parse_oracle_checks(config.oracle_checks)
     if mode == "off":
         raise ValueError("verify requires oracle checks enabled (every or every=<j>)")
+    if step > config.rounds:
+        raise ValueError(f"oracle checks every {step} rounds check none of {config.rounds}")
+    return step
+
+
+def verify_experiment(config: ExperimentConfig) -> VerifyReport:
+    """Check every step-th round against ground truth; checking none fails."""
+    step = verify_step(config)
     rounds: list[RoundVerdict] = []
 
     def check(round_no, session, teacher, learner) -> None:
@@ -306,7 +315,9 @@ def verify_experiment(config: ExperimentConfig) -> VerifyReport:
             )
 
     violations = _play(config, check)
-    return VerifyReport(config=config, rounds=rounds, violations=violations)
+    if not rounds:
+        violations.append("no round was checked")
+    return VerifyReport(rounds=rounds, violations=violations)
 
 
 # -- sweep --------------------------------------------------------------------
@@ -314,7 +325,6 @@ def verify_experiment(config: ExperimentConfig) -> VerifyReport:
 
 @dataclass
 class SweepReport:
-    config: ExperimentConfig
     rows: list[tuple[str, RoundRow]]
     violations: list[str] = field(default_factory=list)
 
@@ -344,7 +354,7 @@ def sweep_experiment(config: ExperimentConfig, round_counts: list[int]) -> Sweep
             violations.extend(
                 f"n={rounds} {learner_kind}: {v}" for v in report.violations
             )
-    return SweepReport(config=config, rows=rows, violations=violations)
+    return SweepReport(rows=rows, violations=violations)
 
 
 # -- coupon-collector experiment -----------------------------------------------

@@ -19,7 +19,6 @@ Both learners interact with the world only through a monitored
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
@@ -218,18 +217,13 @@ def edg(
     return allowed != ((u, a, v) in errors)
 
 
-ReviseObserver = Callable[[TreeNode, dict[int, int], tuple[TreeNode, ...]], None]
-
-
 def revise(
     tree: TreeNode,
     summary: LabeledDigraph,
     frozen: Mapping[int, int],
     new_vertex: int,
     errors: frozenset[Edge],
-    *,
-    observer: ReviseObserver | None = None,
-) -> tuple[TreeNode, dict[int, int]]:
+) -> dict[int, int]:
     """Repair tree and assignment after a failed indistinguishability bet.
 
     Input contract: (summary, assignment, tree) satisfied the learner's
@@ -238,7 +232,8 @@ def revise(
     the newcomer, and the hypothesis test of (summary, frozen) returned the
     non-empty set ``errors`` of wrongly decided requests.  ``frozen`` and
     ``errors`` drive all edge deductions; no connection query is issued.
-    ``frozen`` is left as it is, and the repaired assignment is a new dict.
+    The tree is split in place; ``frozen`` is left as it is, and the
+    repaired assignment is returned as a new dict.
 
     Every error involves the newcomer x: the previous round closed on a
     clean test of the same summary, and the frozen assignment keeps the
@@ -253,44 +248,33 @@ def revise(
     differs from that policy bit (see :func:`edg`).  A mixed column leaves
     neither side empty.
 
-    Every leaf enters a FIFO worklist; singleton leaves are final.  For the
-    others the candidate tests are tried in one fixed order, rights
-    ascending within each group: ``To(a, x)``, then ``From(x, a)``, then
-    ``Loop(a)``, then for every revealed witness w (ascending id)
-    ``To(a, w)`` before ``From(w, a)``.  The witnesses catch a newcomer
-    that agrees with its guessed class on every pairwise edge yet differs
-    from it through a third party.  The first test with a mixed column
-    splits the leaf, relabels both sides by their minimum member, and
-    re-enqueues the two new leaves.  Runs within 2m worklist iterations
-    for m final partitions.
-
-    ``observer`` (tests only; no learner passes one) is called at the top
-    of every worklist iteration with the tree, the evolving assignment, and
-    the pending leaves.
+    Each leaf travels with its sorted members; one member is final.  For
+    more, the candidate tests are tried in one fixed order, rights
+    ascending within each group: ``To(a, x)``, ``From(x, a)``, ``Loop(a)``,
+    then for every revealed witness w (ascending id) ``To(a, w)`` before
+    ``From(w, a)``.  The witnesses catch a newcomer that agrees with its
+    guessed class on every pairwise edge yet differs from it through a
+    third party.  The first test with a mixed column splits the leaf into
+    two, each labelled by its minimum member and taken in turn.  A split
+    reads only its own members and the frozen inputs and writes only their
+    entries and its own subtree, so the order in which leaves are taken is
+    free.  Each split adds one leaf.
     """
     updated = dict(frozen)
-    worklist: deque[TreeNode] = deque(tree.leaves())
-    # 2m iterations suffice in theory; |updated| bounds m, the rest is slack.
-    budget = 4 * len(updated) + 8
+    classes: dict[int, list[int]] = {}
+    for v in sorted(frozen):
+        classes.setdefault(frozen[v], []).append(v)
+    pending = [(leaf, classes[leaf.label]) for leaf in tree.leaves()]
     rights = range(summary.k)
     candidates: list[DecisionTest] = [
         *(To(a, new_vertex) for a in rights),
         *(From(new_vertex, a) for a in rights),
         *(Loop(a) for a in rights),
-        *(test for w in sorted(updated) for a in rights for test in (To(a, w), From(w, a))),
+        *(test for w in sorted(frozen) for a in rights for test in (To(a, w), From(w, a))),
     ]
 
-    while worklist:
-        if observer is not None:
-            observer(tree, updated, tuple(worklist))
-        budget -= 1
-        if budget < 0:
-            raise LearnerInternalError(
-                "revision worklist exceeded its iteration budget; "
-                "input contract violated"
-            )
-        leaf = worklist.popleft()
-        members = sorted(v for v, rep in updated.items() if rep == leaf.label)
+    while pending:
+        leaf, members = pending.pop()
         if len(members) < 2:
             continue
         for split_test in candidates:
@@ -305,14 +289,12 @@ def revise(
         yes_side = [v for v, error in zip(members, column) if error != allowed]
         no_side = [v for v, error in zip(members, column) if error == allowed]
         yes_leaf, no_leaf = leaf.split(split_test, yes_side[0], no_side[0])
-        for v in yes_side:
-            updated[v] = yes_side[0]
-        for v in no_side:
-            updated[v] = no_side[0]
-        worklist.append(yes_leaf)
-        worklist.append(no_leaf)
+        for side in (yes_side, no_side):
+            for v in side:
+                updated[v] = side[0]
+        pending += [(yes_leaf, yes_side), (no_leaf, no_side)]
 
-    return tree, updated
+    return updated
 
 
 # -- the learners ------------------------------------------------------------
@@ -410,8 +392,8 @@ class ConservativeLearner(Learner):
         # then rebuild the summary over the new representatives.  All edge
         # knowledge comes from the frozen (summary, assignment, errors)
         # snapshot; no connection query is issued past this point.
-        self.tree, self.assignment = revise(self.tree, self.summary, frozen, u, errors)
-        representatives = sorted(set(self.assignment.values()))
+        self.assignment = revise(self.tree, self.summary, frozen, u, errors)
+        representatives = sorted(leaf.label for leaf in self.tree.leaves())
         rebuilt = LabeledDigraph(session.k, representatives)
         for x in representatives:
             for a in range(session.k):

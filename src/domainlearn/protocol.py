@@ -150,6 +150,8 @@ class Session:
     def hypothesis_test(
         self, summary: LabeledDigraph, assignment: Mapping[int, int]
     ) -> frozenset[Edge]:
+        if summary.k != self._k:
+            raise ProtocolViolation(f"summary is over {summary.k} rights, not {self._k}")
         if set(assignment) != self._revealed_set:
             raise ProtocolViolation(
                 "hypothesis assignment domain must be exactly the revealed set; "

@@ -12,6 +12,7 @@ as a :class:`LabeledDigraph` only when ground truth is peeked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -128,8 +129,8 @@ class IidWeighted:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if any(p <= 0.0 for p in self.probs):
-            raise ValueError("all schedule probabilities must be positive")
+        if not all(0.0 < p < math.inf for p in self.probs):
+            raise ValueError("all schedule probabilities must be finite and positive")
         if abs(sum(self.probs) - 1.0) > 1e-9:
             raise ValueError(f"probabilities must sum to 1, got {sum(self.probs)}")
 

@@ -477,6 +477,8 @@ class TestCli:
         ["--density", "1.0", "--m", "3"],
         ["--schedule", "iid-weighted:0.5,0.5", "--m", "3"],
         ["--schedule", "scripted:0,1,2", "--m", "2"],
+        # NaN once passed validation: coupon never ended, run drew one domain
+        ["--schedule", "iid-weighted:nan,nan", "--m", "2"],
     ])
     def test_invalid_config_leaves_out_untouched(
         self, command, experiment, invalid, monkeypatch, tmp_path, capsys
@@ -486,9 +488,28 @@ class TestCli:
         kept.write_text("earlier output\n")
         for out in (kept, absent):
             assert main([*command, *invalid, "--out", str(out)]) == 2
-            assert capsys.readouterr().err.startswith("error: ")
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
         assert kept.read_text() == "earlier output\n"
         assert not absent.exists()
+
+    def test_verify_interval_past_the_rounds_exits_2(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "verify_experiment", _must_not_run)
+        kept = tmp_path / "kept.txt"
+        kept.write_text("earlier output\n")
+        argv = ["verify", "--k", "2", "--m", "4", "--rounds", "10", "--oracle", "every=300"]
+        assert main([*argv, "--out", str(kept)]) == 2
+        assert capsys.readouterr().err == (
+            "error: oracle checks every 300 rounds check none of 10\n"
+        )
+        assert kept.read_text() == "earlier output\n"
+
+    def test_verify_that_checks_no_round_fails(self, capsys):
+        # the schedule ends after 4 rounds, before the first check at 10
+        argv = ["verify", "--k", "1", "--m", "2", "--schedule", "novel-last:3",
+                "--oracle", "every=10", "--rounds", "20"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == "violation: no round was checked\nverify: FAILED\n"
 
     @pytest.mark.parametrize("command", ["run", "verify", "dump"])
     def test_round_list_only_for_sweep(self, command, capsys):

@@ -162,6 +162,9 @@ MALFORMED_QUERIES = {
     "htq-maps-outside-summary": lambda s: s.hypothesis_test(
         TWO_DOMAINS, {0: 0, 1: 1, 2: 7}
     ),
+    "htq-other-alphabet": lambda s: s.hypothesis_test(
+        LabeledDigraph(2, [0, 1], [(0, 0, 1)]), {0: 0, 1: 1, 2: 0}
+    ),
 }
 
 

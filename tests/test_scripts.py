@@ -55,6 +55,8 @@ def test_bench_pairs(tmp_path):
     assert result.returncode == 0, result.stderr
     record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert record["label"] == "smoke"
+    assert record["src_lines"]["parent"] == record["src_lines"]["change"] > 0
+    assert f"src_lines parent {record['src_lines']['parent']} " in result.stdout
     assert [(r["side"], r["workload"], r["trace"]) for r in record["runs"]] == [
         ("parent", "tireless", 0), ("change", "tireless", 0),
         ("parent", "tireless", 1), ("change", "tireless", 1),

@@ -115,6 +115,13 @@ class TestSchedules:
         with pytest.raises(ValueError):
             IidWeighted((1.0, 0.0))
 
+    def test_weighted_rejects_nan(self):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="finite and positive"):
+            IidWeighted((nan, nan))
+        with pytest.raises(ValueError, match="finite and positive"):
+            IidWeighted((0.5, nan, 0.5))
+
     def test_parse_schedule_forms(self):
         assert parse_schedule("iid-uniform") == IidUniform()
         assert parse_schedule("iid-weighted:0.5,0.3,0.2") == IidWeighted((0.5, 0.3, 0.2))
