@@ -11,7 +11,11 @@ change won (ties count for neither), whether that win is a claimable
 gain (at least nine tenths of the pairs won, and the medians further apart
 than the parent's quartiles) and whether the change's median is worse than
 the parent's by more than the metric's ``BENCHMARK.json`` bound (printed
-as ``REGRESSION``); per workload, each side's share of failed sessions
+as ``REGRESSION``), and whether the metric is unresolved: the parent's
+own spread (its interquartile range over its median) is wider than that
+bound, so the runs cannot tell a change within the bound from none,
+unless every change run reads better than every parent run (printed as
+``UNRESOLVED``); per workload, each side's share of failed sessions
 (``REGRESSION`` when the change's is larger); each per-layer metric's
 traced median per side; each side's source size (``src_lines``, the lines
 of ``src/domainlearn/*.py``); and every run's raw output lines and result.
@@ -100,8 +104,9 @@ def quartiles(values: list[float]) -> dict[str, float]:
 
 def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric: each side's quartiles, the change's wins over
-    the pairs, its median's relative change, whether the gain is claimable
-    and whether the change exceeds the metric's bound; plus blocks,
+    the pairs, its median's relative change, whether the gain is claimable,
+    whether the change exceeds the metric's bound and whether the parent's
+    spread leaves the metric unresolved; plus blocks,
     failures, each side's failed share of the attempted sessions and
     whether the change's share is the larger."""
     by_side = {side: [r for r in runs if r["side"] == side] for side in SIDES}
@@ -117,6 +122,11 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
         parent_median = stats["parent"]["median"]
         parent_iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
         median_change = stats["change"]["median"] / parent_median - 1 if parent_median else 0.0
+        spread = parent_iqr / parent_median if parent_median else 0.0
+        if higher:
+            every_run_better = min(values["change"]) > max(values["parent"])
+        else:
+            every_run_better = max(values["change"]) < min(values["parent"])
         summary[name] = {
             **stats,
             "change_wins": wins,
@@ -124,6 +134,7 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
             "gain_claimable": wins >= 0.9 * summary["pairs"]
             and abs(stats["change"]["median"] - parent_median) > parent_iqr,
             "exceeds_bound": (-median_change if higher else median_change) > metric["bound"],
+            "unresolved": spread > metric["bound"] and not every_run_better,
         }
     summary["blocks"] = {side: [blocks(r) for r in by_side[side]] for side in SIDES}
     summary["failed"] = {side: [r["result"]["failed"] for r in by_side[side]] for side in SIDES}
@@ -228,7 +239,8 @@ def main() -> int:
                   f"change {change['median']:12.5g} ({entry[metric]['median_change']:+.1%}, "
                   f"wins {entry[metric]['change_wins']}/{entry['pairs']}"
                   f"{', claimable' if entry[metric]['gain_claimable'] else ''}{blocks_note})"
-                  f"{' REGRESSION' if entry[metric]['exceeds_bound'] else ''}")
+                  f"{' REGRESSION' if entry[metric]['exceeds_bound'] else ''}"
+                  f"{' UNRESOLVED' if entry[metric]['unresolved'] else ''}")
         share = entry["failed_share"]
         print(f"  {workload:17} {'failed_share':14} parent {share['parent']:12.5g} "
               f"change {share['change']:12.5g}{' REGRESSION' if entry['failed_share_grew'] else ''}")

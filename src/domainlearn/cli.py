@@ -19,7 +19,10 @@ run.  Exit status 3, after one ``internal error: ...`` line, means the
 learner saw a state its algorithm rules out with a truthful teacher
 (``LearnerInternalError``).  ``--out`` is written only when the command
 completes, so an invalid configuration, a template that cannot be
-generated or an internal error leaves an earlier file untouched.
+generated or an internal error leaves an earlier file untouched.  A
+schedule that runs out before ``--rounds`` ends the play with no failure;
+``run`` and ``verify`` then print one ``stopped: schedule exhausted after
+N of R rounds`` line on stderr, while ``sweep`` and ``dump`` stay silent.
 """
 
 from __future__ import annotations
@@ -120,6 +123,17 @@ def _output(out: str | None) -> Iterator[TextIO]:
         handle.write(buffer.getvalue())
 
 
+def _note_exhausted(report, config: ExperimentConfig) -> None:
+    """Say on stderr that a run or verify stopped early because its
+    schedule ran out; that is no failure, so the exit status stays."""
+    if report.exhausted_after is not None:
+        print(
+            f"stopped: schedule exhausted after {report.exhausted_after} "
+            f"of {config.rounds} rounds",
+            file=sys.stderr,
+        )
+
+
 def _emit_report(report, stream: TextIO) -> int:
     """Write a run or sweep CSV, print its violations, return its exit code."""
     stream.write(report.to_csv())
@@ -132,7 +146,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     config.validate()
     with _output(config.out) as stream:
-        return _emit_report(run_experiment(config), stream)
+        report = run_experiment(config)
+        _note_exhausted(report, config)
+        return _emit_report(report, stream)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -143,6 +159,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     with _output(config.out) as stream:
         report = verify_experiment(config)
         stream.write(_verify_text(report))
+    _note_exhausted(report, config)
     return report.exit_code
 
 

@@ -231,8 +231,9 @@ def error_set(
     granted (the graph lacks it) exactly when the policy allows it, and
     wrongly denied otherwise.  ``assignment`` must map every vertex of g,
     or ``ValueError`` is raised.  Evaluated per (source, right) with
-    bitmasks, so the cost is O(n * k * |V(summary)|) plus the size of the
-    output.  Of g it reads only ``k``, ``vertices`` and ``out_mask``, so
+    bitmasks: one pass over the assignment and one over the summary's
+    edges build the allowed masks, so the cost is O(n * k + |E(summary)|)
+    mask operations plus the size of the output.  Of g it reads only ``k``, ``vertices`` and ``out_mask``, so
     any object answering those three can stand in for the graph.
     """
     vertices = g.vertices

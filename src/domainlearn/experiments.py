@@ -187,6 +187,8 @@ def _bound_violations(learner_kind: str, rows: list[RoundRow]) -> list[str]:
 class RunReport:
     rows: list[RoundRow]
     violations: list[str] = field(default_factory=list)
+    # rounds played when the schedule ran out first, else None
+    exhausted_after: int | None = None
 
     @property
     def exit_code(self) -> int:
@@ -243,8 +245,16 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         rows.append(bound_row(config.k, session.ledger.per_round[-1], observed_m))
 
     violations = _play(config, record)
+    exhausted_after = _exhausted_after(config, len(rows), violations)
     violations.extend(_bound_violations(config.learner, rows))
-    return RunReport(rows=rows, violations=violations)
+    return RunReport(rows=rows, violations=violations, exhausted_after=exhausted_after)
+
+
+def _exhausted_after(config: ExperimentConfig, played: int, violations: list[str]) -> int | None:
+    """``played`` if the schedule ran out before ``config.rounds`` rounds
+    were played; None if every round was played or a monitor violation
+    (the only line ``_play`` returns) stopped the play."""
+    return played if played < config.rounds and not violations else None
 
 
 # -- verify mode --------------------------------------------------------------
@@ -259,8 +269,10 @@ class RoundVerdict:
 
 @dataclass
 class VerifyReport:
-    rounds: list[RoundVerdict]
+    rounds: list[RoundVerdict]  # the checked rounds only
     violations: list[str] = field(default_factory=list)
+    # rounds played when the schedule ran out first, else None
+    exhausted_after: int | None = None
 
     @property
     def all_passed(self) -> bool:
@@ -306,8 +318,11 @@ def verify_experiment(config: ExperimentConfig) -> VerifyReport:
     """Check every step-th round against ground truth; checking none fails."""
     step = verify_step(config)
     rounds: list[RoundVerdict] = []
+    played = 0
 
     def check(round_no, session, teacher, learner) -> None:
+        nonlocal played
+        played = round_no
         if round_no % step == 0:
             failures = _verify_round(learner, teacher.peek_ground_truth())
             rounds.append(
@@ -315,9 +330,10 @@ def verify_experiment(config: ExperimentConfig) -> VerifyReport:
             )
 
     violations = _play(config, check)
+    exhausted_after = _exhausted_after(config, played, violations)
     if not rounds:
         violations.append("no round was checked")
-    return VerifyReport(rounds=rounds, violations=violations)
+    return VerifyReport(rounds=rounds, violations=violations, exhausted_after=exhausted_after)
 
 
 # -- sweep --------------------------------------------------------------------
@@ -361,6 +377,8 @@ def sweep_experiment(config: ExperimentConfig, round_counts: list[int]) -> Sweep
 
 
 EXACT_COVERAGE_LIMIT = 20
+# the most draws to coverage a coupon trial may expect to take
+MAX_EXPECTED_DRAWS = 10**6
 
 
 def exact_coverage_expectation(probs: tuple[float, ...]) -> float:
@@ -398,24 +416,29 @@ class CouponSummary:
         )
 
 
-def coupon_schedule(config: ExperimentConfig) -> RevelationSchedule:
-    """The schedule of a valid coupon config; ``ValueError`` unless the
-    config is valid, its schedule IID and its domains few enough for the
-    exact expectation."""
+def coupon_schedule(config: ExperimentConfig) -> tuple[RevelationSchedule, float]:
+    """The schedule of a valid coupon config and its exact expected draws
+    to coverage; ``ValueError`` unless the config is valid, its schedule
+    IID, its domains few enough for the exact expectation and that
+    expectation at most ``MAX_EXPECTED_DRAWS``, so every trial ends."""
     config.validate()
     schedule = parse_schedule(config.schedule)
     if not isinstance(schedule, (IidUniform, IidWeighted)):
         raise ValueError("coupon requires an IID schedule")
-    if config.m > EXACT_COVERAGE_LIMIT:
-        raise ValueError(f"inclusion-exclusion limited to {EXACT_COVERAGE_LIMIT} classes")
-    return schedule
+    exact = exact_coverage_expectation(schedule_probabilities(schedule, config.m))
+    # NaN (inf - inf from two underflowing weights) fails the test too
+    if not exact <= MAX_EXPECTED_DRAWS:
+        raise ValueError(
+            f"expected draws to coverage {exact:.6g} are not at most "
+            f"{MAX_EXPECTED_DRAWS}, the most a coupon trial may take"
+        )
+    return schedule, exact
 
 
 def coupon_experiment(config: ExperimentConfig) -> CouponSummary:
     """Monte Carlo draws-until-coverage versus the exact expectation."""
-    schedule = coupon_schedule(config)
+    schedule, exact = coupon_schedule(config)
     m = config.m
-    exact = exact_coverage_expectation(schedule_probabilities(schedule, m))
     total_draws = 0
     for trial in range(config.trials):
         rng = SplitMix64(derive_seed(config.template_seed, 0xC0F0, trial))

@@ -1,15 +1,15 @@
-"""Text and DOT serialization for digraphs and policies.
+"""Text and DOT writers for digraphs and policies; nothing here reads them.
 
-The fixture text format is line-oriented:
+The digraph text format, which template dumps use, is line-oriented:
 
     digraph k=<k> n=<n>
     <u> r<a> <v>
 
-with one line per edge; right a is written ``r<a>``, 0 <= a < k.  It
-requires the vertex set to be exactly 0..n-1 (which holds for world
-templates and test fixtures); graphs with id gaps are rejected.  Policy
-debug dumps use a looser format with an explicit vertex list, because
-summaries keep their original representative ids.
+with one line per edge in sorted (u, a, v) order; right a is written
+``r<a>``, 0 <= a < k.  It requires the vertex set to be exactly 0..n-1
+(which holds for world templates); graphs with id gaps are rejected.
+Policy debug dumps use a looser format with an explicit vertex list,
+because summaries keep their original representative ids.
 """
 
 from __future__ import annotations
@@ -27,31 +27,6 @@ def digraph_to_text(g: LabeledDigraph) -> str:
     for u, a, v in g.edges():
         lines.append(f"{u} r{a} {v}")
     return "\n".join(lines) + "\n"
-
-
-def digraph_from_text(text: str) -> LabeledDigraph:
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty graph text")
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != "digraph":
-        raise ValueError(f"malformed header line: {lines[0]!r}")
-    try:
-        k = int(header[1].removeprefix("k="))
-        n = int(header[2].removeprefix("n="))
-    except ValueError:
-        raise ValueError(f"malformed header line: {lines[0]!r}") from None
-    g = LabeledDigraph(k, range(n))
-    rights = {f"r{a}": a for a in range(k)}
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed edge line: {line!r}")
-        u, name, v = parts
-        if name not in rights:
-            raise ValueError(f"unknown access right name {name!r}")
-        g.add_edge(int(u), rights[name], int(v))
-    return g
 
 
 def digraph_to_dot(g: LabeledDigraph, name: str = "G") -> str:

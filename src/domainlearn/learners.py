@@ -251,33 +251,42 @@ def revise(
     Each leaf travels with its sorted members; one member is final.  For
     more, the candidate tests are tried in one fixed order, rights
     ascending within each group: ``To(a, x)``, ``From(x, a)``, ``Loop(a)``,
-    then for every revealed witness w (ascending id) ``To(a, w)`` before
-    ``From(w, a)``.  The witnesses catch a newcomer that agrees with its
-    guessed class on every pairwise edge yet differs from it through a
-    third party.  The first test with a mixed column splits the leaf into
-    two, each labelled by its minimum member and taken in turn.  A split
-    reads only its own members and the frozen inputs and writes only their
-    entries and its own subtree, so the order in which leaves are taken is
-    free.  Each split adds one leaf.
+    then for every revealed witness w other than x (ascending id)
+    ``To(a, w)`` before ``From(w, a)``; at w = x they would repeat the first
+    two groups.  The witnesses catch a newcomer that agrees with its guessed
+    class on every pairwise edge yet differs from it through a third party.
+    The first test with a mixed column splits the leaf into two, each
+    labelled by its minimum member and taken in turn.  Each side's column
+    is constant on that test and on every test before it, so its search
+    resumes after the split test.  A split reads only its own members and
+    the frozen inputs and writes only their entries and its own subtree, so
+    the order in which leaves are taken is free.  Each split adds one leaf.
     """
     updated = dict(frozen)
     classes: dict[int, list[int]] = {}
     for v in sorted(frozen):
         classes.setdefault(frozen[v], []).append(v)
-    pending = [(leaf, classes[leaf.label]) for leaf in tree.leaves()]
+    pending = [(leaf, classes[leaf.label], 0) for leaf in tree.leaves()]
     rights = range(summary.k)
     candidates: list[DecisionTest] = [
         *(To(a, new_vertex) for a in rights),
         *(From(new_vertex, a) for a in rights),
         *(Loop(a) for a in rights),
-        *(test for w in sorted(frozen) for a in rights for test in (To(a, w), From(w, a))),
+        *(
+            test
+            for w in sorted(frozen)
+            if w != new_vertex
+            for a in rights
+            for test in (To(a, w), From(w, a))
+        ),
     ]
 
     while pending:
-        leaf, members = pending.pop()
+        leaf, members, start = pending.pop()
         if len(members) < 2:
             continue
-        for split_test in candidates:
+        for index in range(start, len(candidates)):
+            split_test = candidates[index]
             column = [split_test.request_for(v) in errors for v in members]
             if any(column) and not all(column):
                 break
@@ -292,7 +301,7 @@ def revise(
         for side in (yes_side, no_side):
             for v in side:
                 updated[v] = side[0]
-        pending += [(yes_leaf, yes_side), (no_leaf, no_side)]
+        pending += [(yes_leaf, yes_side, index + 1), (no_leaf, no_side, index + 1)]
 
     return updated
 

@@ -3,9 +3,9 @@ production algorithms and the learners.
 
 The references read the same graph store as production code (a digraph is
 stored once, as per-right bitmasks); their independence lies in the
-algorithms: the literal definition of indistinguishability, an all-members
-pairwise partition with transitivity assertions, a strong-homomorphism check
-by edge counting, and a backtracking isomorphism search.  Nothing here is on
+algorithms: an all-members pairwise partition with transitivity
+assertions, a strong-homomorphism check by edge counting, and a
+backtracking isomorphism search.  Nothing here is on
 any measured path: these functions may read teacher ground truth and are
 wired only into tests and verify mode.
 """
@@ -22,40 +22,6 @@ ISOMORPHISM_VERTEX_LIMIT = 12
 
 class OracleLimitError(ValueError):
     """Raised when an input exceeds the oracle's desk-scale limit."""
-
-
-def indistinguishable(g: LabeledDigraph, u: int, v: int) -> bool:
-    """True iff u and v have identical labelled adjacency toward every vertex,
-    with the pair itself treated interchangeably.
-
-    This is the literal definitional check, linear in |V| * k: for every
-    right the four pair edges (u,a,u), (u,a,v), (v,a,u), (v,a,v) must be all
-    present or all absent, and every third vertex x must see u and v
-    identically in both directions.
-    """
-    for x in (u, v):
-        if not g.has_vertex(x):
-            raise ValueError(f"vertex {x} not in graph")
-    if u == v:
-        return True
-    for a in range(g.k):
-        four = (
-            g.has_edge(u, a, u),
-            g.has_edge(u, a, v),
-            g.has_edge(v, a, u),
-            g.has_edge(v, a, v),
-        )
-        if any(four) and not all(four):
-            return False
-    for x in g.vertices:
-        if x == u or x == v:
-            continue
-        for a in range(g.k):
-            if g.has_edge(u, a, x) != g.has_edge(v, a, x):
-                return False
-            if g.has_edge(x, a, u) != g.has_edge(x, a, v):
-                return False
-    return True
 
 
 def oracle_partition(

@@ -3,7 +3,7 @@ through ``domain_of`` and ``peek_ground_truth``."""
 
 from __future__ import annotations
 
-from domainlearn import induced_subgraph
+from domainlearn.digraph import induced_subgraph
 from domainlearn.oracle import oracle_partition
 from domainlearn.teacher import SyntheticTeacher, WorldTemplate
 

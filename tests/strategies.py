@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from domainlearn import LabeledDigraph
+from domainlearn.digraph import LabeledDigraph
 from domainlearn.rng import SplitMix64, derive_seed
 
 

@@ -13,19 +13,8 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from domainlearn import (
-    ConservativeLearner,
-    LabeledDigraph,
-    ProtocolViolation,
-    SC1Violation,
-    SC2Violation,
-    Session,
-    TirelessLearner,
-    equivalence_partition,
-    is_irreducible,
-    summarize,
-)
 from domainlearn.cli import main
+from domainlearn.digraph import LabeledDigraph, equivalence_partition, is_irreducible
 from domainlearn.experiments import (
     ExperimentConfig,
     coupon_experiment,
@@ -33,9 +22,17 @@ from domainlearn.experiments import (
     sweep_experiment,
     verify_experiment,
 )
+from domainlearn.learners import ConservativeLearner, TirelessLearner
 from domainlearn.oracle import is_strong_homomorphism, isomorphic_small, oracle_partition
-from domainlearn.protocol import RoundSnapshot
+from domainlearn.protocol import (
+    ProtocolViolation,
+    RoundSnapshot,
+    SC1Violation,
+    SC2Violation,
+    Session,
+)
 from domainlearn.rng import SplitMix64, derive_seed
+from domainlearn.summarize import summarize
 from domainlearn.teacher import (
     IidUniform,
     NovelLast,

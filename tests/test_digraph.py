@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domainlearn import (
+from domainlearn.digraph import (
     LabeledDigraph,
     equivalence_partition,
     error_set,
     induced_subgraph,
     is_irreducible,
 )
-from domainlearn.oracle import indistinguishable, is_strong_homomorphism, oracle_partition
+from domainlearn.oracle import is_strong_homomorphism, oracle_partition
 
 from .strategies import clone_vertex, digraphs, digraphs_with_pair
 
@@ -23,6 +23,41 @@ from .strategies import clone_vertex, digraphs, digraphs_with_pair
 def two_edge_graph() -> LabeledDigraph:
     # vertices 0,1,2 with edges (0,r,2) and (1,r,2): 0 and 1 are twins
     return LabeledDigraph(1, range(3), [(0, 0, 2), (1, 0, 2)])
+
+
+def indistinguishable(g: LabeledDigraph, u: int, v: int) -> bool:
+    """Test-local literal definition: true iff u and v have identical
+    labelled adjacency toward every vertex, with the pair itself treated
+    interchangeably.
+
+    Linear in |V| * k, and independent of both partitions it checks: for every
+    right the four pair edges (u,a,u), (u,a,v), (v,a,u), (v,a,v) must be all
+    present or all absent, and every third vertex x must see u and v
+    identically in both directions.
+    """
+    for x in (u, v):
+        if not g.has_vertex(x):
+            raise ValueError(f"vertex {x} not in graph")
+    if u == v:
+        return True
+    for a in range(g.k):
+        four = (
+            g.has_edge(u, a, u),
+            g.has_edge(u, a, v),
+            g.has_edge(v, a, u),
+            g.has_edge(v, a, v),
+        )
+        if any(four) and not all(four):
+            return False
+    for x in g.vertices:
+        if x == u or x == v:
+            continue
+        for a in range(g.k):
+            if g.has_edge(u, a, x) != g.has_edge(v, a, x):
+                return False
+            if g.has_edge(x, a, u) != g.has_edge(x, a, v):
+                return False
+    return True
 
 
 def brute_force_errors(g: LabeledDigraph, summary: LabeledDigraph, assignment):

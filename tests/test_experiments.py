@@ -24,9 +24,9 @@ from domainlearn.experiments import (
     sweep_experiment,
     verify_experiment,
 )
-from domainlearn.graphio import digraph_from_text
 from domainlearn.learners import ConservativeLearner
-from domainlearn.teacher import SyntheticTeacher, generate_template
+from domainlearn.protocol import ProtocolViolation
+from domainlearn.teacher import SyntheticTeacher, generate_template, template_to_text
 
 
 class TestConfig:
@@ -292,9 +292,27 @@ class TestCoupon:
         with pytest.raises(ValueError, match="20 classes"):
             coupon_experiment(config)
 
+    @pytest.mark.parametrize("m,schedule", [
+        (2, "iid-weighted:1e-300,1"),
+        # two underflowing weights make the inclusion-exclusion sum NaN
+        (3, "iid-weighted:1e-320,1e-320,1"),
+    ])
+    def test_unending_schedule_rejected_before_any_trial(self, m, schedule, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran before the expected-draws check")
+
+        monkeypatch.setattr(experiments, "domain_sequence", no_trials)
+        config = ExperimentConfig(m=m, trials=1, schedule=schedule)
+        with pytest.raises(ValueError, match="not at most 1000000"):
+            coupon_experiment(config)
+
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("no round may be played")
+
+
+def _violate(*args, **kwargs):
+    raise ProtocolViolation("injected")
 
 
 # each command that writes --out, and the experiment function it plays
@@ -388,10 +406,12 @@ class TestCli:
         code = main(["dump", "--what", "template", "--k", "2", "--m", "3",
                      "--seed", "7"])
         assert code == 0
-        manifest, *graph_lines = capsys.readouterr().out.splitlines()
-        assert manifest == "domains m=3"
-        graph = digraph_from_text("\n".join(graph_lines))
-        assert graph == generate_template(seed=7, m=3, k=2, edge_density=0.5).graph
+        template = generate_template(seed=7, m=3, k=2, edge_density=0.5)
+        output = capsys.readouterr().out
+        assert output == template_to_text(template)
+        assert output.splitlines() == ["domains m=3", "digraph k=2 n=3"] + [
+            f"{u} r{a} {v}" for u, a, v in template.graph.edges()
+        ]
 
     def test_dump_tree_and_policy(self, capsys):
         assert main(["dump", "--what", "tree", "--learner", "conservative",
@@ -449,6 +469,10 @@ class TestCli:
     @pytest.mark.parametrize("invalid,message", [
         (["--schedule", "novel-last:3"], "coupon requires an IID schedule"),
         (["--m", "21"], "inclusion-exclusion limited to 20 classes"),
+        # coverage would take about 1e300 draws: the trial would never end
+        (["--m", "2", "--schedule", "iid-weighted:1e-300,1"],
+         "expected draws to coverage 1e+300 are not at most 1000000, "
+         "the most a coupon trial may take"),
     ])
     def test_coupon_rejects_before_writing(
         self, invalid, message, monkeypatch, tmp_path, capsys
@@ -689,15 +713,31 @@ class TestPinnedOutputs:
 
     def test_exhausted_schedule_stops_every_command(self, capsys):
         short = ["--schedule", "scripted:0,1", "--rounds", "5"]
+        stopped = "stopped: schedule exhausted after 2 of 5 rounds\n"
         assert main(["verify", *short]) == 0
-        assert capsys.readouterr().out.splitlines() == [
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
             "round 1: ok", "round 2: ok", "verify: all checks passed"
         ]
+        assert captured.err == stopped
+        assert main(["run", *short]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 3  # header and two rounds
+        assert captured.err == stopped
         assert main(["dump", "--what", "policy", *short]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert [line for line in lines if line.startswith("assign ")] == [
+        captured = capsys.readouterr()
+        assert [line for line in captured.out.splitlines() if line.startswith("assign ")] == [
             "assign 0 -> 0", "assign 1 -> 1"
         ]
+        assert captured.err == ""
+
+    def test_a_completed_or_violated_run_names_no_exhaustion(self, monkeypatch, capsys):
+        assert main(["run", "--schedule", "scripted:0,1", "--rounds", "2"]) == 0
+        assert capsys.readouterr().err == ""
+        # a monitor violation also stops the play early, but it is no exhaustion
+        monkeypatch.setattr(ConservativeLearner, "run_round", _violate)
+        assert main(["verify", "--rounds", "3"]) == 1
+        assert "stopped:" not in capsys.readouterr().err
 
     def test_dump_before_any_round_exits_2(self, capsys):
         assert main(["dump", "--what", "policy", "--schedule", "scripted:"]) == 2

@@ -1,0 +1,98 @@
+"""Source-layout guards, read with ``ast``: production code in
+``src/domainlearn`` is kept alive by production callers, not by its own
+tests, and each name is imported from the module that defines it."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "domainlearn"
+# Code that counts as a caller: the package, the benchmark and the scripts,
+# without the benchmark's own tests.
+CALLER_DIRS = ("src", "bench", "scripts")
+
+# Public definitions allowed to have no production caller, with the reason.
+NO_CALLER_NEEDED = {
+    "teacher.py:SyntheticTeacher.domain_of": (
+        "the ground-truth backdoor that a per-round trace of a run with the "
+        "oracle on is to read (ROADMAP item 7)"
+    ),
+}
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public top-level function and class
+    and of each public method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def references(tree: ast.Module):
+    """(name, line) of every identifier use: names, attributes, imported
+    names, and string constants that spell an identifier (the benchmark's
+    span targets name functions as strings)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value, node.lineno
+
+
+def caller_files() -> list[Path]:
+    return [
+        path
+        for directory in CALLER_DIRS
+        for path in sorted((ROOT / directory).rglob("*.py"))
+        if not path.name.startswith("test_")
+    ]
+
+
+def test_every_public_definition_has_a_caller():
+    trees = {path: parse(path) for path in caller_files()}
+    uses = [(name, path, line) for path, tree in trees.items() for name, line in references(tree)]
+    defined, uncalled = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, node in public_definitions(trees[path]):
+            key = f"{path.name}:{qualified}"
+            defined.add(key)
+            called = any(
+                name == node.name
+                and not (where == path and node.lineno <= line <= node.end_lineno)
+                for name, where, line in uses
+            )
+            if not called and key not in NO_CALLER_NEEDED:
+                uncalled.append(key)
+    assert uncalled == [], "public definitions that only tests reach"
+    assert set(NO_CALLER_NEEDED) <= defined
+
+
+def test_names_are_imported_from_their_modules():
+    package = parse(PACKAGE / "__init__.py")
+    assert len(package.body) == 1 and isinstance(package.body[0].value, ast.Constant)
+    submodules = {path.stem for path in PACKAGE.glob("*.py")}
+    top_level_imports = [
+        (path.relative_to(ROOT).as_posix(), alias.name)
+        for directory in (*CALLER_DIRS, "tests")
+        for path in sorted((ROOT / directory).rglob("*.py"))
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ImportFrom) and node.module == "domainlearn"
+        for alias in node.names
+    ]
+    assert [entry for entry in top_level_imports if entry[1] not in submodules] == []

@@ -10,26 +10,21 @@ from collections import Counter
 
 import pytest
 
-from domainlearn import (
-    ConservativeLearner,
-    LabeledDigraph,
-    SC1Violation,
-    SC2Violation,
-    Session,
-    TirelessLearner,
-    classify,
-    edg,
-    revise,
-)
+from domainlearn.digraph import LabeledDigraph
 from domainlearn.experiments import ExperimentConfig, _play
 from domainlearn.graphio import policy_to_text
 from domainlearn.learners import (
+    ConservativeLearner,
     From,
     LearnerInternalError,
     Loop,
+    TirelessLearner,
     To,
     TreeNode,
+    classify,
+    edg,
     make_learner,
+    revise,
     tree_to_dot,
     tree_to_text,
 )
@@ -39,6 +34,7 @@ from domainlearn.oracle import (
     oracle_partition,
     replay_classification,
 )
+from domainlearn.protocol import SC1Violation, SC2Violation, Session
 from domainlearn.summarize import summarize
 from domainlearn.teacher import (
     IidUniform,
@@ -504,6 +500,41 @@ class TestReviseContract:
             for _ in range(12):
                 learner.run_round()
         assert len(calls) >= 6  # the sessions actually revised
+
+    def test_no_column_lookup_repeats(self, monkeypatch):
+        # Within one revision each (test, member) request is looked up once,
+        # save one more look-up per split that reads the split test's policy
+        # bit; a leaf retrying To(a, x) at witness w = x, or a split side
+        # retrying the tests its leaf already tried, repeats look-ups.
+        lookups = []
+        for test_class in (To, From):
+            def recording(test, candidate, original=test_class.request_for):
+                lookups.append((test, candidate))
+                return original(test, candidate)
+
+            monkeypatch.setattr(test_class, "request_for", recording)
+        revisions = 0
+
+        def checked(tree, summary, frozen, new_vertex, errors):
+            nonlocal revisions
+            before = Counter(tree_tests(tree))
+            lookups.clear()
+            assignment = revise(tree, summary, frozen, new_vertex, errors)
+            split_tests = Counter(tree_tests(tree)) - before
+            repeated = Counter(lookups) - Counter(set(lookups))
+            assert set(repeated.values()) <= {1}
+            assert Counter(test for test, _ in repeated) <= split_tests
+            revisions += 1
+            return assignment
+
+        monkeypatch.setattr("domainlearn.learners.revise", checked)
+        for seed in range(4):
+            template = generate_template(seed + 40, m=5, k=2, edge_density=0.5)
+            teacher = SyntheticTeacher(template, NovelLast(4), draw_seed=seed)
+            learner = ConservativeLearner(Session(teacher))
+            for _ in range(8):
+                learner.run_round()
+        assert revisions >= 8
 
 
 class TestConservativeRounds:

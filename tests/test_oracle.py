@@ -7,19 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domainlearn import (
-    ConservativeLearner,
-    LabeledDigraph,
-    Session,
-    equivalence_partition,
-    summarize,
-)
+from domainlearn.digraph import LabeledDigraph, equivalence_partition
+from domainlearn.learners import ConservativeLearner
 from domainlearn.oracle import (
     OracleLimitError,
     check_round_invariants,
     isomorphic_small,
     oracle_partition,
 )
+from domainlearn.protocol import Session
+from domainlearn.summarize import summarize
 from domainlearn.teacher import IidUniform, SyntheticTeacher, generate_template
 
 from .strategies import blown_up_digraphs, digraphs, random_digraph

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from domainlearn import (
-    LabeledDigraph,
+from domainlearn.digraph import LabeledDigraph
+from domainlearn.protocol import (
     ProtocolViolation,
     SC1Violation,
     SC2Violation,

@@ -75,6 +75,8 @@ def test_bench_pairs(tmp_path):
     assert not summary["cnq_total"]["gain_claimable"]
     metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     assert all(isinstance(summary[name]["exceeds_bound"], bool) for name in metrics)
+    # one parent run has no spread, so no metric is unresolved
+    assert not any(summary[name]["unresolved"] for name in metrics)
     assert summary["cnq_total"]["exceeds_bound"] is False
     assert "peak_rss_mb" in result.stdout and "blocks" in result.stdout
     # one pair has no spread, so a won pair is a claimable gain
@@ -83,10 +85,15 @@ def test_bench_pairs(tmp_path):
     assert cnq_calls["parent"] == cnq_calls["change"] == summary["cnq_total"]["parent"]["median"]
 
 
-def test_bench_pairs_flags_a_change_past_its_bound():
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_flags_a_change_past_its_bound():
+    bench_pairs = load_bench_pairs()
     metrics = [
         {"name": "rounds_per_s", "better": "higher", "bound": 0.25},
         {"name": "round_p50_ms", "better": "lower", "bound": 0.25},
@@ -117,3 +124,30 @@ def test_bench_pairs_flags_a_change_past_its_bound():
     summary = bench_pairs.summarise(runs({"parent": 0, "change": 1}), metrics)
     assert summary["failed_share"] == {"parent": 0.0, "change": 0.1}
     assert summary["failed_share_grew"] is True
+
+
+def test_bench_pairs_flags_a_spread_past_its_bound():
+    metrics = [{"name": "setup_s", "better": "lower", "bound": 0.25}]
+
+    def runs(parent, change):
+        return [
+            {"side": side, "lines": [], "result": {
+                "attempted": 1, "failed": 0, "metrics": {"setup_s": {"value": value}}}}
+            for side, values in (("parent", parent), ("change", change))
+            for value in values
+        ]
+
+    summarise = load_bench_pairs().summarise
+    # the parent's own runs read 0.059-0.091 s: its IQR is 0.4 of its median
+    wide = [0.059, 0.06, 0.075, 0.09, 0.091]
+    summary = summarise(runs(wide, [0.06, 0.07, 0.075, 0.08, 0.09]), metrics)
+    assert summary["setup_s"]["exceeds_bound"] is False
+    assert summary["setup_s"]["unresolved"] is True
+    # ... unless every change run beats every parent run
+    summary = summarise(runs(wide, [0.05, 0.052, 0.055, 0.056, 0.058]), metrics)
+    assert summary["setup_s"]["unresolved"] is False
+    # a spread within the bound resolves the metric, whatever the change reads
+    narrow = [0.070, 0.072, 0.075, 0.078, 0.080]
+    summary = summarise(runs(narrow, [0.09, 0.095, 0.1, 0.105, 0.11]), metrics)
+    assert summary["setup_s"]["unresolved"] is False
+    assert summary["setup_s"]["exceeds_bound"] is True

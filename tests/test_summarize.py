@@ -5,13 +5,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domainlearn import (
-    LabeledDigraph,
-    equivalence_partition,
-    is_irreducible,
-    summarize,
-)
+from domainlearn.digraph import LabeledDigraph, equivalence_partition, is_irreducible
 from domainlearn.oracle import is_strong_homomorphism, isomorphic_small
+from domainlearn.summarize import summarize
 
 from .strategies import digraphs
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domainlearn import LabeledDigraph, equivalence_partition, error_set
+from domainlearn.digraph import LabeledDigraph, equivalence_partition, error_set
 from domainlearn.oracle import oracle_partition
 from domainlearn.rng import SplitMix64
 from domainlearn.summarize import summarize
