@@ -187,9 +187,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_coupon(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    coupon_schedule(config)
+    planned = coupon_schedule(config)
     with _output(config.out) as stream:
-        summary: CouponSummary = coupon_experiment(config)
+        summary: CouponSummary = coupon_experiment(config, planned)
         if config.out:
             stream.write(summary.to_csv())
     lines = [

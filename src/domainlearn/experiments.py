@@ -435,9 +435,14 @@ def coupon_schedule(config: ExperimentConfig) -> tuple[RevelationSchedule, float
     return schedule, exact
 
 
-def coupon_experiment(config: ExperimentConfig) -> CouponSummary:
-    """Monte Carlo draws-until-coverage versus the exact expectation."""
-    schedule, exact = coupon_schedule(config)
+def coupon_experiment(
+    config: ExperimentConfig,
+    planned: tuple[RevelationSchedule, float] | None = None,
+) -> CouponSummary:
+    """Monte Carlo draws-until-coverage versus the exact expectation.
+    ``planned`` is ``coupon_schedule(config)`` when the caller has already
+    validated the config with it; otherwise it is computed here."""
+    schedule, exact = planned or coupon_schedule(config)
     m = config.m
     total_draws = 0
     for trial in range(config.trials):
