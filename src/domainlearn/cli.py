@@ -233,14 +233,11 @@ def _dump(args: argparse.Namespace, config: ExperimentConfig, stream: TextIO) ->
         nonlocal learner
         learner = played
 
-    violations = _play(config, keep)
+    violations, _ = _play(config, keep)
     for violation in violations:
         print(f"violation: {violation}", file=sys.stderr)
     if violations:
         return 1
-    if learner is None:
-        print("error: no round completed yet", file=sys.stderr)
-        return 2
     if args.what == "policy":
         render = policy_to_text if args.format == "text" else policy_to_dot
         stream.write(render(learner.summary, learner.assignment))

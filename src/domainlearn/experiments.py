@@ -38,12 +38,9 @@ from .teacher import (
     RevelationSchedule,
     SyntheticTeacher,
     TeacherExhausted,
-    check_schedule,
     check_template_parameters,
-    domain_sequence,
     generate_template,
     parse_schedule,
-    schedule_probabilities,
 )
 
 CSV_HEADER = "n,cnq_cum,htq_cum,errors_cum,observed_m,bound_tireless,bound_cons_cnq,bound_cons_err"
@@ -78,17 +75,16 @@ class ExperimentConfig:
             raise ValueError("rounds must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        mode, step = parse_oracle_checks(self.oracle_checks)
-        last_check = self.rounds - self.rounds % step if mode == "every" else 0
+        step = parse_oracle_checks(self.oracle_checks)
+        last_check = self.rounds - self.rounds % step if step else 0
         if last_check > ORACLE_VERTEX_LIMIT:
             raise ValueError(
                 f"oracle checks are limited to {ORACLE_VERTEX_LIMIT} vertices, "
                 f"but the last check would run at round {last_check}; "
                 "use a larger every=<j> or fewer rounds"
             )
-        schedule = parse_schedule(self.schedule)
         check_template_parameters(self.m, self.k, self.edge_density)
-        check_schedule(schedule, self.m)
+        parse_schedule(self.schedule, self.m)
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "ExperimentConfig":
@@ -109,18 +105,18 @@ class ExperimentConfig:
         return replace(config, **overrides) if overrides else config
 
 
-def parse_oracle_checks(spec: str) -> tuple[str, int]:
-    """Parse an oracle-checks spec into (mode, step): ``off`` -> ("off", 0),
-    ``every`` -> ("every", 1), ``every=<j>`` -> ("every", j)."""
+def parse_oracle_checks(spec: str) -> int:
+    """Parse an oracle-checks spec into its check interval, 0 for off:
+    ``off`` -> 0, ``every`` -> 1, ``every=<j>`` -> j."""
     if spec == "off":
-        return "off", 0
+        return 0
     if spec == "every":
-        return "every", 1
+        return 1
     if spec.startswith("every="):
         step = int(spec.removeprefix("every="))
         if step < 1:
             raise ValueError("oracle check interval must be >= 1")
-        return "every", step
+        return step
     raise ValueError(f"unknown oracle_checks spec {spec!r}")
 
 
@@ -206,19 +202,20 @@ def build_session(config: ExperimentConfig) -> tuple[Session, SyntheticTeacher]:
     template = generate_template(
         config.template_seed, config.m, config.k, config.edge_density
     )
-    schedule = parse_schedule(config.schedule)
+    schedule = parse_schedule(config.schedule, config.m)
     teacher = SyntheticTeacher(
         template, schedule, derive_seed(config.template_seed, _DRAW_STREAM)
     )
     return Session(teacher), teacher
 
 
-def _play(config: ExperimentConfig, on_round) -> list[str]:
+def _play(config: ExperimentConfig, on_round) -> tuple[list[str], int | None]:
     """Play one monitored session of ``config``, calling
     ``on_round(round_no, session, teacher, learner)`` after each completed
     round.  The play stops after ``config.rounds`` rounds, when the schedule
-    is exhausted, or at a monitor violation, which is returned as the run's
-    single violation line."""
+    is exhausted, or at a monitor violation.  Returns the run's violation
+    lines (a monitor violation's single line, else none) and the rounds
+    played when the schedule ran out first (else None)."""
     config.validate()
     session, teacher = build_session(config)
     learner = make_learner(config.learner, session)
@@ -226,35 +223,27 @@ def _play(config: ExperimentConfig, on_round) -> list[str]:
         try:
             learner.run_round()
         except TeacherExhausted:
-            break
+            return [], round_no - 1
         except ProtocolViolation as exc:
-            return [f"round {round_no}: monitor violation: {exc}"]
+            return [f"round {round_no}: monitor violation: {exc}"], None
         on_round(round_no, session, teacher, learner)
-    return []
+    return [], None
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
-    mode, step = parse_oracle_checks(config.oracle_checks)
+    step = parse_oracle_checks(config.oracle_checks)
     rows: list[RoundRow] = []
 
     def record(round_no, session, teacher, learner) -> None:
-        if mode == "every" and round_no % step == 0:
+        if step and round_no % step == 0:
             observed_m = len(oracle_partition(teacher.peek_ground_truth()))
         else:
             observed_m = learner.summary.vertex_count
         rows.append(bound_row(config.k, session.ledger.per_round[-1], observed_m))
 
-    violations = _play(config, record)
-    exhausted_after = _exhausted_after(config, len(rows), violations)
+    violations, exhausted_after = _play(config, record)
     violations.extend(_bound_violations(config.learner, rows))
     return RunReport(rows=rows, violations=violations, exhausted_after=exhausted_after)
-
-
-def _exhausted_after(config: ExperimentConfig, played: int, violations: list[str]) -> int | None:
-    """``played`` if the schedule ran out before ``config.rounds`` rounds
-    were played; None if every round was played or a monitor violation
-    (the only line ``_play`` returns) stopped the play."""
-    return played if played < config.rounds and not violations else None
 
 
 # -- verify mode --------------------------------------------------------------
@@ -306,8 +295,8 @@ def verify_step(config: ExperimentConfig) -> int:
     """The oracle check interval of a valid verify config; ``ValueError``
     unless the config is valid and checks at least one of its rounds."""
     config.validate()
-    mode, step = parse_oracle_checks(config.oracle_checks)
-    if mode == "off":
+    step = parse_oracle_checks(config.oracle_checks)
+    if not step:
         raise ValueError("verify requires oracle checks enabled (every or every=<j>)")
     if step > config.rounds:
         raise ValueError(f"oracle checks every {step} rounds check none of {config.rounds}")
@@ -318,19 +307,15 @@ def verify_experiment(config: ExperimentConfig) -> VerifyReport:
     """Check every step-th round against ground truth; checking none fails."""
     step = verify_step(config)
     rounds: list[RoundVerdict] = []
-    played = 0
 
     def check(round_no, session, teacher, learner) -> None:
-        nonlocal played
-        played = round_no
         if round_no % step == 0:
             failures = _verify_round(learner, teacher.peek_ground_truth())
             rounds.append(
                 RoundVerdict(round_no, passed=not failures, failures=tuple(failures))
             )
 
-    violations = _play(config, check)
-    exhausted_after = _exhausted_after(config, played, violations)
+    violations, exhausted_after = _play(config, check)
     if not rounds:
         violations.append("no round was checked")
     return VerifyReport(rounds=rounds, violations=violations, exhausted_after=exhausted_after)
@@ -422,10 +407,10 @@ def coupon_schedule(config: ExperimentConfig) -> tuple[RevelationSchedule, float
     IID, its domains few enough for the exact expectation and that
     expectation at most ``MAX_EXPECTED_DRAWS``, so every trial ends."""
     config.validate()
-    schedule = parse_schedule(config.schedule)
+    schedule = parse_schedule(config.schedule, config.m)
     if not isinstance(schedule, (IidUniform, IidWeighted)):
         raise ValueError("coupon requires an IID schedule")
-    exact = exact_coverage_expectation(schedule_probabilities(schedule, config.m))
+    exact = exact_coverage_expectation(schedule.probs)
     # NaN (inf - inf from two underflowing weights) fails the test too
     if not exact <= MAX_EXPECTED_DRAWS:
         raise ValueError(
@@ -449,7 +434,7 @@ def coupon_experiment(
         rng = SplitMix64(derive_seed(config.template_seed, 0xC0F0, trial))
         seen: set[int] = set()
         draws = 0
-        for domain in domain_sequence(schedule, m, rng):
+        for domain in schedule.draws(rng):
             draws += 1
             seen.add(domain)
             if len(seen) == m:

@@ -8,10 +8,17 @@ lazily as the revelation schedule asks for them.  The teacher holds the
 revealed world as one target row per (right, domain), since all instances
 of a domain share their out-edges; the revealed induced subgraph is built
 as a :class:`LabeledDigraph` only when ground truth is peeked.
+
+A revelation schedule is a value built for one m: :func:`parse_schedule`
+turns a spec into :class:`IidUniform`, :class:`IidWeighted` or
+:class:`Scripted` (the adversarial ``novel-last`` order is a script).  Each
+rejects at construction what cannot draw from m domains, and each yields
+its domains from ``draws(rng)``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping
@@ -112,14 +119,39 @@ def template_to_text(template: WorldTemplate) -> str:
 
 @dataclass(frozen=True)
 class Scripted:
-    """Reveal instances of exactly these domains, in order, then stop."""
+    """Reveal instances of exactly these domains of m, in order, then stop."""
 
     domains: tuple[int, ...]
+    m: int
+
+    def __post_init__(self) -> None:
+        if not self.domains:
+            raise ValueError("a scripted schedule needs at least one domain")
+        for d in self.domains:
+            if not 0 <= d < self.m:
+                raise ValueError(f"scripted domain {d} out of range [0, {self.m})")
+
+    def draws(self, rng: SplitMix64) -> Iterator[int]:
+        return iter(self.domains)
 
 
 @dataclass(frozen=True)
 class IidUniform:
-    """Each reveal draws a domain uniformly; never exhausts."""
+    """Each reveal draws one of m domains uniformly; never exhausts."""
+
+    m: int
+
+    def __post_init__(self) -> None:
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
+
+    @property
+    def probs(self) -> tuple[float, ...]:
+        return tuple(1.0 / self.m for _ in range(self.m))
+
+    def draws(self, rng: SplitMix64) -> Iterator[int]:
+        while True:
+            yield rng.randrange(self.m)
 
 
 @dataclass(frozen=True)
@@ -134,54 +166,12 @@ class IidWeighted:
         if abs(sum(self.probs) - 1.0) > 1e-9:
             raise ValueError(f"probabilities must sum to 1, got {sum(self.probs)}")
 
+    @property
+    def m(self) -> int:
+        return len(self.probs)
 
-@dataclass(frozen=True)
-class NovelLast:
-    """Adversarial order: domain 0 for ``prefix_len`` reveals, then one fresh
-    instance of every remaining domain in ascending order, then stop."""
-
-    prefix_len: int
-
-    def __post_init__(self) -> None:
-        if self.prefix_len < 1:
-            raise ValueError("prefix_len must be >= 1")
-
-
-RevelationSchedule = Scripted | IidUniform | IidWeighted | NovelLast
-
-
-def check_schedule(schedule: RevelationSchedule, m: int) -> None:
-    """Raise ``ValueError`` unless ``schedule`` draws from m domains: every
-    scripted domain lies in [0, m), and a weighted schedule has m
-    probabilities."""
-    if isinstance(schedule, Scripted):
-        for d in schedule.domains:
-            if not 0 <= d < m:
-                raise ValueError(f"scripted domain {d} out of range [0, {m})")
-    elif isinstance(schedule, IidWeighted) and len(schedule.probs) != m:
-        raise ValueError(
-            f"schedule has {len(schedule.probs)} probabilities for m={m} domains"
-        )
-
-
-def domain_sequence(
-    schedule: RevelationSchedule, m: int, rng: SplitMix64
-) -> Iterator[int]:
-    """Domain indices drawn per the schedule; finite for Scripted/NovelLast.
-    A schedule that :func:`check_schedule` rejects raises its ``ValueError``
-    at the first draw."""
-    check_schedule(schedule, m)
-    if isinstance(schedule, Scripted):
-        yield from schedule.domains
-    elif isinstance(schedule, IidUniform):
-        while True:
-            yield rng.randrange(m)
-    elif isinstance(schedule, IidWeighted):
-        cumulative = []
-        acc = 0.0
-        for p in schedule.probs:
-            acc += p
-            cumulative.append(acc)
+    def draws(self, rng: SplitMix64) -> Iterator[int]:
+        cumulative = list(itertools.accumulate(self.probs))
         while True:
             x = rng.random()
             for i, threshold in enumerate(cumulative):
@@ -189,45 +179,55 @@ def domain_sequence(
                     yield i
                     break
             else:
-                yield m - 1  # guard against fp rounding at the top end
-    elif isinstance(schedule, NovelLast):
-        for _ in range(schedule.prefix_len):
-            yield 0
-        for d in range(1, m):
-            yield d
-    else:
-        raise TypeError(f"unknown schedule {schedule!r}")
+                yield self.m - 1  # guard against fp rounding at the top end
 
 
-def parse_schedule(text: str) -> RevelationSchedule:
-    """Parse a schedule spec string.
+RevelationSchedule = Scripted | IidUniform | IidWeighted
 
-    Forms: ``iid-uniform``, ``iid-weighted:<p0>,<p1>,...``,
-    ``scripted:<d0>,<d1>,...``, ``novel-last:<prefix_len>``.
+# the longest novel-last prefix: its script is held in full (8 bytes a
+# reveal), and no session plays anywhere near this many rounds
+MAX_NOVEL_LAST_PREFIX = 10**6
+
+
+def _spec_items(text: str, arg: str) -> list[str]:
+    """The comma-separated items of a spec's argument; none may be empty."""
+    items = arg.split(",")
+    if not all(item.strip() for item in items):
+        raise ValueError(f"schedule spec {text!r} has an empty list item")
+    return items
+
+
+def parse_schedule(text: str, m: int) -> RevelationSchedule:
+    """Parse a schedule spec string into a schedule over m domains.
+
+    Forms: ``iid-uniform``, ``iid-weighted:<p0>,<p1>,...`` (m
+    probabilities), ``scripted:<d0>,<d1>,...`` and ``novel-last:<p>``, the
+    adversarial script of p instances of domain 0, then one fresh instance
+    of every other domain in ascending order.
     """
-    kind, _, arg = text.partition(":")
+    kind, colon, arg = text.partition(":")
     kind = kind.strip()
     if kind == "iid-uniform":
-        return IidUniform()
+        if colon:
+            raise ValueError(f"iid-uniform takes no argument, got {text!r}")
+        return IidUniform(m)
     if kind == "iid-weighted":
-        probs = tuple(float(p) for p in arg.split(",") if p.strip())
-        return IidWeighted(probs)
+        schedule = IidWeighted(tuple(float(p) for p in _spec_items(text, arg)))
+        if schedule.m != m:
+            raise ValueError(
+                f"schedule has {schedule.m} probabilities for m={m} domains"
+            )
+        return schedule
     if kind == "scripted":
-        domains = tuple(int(d) for d in arg.split(",") if d.strip())
-        return Scripted(domains)
+        return Scripted(tuple(int(d) for d in _spec_items(text, arg)), m)
     if kind == "novel-last":
-        return NovelLast(int(arg))
+        prefix_len = int(arg)
+        if prefix_len < 1:
+            raise ValueError("prefix_len must be >= 1")
+        if prefix_len > MAX_NOVEL_LAST_PREFIX:
+            raise ValueError(f"prefix_len must be <= {MAX_NOVEL_LAST_PREFIX}")
+        return Scripted((0,) * prefix_len + tuple(range(1, m)), m)
     raise ValueError(f"unknown schedule spec {text!r}")
-
-
-def schedule_probabilities(schedule: RevelationSchedule, m: int) -> tuple[float, ...]:
-    """Per-domain draw probabilities of an IID schedule."""
-    if isinstance(schedule, IidUniform):
-        return tuple(1.0 / m for _ in range(m))
-    if isinstance(schedule, IidWeighted):
-        check_schedule(schedule, m)
-        return schedule.probs
-    raise ValueError(f"schedule {schedule!r} is not an IID schedule")
 
 
 # -- the teacher itself ------------------------------------------------------
@@ -275,7 +275,12 @@ class SyntheticTeacher(Teacher):
         schedule: RevelationSchedule,
         draw_seed: int,
     ):
-        self._draws = domain_sequence(schedule, template.m, SplitMix64(draw_seed))
+        if schedule.m != template.m:
+            raise ValueError(
+                f"schedule draws from {schedule.m} domains, "
+                f"the template has {template.m}"
+            )
+        self._draws = schedule.draws(SplitMix64(draw_seed))
         # _in_domains[a][x]: the template domains d with edge (d, a, x)
         m = template.m
         self._in_domains = [

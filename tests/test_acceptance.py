@@ -35,9 +35,9 @@ from domainlearn.rng import SplitMix64, derive_seed
 from domainlearn.summarize import summarize
 from domainlearn.teacher import (
     IidUniform,
-    NovelLast,
     SyntheticTeacher,
     generate_template,
+    parse_schedule,
 )
 
 from .ground_truth import revealed_class_count, revealed_domains
@@ -77,8 +77,9 @@ def world_parameters(index: int) -> tuple[int, int, str]:
 
 def build_schedule(kind: str, m: int):
     if kind == "novel-last":
-        return NovelLast(CORPUS_ROUNDS + 1 - m)  # exactly CORPUS_ROUNDS reveals
-    return IidUniform()
+        # exactly CORPUS_ROUNDS reveals
+        return parse_schedule(f"novel-last:{CORPUS_ROUNDS + 1 - m}", m)
+    return IidUniform(m)
 
 
 @pytest.fixture(scope="module")
@@ -216,7 +217,7 @@ def test_criterion_4_success_criteria(corpus):
     template = generate_template(1, m=2, k=1, edge_density=0.5)
     from domainlearn.teacher import Scripted
 
-    teacher = SyntheticTeacher(template, Scripted((0, 1, 0)), draw_seed=1)
+    teacher = SyntheticTeacher(template, Scripted((0, 1, 0), 2), draw_seed=1)
     session = Session(teacher)
     faulty = SkipReviseLearner(session)
     try:
@@ -226,7 +227,7 @@ def test_criterion_4_success_criteria(corpus):
     except SC2Violation:
         pass  # caught within one round of the mishandled novelty
 
-    teacher = SyntheticTeacher(template, Scripted((0, 0)), draw_seed=1)
+    teacher = SyntheticTeacher(template, Scripted((0, 0), 2), draw_seed=1)
     session = Session(teacher)
     reducible = ReducibleHypothesisLearner(session)
     try:

@@ -38,9 +38,9 @@ class TestConfig:
             ExperimentConfig(learner="psychic").validate()
 
     def test_oracle_spec_parsing(self):
-        assert parse_oracle_checks("off") == ("off", 0)
-        assert parse_oracle_checks("every") == ("every", 1)
-        assert parse_oracle_checks("every=8") == ("every", 8)
+        assert parse_oracle_checks("off") == 0
+        assert parse_oracle_checks("every") == 1
+        assert parse_oracle_checks("every=8") == 8
         with pytest.raises(ValueError):
             parse_oracle_checks("sometimes")
 
@@ -287,7 +287,8 @@ class TestCoupon:
         def no_trials(*args):
             raise AssertionError("a trial ran before the m > 20 check")
 
-        monkeypatch.setattr(experiments, "domain_sequence", no_trials)
+        # each trial seeds its own draw stream first
+        monkeypatch.setattr(experiments, "SplitMix64", no_trials)
         config = ExperimentConfig(m=21, trials=20_000, schedule="iid-uniform")
         with pytest.raises(ValueError, match="20 classes"):
             coupon_experiment(config)
@@ -301,7 +302,7 @@ class TestCoupon:
         def no_trials(*args):
             raise AssertionError("a trial ran before the expected-draws check")
 
-        monkeypatch.setattr(experiments, "domain_sequence", no_trials)
+        monkeypatch.setattr(experiments, "SplitMix64", no_trials)
         config = ExperimentConfig(m=m, trials=1, schedule=schedule)
         with pytest.raises(ValueError, match="not at most 1000000"):
             coupon_experiment(config)
@@ -503,6 +504,12 @@ class TestCli:
         ["--schedule", "scripted:0,1,2", "--m", "2"],
         # NaN once passed validation: coupon never ended, run drew one domain
         ["--schedule", "iid-weighted:nan,nan", "--m", "2"],
+        # these once ran as iid-uniform, scripted:0,1, iid-weighted:0.5,0.5
+        # and an empty script of 0 rounds
+        ["--schedule", "iid-uniform:junk", "--m", "2"],
+        ["--schedule", "scripted:0,,1", "--m", "2"],
+        ["--schedule", "iid-weighted:0.5,,0.5", "--m", "2"],
+        ["--schedule", "scripted:", "--m", "2"],
     ])
     def test_invalid_config_leaves_out_untouched(
         self, command, experiment, invalid, monkeypatch, tmp_path, capsys
@@ -665,6 +672,20 @@ PINNED_OUTPUTS = [
         "170658c79d41a51cbd4711d136d30cf93b4f24d3fb61bd5f1fa4eb4d2f74de5c",
         id="verify",
     ),
+    # recorded at commit e66f521: the weighted draw stream, which the
+    # tolerance tests of the coupon statistics would not pin
+    pytest.param(
+        ["run", "--k", "2", "--m", "3", "--seed", "13",
+         "--schedule", "iid-weighted:0.5,0.3,0.2", "--rounds", "40"],
+        "802315af608a7180d9b91cf833c03d5713e74a624618d5c2beca976925d16fdb",
+        id="run-iid-weighted",
+    ),
+    pytest.param(
+        ["coupon", "--m", "3", "--schedule", "iid-weighted:0.5,0.3,0.2",
+         "--trials", "200", "--seed", "7"],
+        "67f2d11ac945366dda5333bb0f9fffd340643759fd1bcd735b7dbfcc5a7b8de5",
+        id="coupon-iid-weighted",
+    ),
 ]
 
 
@@ -740,7 +761,9 @@ class TestPinnedOutputs:
         assert "stopped:" not in capsys.readouterr().err
 
     def test_dump_before_any_round_exits_2(self, capsys):
+        # an empty script, the only schedule that ends before round 1, is
+        # rejected before any round is played
         assert main(["dump", "--what", "policy", "--schedule", "scripted:"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: no round completed yet\n"
+        assert captured.err == "error: schedule spec 'scripted:' has an empty list item\n"

@@ -38,11 +38,11 @@ from domainlearn.protocol import SC1Violation, SC2Violation, Session
 from domainlearn.summarize import summarize
 from domainlearn.teacher import (
     IidUniform,
-    NovelLast,
     Scripted,
     SyntheticTeacher,
     WorldTemplate,
     generate_template,
+    parse_schedule,
 )
 
 from .ground_truth import revealed_class_count, revealed_domains
@@ -53,7 +53,7 @@ def world(edges, m=2, k=1) -> WorldTemplate:
 
 
 def start_session(template, script) -> tuple[Session, SyntheticTeacher]:
-    teacher = SyntheticTeacher(template, Scripted(tuple(script)), draw_seed=17)
+    teacher = SyntheticTeacher(template, Scripted(tuple(script), template.m), draw_seed=17)
     return Session(teacher), teacher
 
 
@@ -71,7 +71,7 @@ WITNESS_WORLD = world([(0, 0, 2)], m=3)
 class TestTireless:
     def test_per_round_cnq_counts(self):
         template = generate_template(seed=3, m=3, k=2, edge_density=0.5)
-        teacher = SyntheticTeacher(template, IidUniform(), draw_seed=7)
+        teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=7)
         session = Session(teacher)
         learner = TirelessLearner(session)
         seen = 0
@@ -83,7 +83,7 @@ class TestTireless:
 
     def test_total_cnqs_quadratic(self):
         template = generate_template(seed=4, m=2, k=1, edge_density=0.5)
-        teacher = SyntheticTeacher(template, IidUniform(), draw_seed=8)
+        teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=8)
         session = Session(teacher)
         learner = TirelessLearner(session)
         for _ in range(3):
@@ -92,7 +92,7 @@ class TestTireless:
 
     def test_reconstruction_equals_revealed_subgraph(self):
         template = generate_template(seed=5, m=4, k=2, edge_density=0.4)
-        teacher = SyntheticTeacher(template, IidUniform(), draw_seed=9)
+        teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=9)
         session = Session(teacher)
         learner = TirelessLearner(session)
         for _ in range(8):
@@ -101,7 +101,7 @@ class TestTireless:
 
     def test_every_hypothesis_clean(self):
         template = generate_template(seed=6, m=3, k=3, edge_density=0.5)
-        teacher = SyntheticTeacher(template, IidUniform(), draw_seed=10)
+        teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=10)
         session = Session(teacher)
         learner = TirelessLearner(session)
         for _ in range(10):
@@ -123,7 +123,7 @@ class TestTireless:
 class TestConservativeInit:
     def test_ledger_after_first_round(self):
         template = generate_template(seed=7, m=2, k=3, edge_density=0.5)
-        teacher = SyntheticTeacher(template, IidUniform(), draw_seed=11)
+        teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=11)
         session = Session(teacher)
         ConservativeLearner(session).run_round()
         ledger = session.ledger
@@ -329,7 +329,7 @@ class TestReviseSplitKinds:
         # revising worlds and check the learner's guards stayed silent.
         for seed in range(20):
             template = generate_template(seed + 200, m=4, k=2, edge_density=0.5)
-            teacher = SyntheticTeacher(template, IidUniform(), draw_seed=seed)
+            teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=seed)
             session = Session(teacher)
             learner = ConservativeLearner(session)
             for _ in range(10):
@@ -382,7 +382,7 @@ class TestPinnedRevisions:
                     witness_splits += witness != newcomer
                 seen = tests
 
-            assert _play(config, record) == []
+            assert _play(config, record)[0] == []
         assert witness_splits > 0  # the corpus still covers third-party witnesses
         assert digest.hexdigest() == REVISION_CORPUS_DIGEST
 
@@ -403,7 +403,7 @@ def failed_bets(config: ExperimentConfig, monkeypatch) -> list[tuple[int, int, f
 
     with monkeypatch.context() as patch:
         patch.setattr(Session, "hypothesis_test", recording)
-        assert _play(config, lambda *_: None) == []
+        assert _play(config, lambda *_: None)[0] == []
     return bets
 
 
@@ -465,9 +465,10 @@ class TestReviseInvariants:
         monkeypatch.setattr("domainlearn.learners.revise", checked)
         # iid sessions, and novel-last sessions whose newcomer also splits
         # an earlier class as a witness, so one revision splits twice or more
-        for k, schedule, rounds in ((2, IidUniform(), 10), (1, NovelLast(3), 6)):
+        for k, spec, rounds in ((2, "iid-uniform", 10), (1, "novel-last:3", 6)):
             for seed in range(50, 62):
                 template = generate_template(seed, m=4, k=k, edge_density=0.5)
+                schedule = parse_schedule(spec, template.m)
                 teacher = SyntheticTeacher(template, schedule, draw_seed=seed * 31 + 1)
                 learner = ConservativeLearner(Session(teacher))
                 for _ in range(rounds):
@@ -495,7 +496,7 @@ class TestReviseContract:
         monkeypatch.setattr("domainlearn.learners.revise", checked)
         for seed in range(6):
             template = generate_template(seed + 300, m=4, k=2, edge_density=0.5)
-            session = Session(SyntheticTeacher(template, IidUniform(), draw_seed=seed))
+            session = Session(SyntheticTeacher(template, IidUniform(template.m), draw_seed=seed))
             learner = ConservativeLearner(session)
             for _ in range(12):
                 learner.run_round()
@@ -530,7 +531,7 @@ class TestReviseContract:
         monkeypatch.setattr("domainlearn.learners.revise", checked)
         for seed in range(4):
             template = generate_template(seed + 40, m=5, k=2, edge_density=0.5)
-            teacher = SyntheticTeacher(template, NovelLast(4), draw_seed=seed)
+            teacher = SyntheticTeacher(template, parse_schedule("novel-last:4", 5), draw_seed=seed)
             learner = ConservativeLearner(Session(teacher))
             for _ in range(8):
                 learner.run_round()
@@ -556,7 +557,7 @@ class TestConservativeRounds:
 
     def test_cost_bound_holds_per_round(self):
         template = generate_template(seed=23, m=5, k=3, edge_density=0.5)
-        teacher = SyntheticTeacher(template, IidUniform(), draw_seed=29)
+        teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=29)
         session = Session(teacher)
         learner = ConservativeLearner(session)
         for _ in range(30):
@@ -567,7 +568,7 @@ class TestConservativeRounds:
 
     def test_error_bounds_per_round_and_cumulative(self):
         template = generate_template(seed=24, m=4, k=2, edge_density=0.5)
-        teacher = SyntheticTeacher(template, IidUniform(), draw_seed=30)
+        teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=30)
         session = Session(teacher)
         learner = ConservativeLearner(session)
         errors_before = 0
@@ -582,7 +583,7 @@ class TestConservativeRounds:
     def test_invariants_after_every_round(self):
         for seed in (31, 32, 33):
             template = generate_template(seed=seed, m=4, k=2, edge_density=0.5)
-            teacher = SyntheticTeacher(template, IidUniform(), draw_seed=seed)
+            teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=seed)
             session = Session(teacher)
             learner = ConservativeLearner(session)
             for _ in range(12):
@@ -600,7 +601,7 @@ class TestConservativeRounds:
 
     def test_zero_errors_after_full_coverage(self):
         template = generate_template(seed=41, m=3, k=2, edge_density=0.5)
-        teacher = SyntheticTeacher(template, IidUniform(), draw_seed=77)
+        teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=77)
         session = Session(teacher)
         learner = ConservativeLearner(session)
         coverage_round = None
@@ -654,7 +655,7 @@ class InconsistentTeacher(SyntheticTeacher):
 
 class TestInternalFailures:
     def test_tireless_rejects_inconsistent_teacher(self):
-        teacher = InconsistentTeacher(PAIR_WORLD, Scripted((0, 1)), draw_seed=1)
+        teacher = InconsistentTeacher(PAIR_WORLD, Scripted((0, 1), 2), draw_seed=1)
         session = Session(teacher)
         learner = TirelessLearner(session)
         learner.run_round()
@@ -667,7 +668,7 @@ class TestInternalFailures:
                 u = next(iter(assignment))
                 return frozenset({(u, 0, u)})
 
-        teacher = DirtyHtqTeacher(PAIR_WORLD, Scripted((0,)), draw_seed=1)
+        teacher = DirtyHtqTeacher(PAIR_WORLD, Scripted((0,), 2), draw_seed=1)
         session = Session(teacher)
         learner = ConservativeLearner(session)
         with pytest.raises(LearnerInternalError):

@@ -92,7 +92,7 @@ class TestIsomorphicSmall:
 
 def learner_after_rounds(seed: int, rounds: int, m: int = 3, k: int = 2):
     template = generate_template(seed, m=m, k=k, edge_density=0.5)
-    teacher = SyntheticTeacher(template, IidUniform(), draw_seed=seed + 1)
+    teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=seed + 1)
     session = Session(teacher)
     learner = ConservativeLearner(session)
     for _ in range(rounds):

@@ -21,7 +21,7 @@ def edge_world(with_loop: bool = False) -> WorldTemplate:
 
 
 def make_session(script=(0, 1, 0, 1), with_loop=False) -> Session:
-    teacher = SyntheticTeacher(edge_world(with_loop), Scripted(tuple(script)), draw_seed=5)
+    teacher = SyntheticTeacher(edge_world(with_loop), Scripted(tuple(script), 2), draw_seed=5)
     return Session(teacher)
 
 
@@ -173,7 +173,7 @@ class TestSessionIsTheGate:
     called and before any ledger counter moves."""
 
     def open_third_round(self) -> tuple[Session, RecordingTeacher]:
-        inner = SyntheticTeacher(edge_world(), Scripted((0, 1, 0)), draw_seed=5)
+        inner = SyntheticTeacher(edge_world(), Scripted((0, 1, 0), 2), draw_seed=5)
         teacher = RecordingTeacher(inner)
         session = Session(teacher)
         u = session.next_vertex()

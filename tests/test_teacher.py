@@ -16,16 +16,13 @@ from domainlearn.summarize import summarize
 from domainlearn.teacher import (
     IidUniform,
     IidWeighted,
-    NovelLast,
     Scripted,
     SyntheticTeacher,
     TeacherExhausted,
     TemplateGenerationError,
     WorldTemplate,
-    domain_sequence,
     generate_template,
     parse_schedule,
-    schedule_probabilities,
 )
 
 from .ground_truth import revealed_class_count, revealed_domains
@@ -76,26 +73,26 @@ class TestGenerateTemplate:
 class TestSchedules:
     def test_scripted_order(self):
         template = generate_template(seed=5, m=2, k=1, edge_density=0.5)
-        teacher = SyntheticTeacher(template, Scripted((0, 0, 1)), draw_seed=1)
+        teacher = SyntheticTeacher(template, Scripted((0, 0, 1), 2), draw_seed=1)
         for _ in range(3):
             teacher.next_vertex()
         assert revealed_domains(teacher) == (0, 0, 1)
 
     def test_scripted_exhausts(self):
         template = generate_template(seed=5, m=2, k=1, edge_density=0.5)
-        teacher = SyntheticTeacher(template, Scripted((0,)), draw_seed=1)
+        teacher = SyntheticTeacher(template, Scripted((0,), 2), draw_seed=1)
         teacher.next_vertex()
         with pytest.raises(TeacherExhausted):
             teacher.next_vertex()
 
     def test_novel_last_order(self):
-        draws = list(domain_sequence(NovelLast(5), 3, SplitMix64(0)))
+        draws = list(parse_schedule("novel-last:5", 3).draws(SplitMix64(0)))
         assert draws == [0, 0, 0, 0, 0, 1, 2]
 
     def test_iid_uniform_frequencies(self):
         counts = Counter()
         rng = SplitMix64(1234)
-        draws = domain_sequence(IidUniform(), 3, rng)
+        draws = IidUniform(3).draws(rng)
         for _ in range(30_000):
             counts[next(draws)] += 1
         for domain in range(3):
@@ -104,7 +101,7 @@ class TestSchedules:
     def test_iid_weighted_frequencies(self):
         probs = (0.5, 0.3, 0.2)
         rng = SplitMix64(77)
-        draws = domain_sequence(IidWeighted(probs), 3, rng)
+        draws = IidWeighted(probs).draws(rng)
         counts = Counter(next(draws) for _ in range(30_000))
         for domain, p in enumerate(probs):
             assert abs(counts[domain] / 30_000 - p) < 0.02
@@ -123,18 +120,56 @@ class TestSchedules:
             IidWeighted((0.5, nan, 0.5))
 
     def test_parse_schedule_forms(self):
-        assert parse_schedule("iid-uniform") == IidUniform()
-        assert parse_schedule("iid-weighted:0.5,0.3,0.2") == IidWeighted((0.5, 0.3, 0.2))
-        assert parse_schedule("scripted:0,0,1") == Scripted((0, 0, 1))
-        assert parse_schedule("novel-last:5") == NovelLast(5)
+        assert parse_schedule("iid-uniform", 3) == IidUniform(3)
+        assert parse_schedule("iid-weighted:0.5,0.3,0.2", 3) == IidWeighted((0.5, 0.3, 0.2))
+        assert parse_schedule("scripted:0,0,1", 3) == Scripted((0, 0, 1), 3)
+        assert parse_schedule("novel-last:5", 3) == Scripted((0, 0, 0, 0, 0, 1, 2), 3)
+        assert parse_schedule("novel-last:5", 1) == Scripted((0, 0, 0, 0, 0), 1)
+        with pytest.raises(ValueError, match="prefix_len must be >= 1"):
+            parse_schedule("novel-last:0", 3)
+        # the script is built in full, so its length is bounded
+        assert len(parse_schedule("novel-last:1000000", 1).domains) == 10**6
+        with pytest.raises(ValueError, match="prefix_len must be <= 1000000"):
+            parse_schedule("novel-last:1000001", 3)
         with pytest.raises(ValueError):
-            parse_schedule("bogus")
+            parse_schedule("bogus", 3)
 
     def test_schedule_probabilities(self):
-        assert schedule_probabilities(IidUniform(), 4) == (0.25, 0.25, 0.25, 0.25)
-        assert schedule_probabilities(IidWeighted((0.5, 0.5)), 2) == (0.5, 0.5)
-        with pytest.raises(ValueError):
-            schedule_probabilities(Scripted((0,)), 1)
+        assert IidUniform(4).probs == (0.25, 0.25, 0.25, 0.25)
+        assert IidWeighted((0.5, 0.5)).probs == (0.5, 0.5)
+
+    def test_schedules_are_valid_for_their_m(self):
+        with pytest.raises(ValueError, match="at least one domain"):
+            Scripted((), 2)
+        with pytest.raises(ValueError, match=r"out of range \[0, 2\)"):
+            Scripted((0, 2), 2)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            IidUniform(0)
+        assert IidWeighted((0.25, 0.75)).m == 2
+
+    @pytest.mark.parametrize("schedule", [
+        Scripted((0, 1), 2), IidUniform(2), IidWeighted((0.5, 0.5)),
+    ], ids=["scripted", "uniform", "weighted"])
+    def test_teacher_rejects_a_schedule_for_another_m(self, schedule, monkeypatch):
+        # the schedule is checked when the teacher is built, before any draw
+        monkeypatch.setattr(type(schedule), "draws", _no_draws)
+        template = generate_template(seed=5, m=3, k=1, edge_density=0.5)
+        with pytest.raises(ValueError, match="schedule draws from 2 domains, the template has 3"):
+            SyntheticTeacher(template, schedule, draw_seed=1)
+
+
+def _no_draws(*args):
+    raise AssertionError("a schedule for another m was drawn from")
+
+
+# schedules for a template of m domains: each strategy value maps m to one
+SCHEDULES = st.one_of(
+    st.just(IidUniform),
+    st.integers(1, 4).map(lambda p: lambda m: parse_schedule(f"novel-last:{p}", m)),
+    st.lists(st.integers(0, 4), min_size=1, max_size=14).map(
+        lambda ds: lambda m: Scripted(tuple(d % m for d in ds), m)
+    ),
+)
 
 
 def loop_free_pair_world() -> WorldTemplate:
@@ -144,14 +179,14 @@ def loop_free_pair_world() -> WorldTemplate:
 
 class TestEdgeRule:
     def test_cross_domain_edge(self):
-        teacher = SyntheticTeacher(loop_free_pair_world(), Scripted((0, 1)), draw_seed=3)
+        teacher = SyntheticTeacher(loop_free_pair_world(), Scripted((0, 1), 2), draw_seed=3)
         teacher.next_vertex()
         teacher.next_vertex()
         assert teacher.connection(0, 0, 1) is True
         assert teacher.connection(1, 0, 0) is False
 
     def test_same_domain_pairs_follow_template_loop(self):
-        teacher = SyntheticTeacher(loop_free_pair_world(), Scripted((0, 0)), draw_seed=3)
+        teacher = SyntheticTeacher(loop_free_pair_world(), Scripted((0, 0), 2), draw_seed=3)
         teacher.next_vertex()
         teacher.next_vertex()
         # no (d0, r, d0) loop in the template: no edges among instances
@@ -160,7 +195,7 @@ class TestEdgeRule:
         assert teacher.connection(1, 0, 0) is False
 
     def test_spurious_loop_grants_every_same_domain_pair(self):
-        teacher = SyntheticTeacher(loop_free_pair_world(), Scripted((0, 0, 0)), draw_seed=3)
+        teacher = SyntheticTeacher(loop_free_pair_world(), Scripted((0, 0, 0), 2), draw_seed=3)
         for _ in range(3):
             teacher.next_vertex()
         # hypothesis claims domain 0 has a self-loop the world lacks
@@ -176,22 +211,16 @@ class TestEdgeRule:
         st.integers(1, 5),
         st.integers(1, 3),
         st.sampled_from([0.3, 0.5, 0.8]),
-        st.one_of(
-            st.just(IidUniform()),
-            st.integers(1, 4).map(NovelLast),
-            st.lists(st.integers(0, 4), max_size=14).map(lambda ds: Scripted(tuple(ds))),
-        ),
+        SCHEDULES,
         st.integers(0, 14),
     )
     @settings(max_examples=80, deadline=None)
     def test_revealed_subgraph_matches_edge_rule(self, seed, m, k, density, schedule, reveals):
-        if isinstance(schedule, Scripted):
-            schedule = Scripted(tuple(d % m for d in schedule.domains))
         try:
             template = generate_template(seed, m, k, edge_density=density)
         except TemplateGenerationError:
             return
-        teacher = SyntheticTeacher(template, schedule, draw_seed=seed + 1)
+        teacher = SyntheticTeacher(template, schedule(m), draw_seed=seed + 1)
         for _ in range(reveals):
             try:
                 teacher.next_vertex()
@@ -222,24 +251,18 @@ class TestRowView:
         st.integers(1, 5),
         st.integers(1, 3),
         st.sampled_from([0.3, 0.5, 0.8]),
-        st.one_of(
-            st.just(IidUniform()),
-            st.integers(1, 4).map(NovelLast),
-            st.lists(st.integers(0, 4), max_size=14).map(lambda ds: Scripted(tuple(ds))),
-        ),
+        SCHEDULES,
         st.integers(1, 14),
     )
     @settings(max_examples=80, deadline=None)
     def test_hypothesis_test_equals_error_set_of_the_peeked_graph(
         self, data, seed, m, k, density, schedule, reveals
     ):
-        if isinstance(schedule, Scripted):
-            schedule = Scripted(tuple(d % m for d in schedule.domains))
         try:
             template = generate_template(seed, m, k, edge_density=density)
         except TemplateGenerationError:
             return
-        teacher = SyntheticTeacher(template, schedule, draw_seed=seed + 1)
+        teacher = SyntheticTeacher(template, schedule(m), draw_seed=seed + 1)
         for n in range(1, reveals + 1):
             try:
                 teacher.next_vertex()
@@ -281,7 +304,7 @@ class TestDeterminism:
         template = generate_template(seed=8, m=4, k=2, edge_density=0.4)
 
         def transcript():
-            teacher = SyntheticTeacher(template, IidUniform(), draw_seed=44)
+            teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=44)
             log = []
             for _ in range(20):
                 v = teacher.next_vertex()
@@ -302,7 +325,7 @@ class TestClassStructure:
             template = generate_template(seed, m, k, edge_density=0.5)
         except TemplateGenerationError:
             return
-        teacher = SyntheticTeacher(template, IidUniform(), draw_seed=seed + 1)
+        teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=seed + 1)
         for _ in range(reveals):
             teacher.next_vertex()
             assert revealed_class_count(template, teacher) == len(
@@ -311,7 +334,7 @@ class TestClassStructure:
 
     def test_full_coverage_classes_are_domain_instance_sets(self):
         template = generate_template(seed=33, m=3, k=2, edge_density=0.5)
-        teacher = SyntheticTeacher(template, Scripted((0, 1, 2, 0, 1, 2, 1)), draw_seed=2)
+        teacher = SyntheticTeacher(template, Scripted((0, 1, 2, 0, 1, 2, 1), 3), draw_seed=2)
         for _ in range(7):
             teacher.next_vertex()
         partition = equivalence_partition(teacher.peek_ground_truth())
@@ -323,7 +346,7 @@ class TestClassStructure:
 
     def test_partial_coverage_classes_are_domain_unions(self):
         template = generate_template(seed=33, m=4, k=2, edge_density=0.5)
-        teacher = SyntheticTeacher(template, Scripted((0, 1, 0, 1)), draw_seed=2)
+        teacher = SyntheticTeacher(template, Scripted((0, 1, 0, 1), 4), draw_seed=2)
         for _ in range(4):
             teacher.next_vertex()
         partition = equivalence_partition(teacher.peek_ground_truth())
