@@ -37,6 +37,7 @@ import json
 import os
 import platform
 import re
+import signal
 import statistics
 import subprocess
 import sys
@@ -157,7 +158,15 @@ def median_blocks(counts: list[int | None]) -> float:
     return statistics.median(known) if known else float("nan")
 
 
+def stop(signum: int, frame) -> None:
+    """Raise on a signal, so the run being waited on is killed on the way out."""
+    raise SystemExit(128 + signum)
+
+
 def main() -> int:
+    # subprocess.run kills its child on any exception, as it does on Ctrl-C;
+    # without this a SIGTERM would leave the bench/run.py child running.
+    signal.signal(signal.SIGTERM, stop)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="source tree of the parent")
     parser.add_argument("change", type=Path, help="source tree of the change")

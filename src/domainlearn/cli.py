@@ -99,10 +99,10 @@ def _round_list(args: argparse.Namespace) -> list[int]:
     """The round counts of ``--rounds``; only sweep accepts a comma list."""
     if "," in args.rounds and args.command != "sweep":
         raise ValueError(f"--rounds {args.rounds}: only sweep accepts a comma list")
-    counts = [int(part) for part in args.rounds.split(",") if part.strip()]
-    if not counts:
-        raise ValueError(f"--rounds {args.rounds!r}: no round count")
-    return counts
+    parts = args.rounds.split(",")
+    if not all(part.strip() for part in parts):
+        raise ValueError(f"--rounds {args.rounds!r} has an empty list item")
+    return [int(part) for part in parts]
 
 
 @contextmanager

@@ -24,6 +24,23 @@ class OracleLimitError(ValueError):
     """Raised when an input exceeds the oracle's desk-scale limit."""
 
 
+def _same(rows: Mapping[int, list[tuple[int, int]]], u: int, v: int) -> bool:
+    """The literal pair test on ``rows[w]``, vertex w's ``(out, in)`` masks
+    by right: for every right, the four edges among {u, v} are all present
+    or all absent, and u and v have the same out- and in-neighbours outside
+    {u, v}."""
+    pair = (1 << u) | (1 << v)
+    for (ou, iu), (ov, iv) in zip(rows[u], rows[v]):
+        four = ((ou >> u) & 1) + ((ou >> v) & 1) + ((ov >> u) & 1) + ((ov >> v) & 1)
+        if four != 0 and four != 4:
+            return False
+        if (ou ^ ov) & ~pair:
+            return False
+        if (iu ^ iv) & ~pair:
+            return False
+    return True
+
+
 def oracle_partition(
     g: LabeledDigraph, limit: int = ORACLE_VERTEX_LIMIT
 ) -> list[list[int]]:
@@ -34,6 +51,10 @@ def oracle_partition(
     (not just its representative), and a partial match, or a match with more
     than one class, aborts loudly as a transitivity failure instead of being
     merged.  Refuses graphs above the desk-scale ``limit``.
+
+    Each vertex's k ``(out, in)`` mask pairs are read once per call.  Each
+    newcomer is compared once with every member of every class, so a call
+    on n vertices makes n(n-1)/2 pair tests of at most k rights each.
     """
     vertices = g.vertices
     if len(vertices) > limit:
@@ -41,32 +62,18 @@ def oracle_partition(
             f"oracle_partition limited to {limit} vertices, got {len(vertices)}"
         )
     out_mask, in_mask = g.out_mask, g.in_mask
-    k = g.k
-
-    def same(u: int, v: int) -> bool:
-        pair = (1 << u) | (1 << v)
-        for a in range(k):
-            ou = out_mask(a, u)
-            ov = out_mask(a, v)
-            four = (
-                ((ou >> u) & 1) + ((ou >> v) & 1) + ((ov >> u) & 1) + ((ov >> v) & 1)
-            )
-            if four != 0 and four != 4:
-                return False
-            if (ou ^ ov) & ~pair:
-                return False
-            if (in_mask(a, u) ^ in_mask(a, v)) & ~pair:
-                return False
-        return True
+    rights = range(g.k)
+    rows = {v: [(out_mask(a, v), in_mask(a, v)) for a in rights] for v in vertices}
 
     classes: list[list[int]] = []
     for v in vertices:
-        hits = [cls for cls in classes if all(same(member, v) for member in cls)]
-        partial = [
-            cls
-            for cls in classes
-            if cls not in hits and any(same(member, v) for member in cls)
-        ]
+        hits, partial = [], []
+        for cls in classes:
+            matches = [_same(rows, member, v) for member in cls]
+            if all(matches):
+                hits.append(cls)
+            elif any(matches):
+                partial.append(cls)
         if partial:
             raise AssertionError(
                 f"indistinguishability is not transitive at vertex {v}: {partial}"

@@ -510,6 +510,9 @@ class TestCli:
         ["--schedule", "scripted:0,,1", "--m", "2"],
         ["--schedule", "iid-weighted:0.5,,0.5", "--m", "2"],
         ["--schedule", "scripted:", "--m", "2"],
+        # sweep once skipped the empty item: these played 5, and 10 and 20
+        ["--rounds", "5,"],
+        ["--rounds", "10,,20"],
     ])
     def test_invalid_config_leaves_out_untouched(
         self, command, experiment, invalid, monkeypatch, tmp_path, capsys

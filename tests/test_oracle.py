@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from domainlearn import oracle
 from domainlearn.digraph import LabeledDigraph, equivalence_partition
 from domainlearn.learners import ConservativeLearner
 from domainlearn.oracle import (
@@ -35,6 +36,19 @@ class TestOraclePartition:
         g = LabeledDigraph(1, range(5))
         with pytest.raises(OracleLimitError):
             oracle_partition(g, limit=4)
+
+    @pytest.mark.parametrize("related,message", [
+        # 0~1 and 1~2 but not 0~2: vertex 2 matches one member of [0, 1]
+        ({(0, 1), (1, 2)}, "indistinguishability is not transitive at vertex 2: [[0, 1]]"),
+        # not 0~1 but 2~0 and 2~1: vertex 2 matches both classes
+        ({(0, 2), (1, 2)}, "vertex 2 matches multiple classes [[0], [1]]: relation not transitive"),
+    ], ids=["partial-match", "two-classes"])
+    def test_intransitive_relation_aborts(self, related, message, monkeypatch):
+        # no digraph makes the pair test intransitive, so a fake one stands in
+        monkeypatch.setattr(oracle, "_same", lambda rows, u, v: (min(u, v), max(u, v)) in related)
+        with pytest.raises(AssertionError) as raised:
+            oracle_partition(LabeledDigraph(1, range(3)))
+        assert str(raised.value) == message
 
     @given(st.one_of(digraphs(), blown_up_digraphs()))
     @settings(max_examples=150)

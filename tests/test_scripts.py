@@ -7,8 +7,10 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from domainlearn.experiments import CSV_HEADER
@@ -83,6 +85,52 @@ def test_bench_pairs(tmp_path):
     assert rate["gain_claimable"] == (rate["change_wins"] == 1)
     cnq_calls = record["traced"]["tireless"]["protocol.cnq_calls"]
     assert cnq_calls["parent"] == cnq_calls["change"] == summary["cnq_total"]["parent"]["median"]
+
+
+def test_bench_pairs_sigterm_kills_the_run_it_waits_on(tmp_path):
+    # a stub tree whose bench/run.py records its pid and then sleeps
+    tree = tmp_path / "tree"
+    (tree / "bench").mkdir(parents=True)
+    (tree / "BENCHMARK.json").write_text('{"end_to_end": [], "per_layer": []}')
+    (tree / "bench" / "run.py").write_text(
+        "import os, time\n"
+        "with open('pid.tmp', 'w') as f:\n"
+        "    f.write(str(os.getpid()))\n"
+        "os.rename('pid.tmp', 'pid')\n"
+        "time.sleep(120)\n"
+    )
+    pid_file = tree / "pid"
+    script = subprocess.Popen(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), str(tree), str(tree),
+         "--label", "stub", "--pairs", "stub=1", "--seconds", "1"],
+        cwd=tmp_path, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    child = None
+    try:
+        deadline = time.monotonic() + 60
+        while not pid_file.exists():
+            assert script.poll() is None, "bench_pairs.py exited before its run started"
+            assert time.monotonic() < deadline, "the stub run never started"
+            time.sleep(0.05)
+        child = int(pid_file.read_text())
+        script.send_signal(signal.SIGTERM)
+        assert script.wait(timeout=10) != 0
+        deadline = time.monotonic() + 5
+        while True:
+            try:
+                os.kill(child, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "the bench/run.py child outlived the script"
+            time.sleep(0.05)
+    finally:
+        script.kill()
+        script.wait()
+        if child is not None:
+            try:
+                os.kill(child, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 def load_bench_pairs():
