@@ -27,7 +27,8 @@ Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --label LABEL
 Each directory must be a checkout holding ``bench/`` and ``src/``; in a
 ``git clone`` at the revision to measure, the record also names each
 side's revision and the subjects of the change's commits since the
-parent.  The record is written to the current directory.
+parent.  The record is written to the current directory.  A SIGTERM, like
+Ctrl-C, stops the script and kills the run it is waiting on.
 """
 
 from __future__ import annotations
