@@ -5,7 +5,9 @@ Runs both policy-administration strategies over shared worlds for a doubling
 ladder of round counts and tabulates cumulative connection-query cost:
 the exhaustive strategy grows quadratically (k*n^2) while the classify-and-
 repair strategy stays linear (<= k + (n-1)(m-1)).  Writes the combined CSV
-and prints a small table.
+and prints a small table.  Every cell is validated before any is played
+and before ``--out`` is opened; an invalid one prints one ``error:`` line
+and exits 2.
 
 Usage: python3 scripts/cost_curves.py [--k 2] [--m 4] [--seed 13]
        [--rounds 10,20,40,80,160] [--out cost_curves.csv]
@@ -14,8 +16,11 @@ Usage: python3 scripts/cost_curves.py [--k 2] [--m 4] [--seed 13]
 from __future__ import annotations
 
 import argparse
+import sys
+from dataclasses import replace
 
 from domainlearn.experiments import ExperimentConfig, sweep_experiment
+from domainlearn.teacher import parse_items
 
 
 def main() -> int:
@@ -27,8 +32,14 @@ def main() -> int:
     parser.add_argument("--out", default="cost_curves.csv")
     args = parser.parse_args()
 
-    rounds = [int(part) for part in args.rounds.split(",")]
     config = ExperimentConfig(k=args.k, m=args.m, template_seed=args.seed)
+    try:
+        rounds = parse_items(f"--rounds {args.rounds!r}", args.rounds, int)
+        for n in rounds:
+            replace(config, rounds=n).validate()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     result = sweep_experiment(config, rounds)
 
     with open(args.out, "w", newline="") as handle:

@@ -53,7 +53,7 @@ from .learners import (
     tree_to_dot,
     tree_to_text,
 )
-from .teacher import TemplateGenerationError, generate_template, template_to_text
+from .teacher import TemplateGenerationError, generate_template, parse_items, template_to_text
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -99,10 +99,7 @@ def _round_list(args: argparse.Namespace) -> list[int]:
     """The round counts of ``--rounds``; only sweep accepts a comma list."""
     if "," in args.rounds and args.command != "sweep":
         raise ValueError(f"--rounds {args.rounds}: only sweep accepts a comma list")
-    parts = args.rounds.split(",")
-    if not all(part.strip() for part in parts):
-        raise ValueError(f"--rounds {args.rounds!r} has an empty list item")
-    return [int(part) for part in parts]
+    return parse_items(f"--rounds {args.rounds!r}", args.rounds, int)
 
 
 @contextmanager

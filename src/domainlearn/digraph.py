@@ -233,8 +233,9 @@ def error_set(
     or ``ValueError`` is raised.  Evaluated per (source, right) with
     bitmasks: one pass over the assignment and one over the summary's
     edges build the allowed masks, so the cost is O(n * k + |E(summary)|)
-    mask operations plus the size of the output.  Of g it reads only ``k``, ``vertices`` and ``out_mask``, so
-    any object answering those three can stand in for the graph.
+    mask operations plus the size of the output.  Of g it reads only ``k``,
+    ``vertices`` and ``out_mask``, so any object answering those three
+    stands in for the graph: the synthetic teacher passes itself.
     """
     vertices = g.vertices
     member_mask: dict[int, int] = {}

@@ -38,8 +38,10 @@ from .teacher import (
     RevelationSchedule,
     SyntheticTeacher,
     TeacherExhausted,
+    TemplateInstances,
     check_template_parameters,
     generate_template,
+    parse_number,
     parse_schedule,
 )
 
@@ -113,7 +115,7 @@ def parse_oracle_checks(spec: str) -> int:
     if spec == "every":
         return 1
     if spec.startswith("every="):
-        step = int(spec.removeprefix("every="))
+        step = parse_number(f"oracle_checks spec {spec!r}", spec.removeprefix("every="), int)
         if step < 1:
             raise ValueError("oracle check interval must be >= 1")
         return step
@@ -199,13 +201,10 @@ class RunReport:
 
 
 def build_session(config: ExperimentConfig) -> tuple[Session, SyntheticTeacher]:
-    template = generate_template(
-        config.template_seed, config.m, config.k, config.edge_density
-    )
+    template = generate_template(config.template_seed, config.m, config.k, config.edge_density)
     schedule = parse_schedule(config.schedule, config.m)
-    teacher = SyntheticTeacher(
-        template, schedule, derive_seed(config.template_seed, _DRAW_STREAM)
-    )
+    seed = derive_seed(config.template_seed, _DRAW_STREAM)
+    teacher = SyntheticTeacher(TemplateInstances(template, schedule, seed))
     return Session(teacher), teacher
 
 

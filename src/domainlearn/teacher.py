@@ -1,13 +1,17 @@
-"""Synthetic teacher: a concrete ground truth generated from an irreducible
-domain template.
+"""Synthetic teacher: one teacher for any ground-truth graph, read through
+a world, and the template world it is usually given.
 
-The world behind the teacher is conceptually infinite: every vertex is an
+A world reveals vertices 0, 1, 2, ... and keeps the revealed part of its
+graph as a row table, updated in place: ``rows[a][r]`` is a target mask over
+the revealed ids and ``row_of[u]`` is the row of vertex u, so (u, a, v) is an
+edge iff bit v of ``rows[a][row_of[u]]`` is set.  It also answers
+``reveal()`` (the next id, or :class:`TeacherExhausted`) and ``in_mask(a,
+u)``, the mask of revealed sources of u under a.  :class:`SyntheticTeacher`
+answers every query from these.  The template world,
+:class:`TemplateInstances`, is conceptually infinite: every vertex is an
 instance of one of m protection domains, and (u, a, v) is an edge iff the
 template has the edge (domain(u), a, domain(v)).  Instances are minted
-lazily as the revelation schedule asks for them.  The teacher holds the
-revealed world as one target row per (right, domain), since all instances
-of a domain share their out-edges; the revealed induced subgraph is built
-as a :class:`LabeledDigraph` only when ground truth is peeked.
+lazily as the revelation schedule asks for them.
 
 A revelation schedule is a value built for one m: :func:`parse_schedule`
 turns a spec into :class:`IidUniform`, :class:`IidWeighted` or
@@ -21,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .digraph import Edge, LabeledDigraph, error_set, is_irreducible
 from .graphio import digraph_to_text
@@ -189,12 +193,22 @@ RevelationSchedule = Scripted | IidUniform | IidWeighted
 MAX_NOVEL_LAST_PREFIX = 10**6
 
 
-def _spec_items(text: str, arg: str) -> list[str]:
-    """The comma-separated items of a spec's argument; none may be empty."""
-    items = arg.split(",")
+def parse_number(what: str, item: str, convert: Callable[[str], float]) -> float:
+    """``convert(item)`` (``int`` or ``float``), or a ``ValueError`` naming
+    ``what``, a flag or spec, and the item."""
+    try:
+        return convert(item)
+    except ValueError:
+        raise ValueError(f"{what}: {item!r} is not a valid {convert.__name__}") from None
+
+
+def parse_items(what: str, text: str, convert: Callable[[str], float]) -> list[float]:
+    """The comma-separated items of ``text``, each read by
+    :func:`parse_number`; none may be empty."""
+    items = text.split(",")
     if not all(item.strip() for item in items):
-        raise ValueError(f"schedule spec {text!r} has an empty list item")
-    return items
+        raise ValueError(f"{what} has an empty list item")
+    return [parse_number(what, item, convert) for item in items]
 
 
 def parse_schedule(text: str, m: int) -> RevelationSchedule:
@@ -206,22 +220,20 @@ def parse_schedule(text: str, m: int) -> RevelationSchedule:
     of every other domain in ascending order.
     """
     kind, colon, arg = text.partition(":")
-    kind = kind.strip()
+    kind, what = kind.strip(), f"schedule spec {text!r}"
     if kind == "iid-uniform":
         if colon:
             raise ValueError(f"iid-uniform takes no argument, got {text!r}")
         return IidUniform(m)
     if kind == "iid-weighted":
-        schedule = IidWeighted(tuple(float(p) for p in _spec_items(text, arg)))
+        schedule = IidWeighted(tuple(parse_items(what, arg, float)))
         if schedule.m != m:
-            raise ValueError(
-                f"schedule has {schedule.m} probabilities for m={m} domains"
-            )
+            raise ValueError(f"schedule has {schedule.m} probabilities for m={m} domains")
         return schedule
     if kind == "scripted":
-        return Scripted(tuple(int(d) for d in _spec_items(text, arg)), m)
+        return Scripted(tuple(parse_items(what, arg, int)), m)
     if kind == "novel-last":
-        prefix_len = int(arg)
+        prefix_len = parse_number(what, arg, int)
         if prefix_len < 1:
             raise ValueError("prefix_len must be >= 1")
         if prefix_len > MAX_NOVEL_LAST_PREFIX:
@@ -230,55 +242,20 @@ def parse_schedule(text: str, m: int) -> RevelationSchedule:
     raise ValueError(f"unknown schedule spec {text!r}")
 
 
-# -- the teacher itself ------------------------------------------------------
+# -- the template world and the teacher ---------------------------------------
 
 
-class _RevealedRows:
-    """Read-only view of the revealed graph, answering exactly what
-    :func:`error_set` reads: ``k``, ``vertices`` and ``out_mask``.  Vertex
-    u's targets under right a are the row of its domain."""
+class TemplateInstances:
+    """The template world: vertex u is an instance of the domain its
+    schedule draws, and its row is that domain, since all instances of a
+    domain share their out-edges.  Revealing an instance of domain x ORs
+    its bit into the row of every template in-neighbour of x, O(k * m)
+    big-int ORs, so the template is not kept past ``__init__``."""
 
-    __slots__ = ("k", "_rows", "_domains")
-
-    def __init__(self, rows: list[list[int]], domains: list[int]):
-        self.k = len(rows)
-        self._rows = rows
-        self._domains = domains
-
-    @property
-    def vertices(self) -> range:
-        return range(len(self._domains))
-
-    def out_mask(self, a: int, u: int) -> int:
-        return self._rows[a][self._domains[u]]
-
-
-class SyntheticTeacher(Teacher):
-    """Teacher over a template world with a configurable revelation schedule.
-
-    Vertex ids are minted 0, 1, 2, ... in revelation order.  The teacher
-    keeps, per right a and domain d, the row ``_rows[a][d]``: the mask of
-    revealed targets of any instance of d under a.  Revealing an instance of
-    domain x ORs its bit into the row of every template in-neighbour of x,
-    O(k * m) big-int ORs.  Connection queries and hypothesis tests are
-    answered from the rows alone: (u, a, v) is an edge iff bit v of u's
-    domain row under a is set, so the template is not kept past
-    ``__init__``.  The revealed induced subgraph is built only by
-    :meth:`peek_ground_truth`.  Like every :class:`Teacher` it answers only
-    queries a :class:`~domainlearn.protocol.Session` has already validated,
-    and checks none of them again.
-    """
-
-    def __init__(
-        self,
-        template: WorldTemplate,
-        schedule: RevelationSchedule,
-        draw_seed: int,
-    ):
+    def __init__(self, template: WorldTemplate, schedule: RevelationSchedule, draw_seed: int):
         if schedule.m != template.m:
             raise ValueError(
-                f"schedule draws from {schedule.m} domains, "
-                f"the template has {template.m}"
+                f"schedule draws from {schedule.m} domains, the template has {template.m}"
             )
         self._draws = schedule.draws(SplitMix64(draw_seed))
         # _in_domains[a][x]: the template domains d with edge (d, a, x)
@@ -287,65 +264,89 @@ class SyntheticTeacher(Teacher):
             [[d for d in range(m) if template.graph.has_edge(d, a, x)] for x in range(m)]
             for a in range(template.k)
         ]
-        self._domains: list[int] = []  # template domain of each revealed vertex
         self._members = [0] * m  # revealed instances of each domain, as a bitmask
-        self._rows = [[0] * m for _ in range(template.k)]
-        self._view = _RevealedRows(self._rows, self._domains)
-        self._graph = LabeledDigraph(template.k)  # caught up by peek_ground_truth
+        self.rows = [[0] * m for _ in range(template.k)]
+        self.row_of: list[int] = []  # template domain of each revealed vertex
+
+    def reveal(self) -> int:
+        try:
+            domain = next(self._draws)
+        except StopIteration:
+            raise TeacherExhausted(
+                f"revelation schedule exhausted after {len(self.row_of)} vertices"
+            ) from None
+        vertex = len(self.row_of)
+        self.row_of.append(domain)
+        bit = 1 << vertex
+        self._members[domain] |= bit
+        for rows, in_domains in zip(self.rows, self._in_domains):
+            for d in in_domains[domain]:
+                rows[d] |= bit
+        return vertex
+
+    def in_mask(self, a: int, u: int) -> int:
+        """The instances of u's template in-neighbours under a."""
+        sources = 0
+        for d in self._in_domains[a][self.row_of[u]]:
+            sources |= self._members[d]
+        return sources
+
+    def domain_of(self, v: int) -> int:
+        """Template domain of a revealed vertex (ground-truth backdoor)."""
+        return self.row_of[v]
+
+
+class SyntheticTeacher(Teacher):
+    """The teacher over any world: a row table ``rows``/``row_of`` over the
+    revealed ids 0..n-1, ``reveal()`` and ``in_mask(a, u)`` (module
+    docstring).  A connection query reads one row bit, and a hypothesis
+    test is :func:`error_set` with the teacher standing in for the revealed
+    graph.  Like every :class:`Teacher` it answers only queries a
+    :class:`~domainlearn.protocol.Session` has already validated, and checks
+    none of them again."""
+
+    def __init__(self, world):
+        self._world = world
+        self._rows = world.rows
+        self._row_of = world.row_of
+        self._graph = LabeledDigraph(len(world.rows))  # caught up by peek_ground_truth
 
     @property
     def k(self) -> int:
         return len(self._rows)
 
+    @property
+    def vertices(self) -> range:
+        return range(len(self._row_of))
+
+    def out_mask(self, a: int, u: int) -> int:
+        return self._rows[a][self._row_of[u]]
+
     def next_vertex(self) -> int:
-        try:
-            domain = next(self._draws)
-        except StopIteration:
-            raise TeacherExhausted(
-                f"revelation schedule exhausted after {len(self._domains)} vertices"
-            ) from None
-        vertex = len(self._domains)
-        self._domains.append(domain)
-        bit = 1 << vertex
-        self._members[domain] |= bit
-        for rows, in_domains in zip(self._rows, self._in_domains):
-            for d in in_domains[domain]:
-                rows[d] |= bit
-        return vertex
+        return self._world.reveal()
 
     def connection(self, u: int, a: int, v: int) -> bool:
-        return (self._rows[a][self._domains[u]] >> v) & 1 == 1
+        return (self._rows[a][self._row_of[u]] >> v) & 1 == 1
 
     def hypothesis_test(
         self, summary: LabeledDigraph, assignment: Mapping[int, int]
     ) -> frozenset[Edge]:
-        return error_set(self._view, summary, assignment)
-
-    # -- ground-truth backdoors: verification and tests only ----------------
+        return error_set(self, summary, assignment)
 
     def peek_ground_truth(self) -> LabeledDigraph:
         """The revealed induced subgraph.  Verification/test harness only;
         learners must never touch this.  Treat as read-only.
 
         The graph is built lazily: each call adds the vertices revealed since
-        the last one and connects each to its domain's targets and to the
-        instances of its domain's template in-neighbours, so the same object
+        the last one and connects each, under every right, to its row's
+        targets and to the world's ``in_mask`` sources, so the same object
         is returned, caught up, every time.
         """
         graph = self._graph
-        built, n = graph.vertex_count, len(self._domains)
+        built, n = graph.vertex_count, len(self._row_of)
         for v in range(built, n):
             graph.add_vertex(v)
-        members = self._members
         for v in range(built, n):
-            domain = self._domains[v]
             for a in range(graph.k):
-                sources = 0
-                for d in self._in_domains[a][domain]:
-                    sources |= members[d]
-                graph.connect(v, a, self._rows[a][domain], sources)
+                graph.connect(v, a, self.out_mask(a, v), self._world.in_mask(a, v))
         return graph
-
-    def domain_of(self, v: int) -> int:
-        """Template domain of a revealed vertex (ground-truth backdoor)."""
-        return self._domains[v]

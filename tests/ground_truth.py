@@ -1,20 +1,19 @@
-"""Ground-truth facts about a synthetic teacher's revealed world, read only
-through ``domain_of`` and ``peek_ground_truth``."""
+"""Ground-truth facts about a template world's revealed instances, read
+only through their ``domain_of``."""
 
 from __future__ import annotations
 
 from domainlearn.digraph import induced_subgraph
 from domainlearn.oracle import oracle_partition
-from domainlearn.teacher import SyntheticTeacher, WorldTemplate
+from domainlearn.teacher import TemplateInstances, WorldTemplate
 
 
-def revealed_domains(teacher: SyntheticTeacher) -> tuple[int, ...]:
+def revealed_domains(instances: TemplateInstances) -> tuple[int, ...]:
     """Template domains of the revealed vertices, in revelation order."""
-    n = teacher.peek_ground_truth().vertex_count
-    return tuple(teacher.domain_of(v) for v in range(n))
+    return tuple(instances.domain_of(v) for v in range(len(instances.row_of)))
 
 
-def revealed_class_count(template: WorldTemplate, teacher: SyntheticTeacher) -> int:
+def revealed_class_count(template: WorldTemplate, instances: TemplateInstances) -> int:
     """Number of indistinguishability classes of the revealed subgraph.
 
     Computed by the oracle on the template induced on the revealed domains,
@@ -22,5 +21,5 @@ def revealed_class_count(template: WorldTemplate, teacher: SyntheticTeacher) -> 
     class structure as the revealed subgraph (instances of one domain are
     always mutually indistinguishable).
     """
-    domains = set(revealed_domains(teacher))
+    domains = set(revealed_domains(instances))
     return len(oracle_partition(induced_subgraph(template.graph, domains)))

@@ -36,6 +36,7 @@ from domainlearn.summarize import summarize
 from domainlearn.teacher import (
     IidUniform,
     SyntheticTeacher,
+    TemplateInstances,
     generate_template,
     parse_schedule,
 )
@@ -93,7 +94,8 @@ def corpus():
         draw_seed = derive_seed(1000 + index, 0xACCE)
 
         started = time.perf_counter()
-        teacher = SyntheticTeacher(template, build_schedule(schedule_kind, m), draw_seed)
+        instances = TemplateInstances(template, build_schedule(schedule_kind, m), draw_seed)
+        teacher = SyntheticTeacher(instances)
         session = Session(teacher)
         learner = TirelessLearner(session)
         try:
@@ -104,7 +106,8 @@ def corpus():
         record.tireless_rows = list(session.ledger.per_round)
         tireless_elapsed += time.perf_counter() - started
 
-        teacher = SyntheticTeacher(template, build_schedule(schedule_kind, m), draw_seed)
+        instances = TemplateInstances(template, build_schedule(schedule_kind, m), draw_seed)
+        teacher = SyntheticTeacher(instances)
         session = Session(teacher)
         learner = ConservativeLearner(session)
         previous_errors = 0
@@ -113,12 +116,12 @@ def corpus():
                 learner.run_round()
                 snapshot = session.ledger.per_round[-1]
                 record.conservative_rows.append(snapshot)
-                record.class_counts.append(revealed_class_count(template, teacher))
+                record.class_counts.append(revealed_class_count(template, instances))
                 record.error_deltas.append(snapshot.errors_cum - previous_errors)
                 previous_errors = snapshot.errors_cum
                 if (
                     record.coverage_round is None
-                    and len(set(revealed_domains(teacher))) == m
+                    and len(set(revealed_domains(instances))) == m
                 ):
                     record.coverage_round = snapshot.n
         except ProtocolViolation as exc:
@@ -217,7 +220,7 @@ def test_criterion_4_success_criteria(corpus):
     template = generate_template(1, m=2, k=1, edge_density=0.5)
     from domainlearn.teacher import Scripted
 
-    teacher = SyntheticTeacher(template, Scripted((0, 1, 0), 2), draw_seed=1)
+    teacher = SyntheticTeacher(TemplateInstances(template, Scripted((0, 1, 0), 2), draw_seed=1))
     session = Session(teacher)
     faulty = SkipReviseLearner(session)
     try:
@@ -227,7 +230,7 @@ def test_criterion_4_success_criteria(corpus):
     except SC2Violation:
         pass  # caught within one round of the mishandled novelty
 
-    teacher = SyntheticTeacher(template, Scripted((0, 0), 2), draw_seed=1)
+    teacher = SyntheticTeacher(TemplateInstances(template, Scripted((0, 0), 2), draw_seed=1))
     session = Session(teacher)
     reducible = ReducibleHypothesisLearner(session)
     try:

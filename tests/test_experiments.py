@@ -513,6 +513,13 @@ class TestCli:
         # sweep once skipped the empty item: these played 5, and 10 and 20
         ["--rounds", "5,"],
         ["--rounds", "10,,20"],
+        # items that are no number: each error names its flag or spec
+        ["--rounds", "abc"],
+        ["--rounds", "5,abc"],
+        ["--schedule", "scripted:0,x", "--m", "2"],
+        ["--schedule", "novel-last:abc"],
+        ["--schedule", "iid-weighted:0.5,abc", "--m", "2"],
+        ["--oracle", "every=abc"],
     ])
     def test_invalid_config_leaves_out_untouched(
         self, command, experiment, invalid, monkeypatch, tmp_path, capsys
@@ -526,6 +533,22 @@ class TestCli:
             assert err.startswith("error: ") and err.count("\n") == 1
         assert kept.read_text() == "earlier output\n"
         assert not absent.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "--rounds", "5,abc"], "--rounds '5,abc': 'abc' is not a valid int"),
+        (["run", "--rounds", "abc"], "--rounds 'abc': 'abc' is not a valid int"),
+        (["run", "--schedule", "scripted:0,x", "--m", "2"],
+         "schedule spec 'scripted:0,x': 'x' is not a valid int"),
+        (["run", "--schedule", "novel-last:abc"],
+         "schedule spec 'novel-last:abc': 'abc' is not a valid int"),
+        (["run", "--schedule", "iid-weighted:0.5,abc", "--m", "2"],
+         "schedule spec 'iid-weighted:0.5,abc': 'abc' is not a valid float"),
+        (["verify", "--oracle", "every=abc"],
+         "oracle_checks spec 'every=abc': 'abc' is not a valid int"),
+    ])
+    def test_non_numeric_item_names_its_flag_or_spec(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_verify_interval_past_the_rounds_exits_2(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(cli, "verify_experiment", _must_not_run)

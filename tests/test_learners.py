@@ -40,6 +40,7 @@ from domainlearn.teacher import (
     IidUniform,
     Scripted,
     SyntheticTeacher,
+    TemplateInstances,
     WorldTemplate,
     generate_template,
     parse_schedule,
@@ -53,7 +54,8 @@ def world(edges, m=2, k=1) -> WorldTemplate:
 
 
 def start_session(template, script) -> tuple[Session, SyntheticTeacher]:
-    teacher = SyntheticTeacher(template, Scripted(tuple(script), template.m), draw_seed=17)
+    instances = TemplateInstances(template, Scripted(tuple(script), template.m), draw_seed=17)
+    teacher = SyntheticTeacher(instances)
     return Session(teacher), teacher
 
 
@@ -71,7 +73,7 @@ WITNESS_WORLD = world([(0, 0, 2)], m=3)
 class TestTireless:
     def test_per_round_cnq_counts(self):
         template = generate_template(seed=3, m=3, k=2, edge_density=0.5)
-        teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=7)
+        teacher = SyntheticTeacher(TemplateInstances(template, IidUniform(template.m), draw_seed=7))
         session = Session(teacher)
         learner = TirelessLearner(session)
         seen = 0
@@ -83,7 +85,7 @@ class TestTireless:
 
     def test_total_cnqs_quadratic(self):
         template = generate_template(seed=4, m=2, k=1, edge_density=0.5)
-        teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=8)
+        teacher = SyntheticTeacher(TemplateInstances(template, IidUniform(template.m), draw_seed=8))
         session = Session(teacher)
         learner = TirelessLearner(session)
         for _ in range(3):
@@ -92,7 +94,7 @@ class TestTireless:
 
     def test_reconstruction_equals_revealed_subgraph(self):
         template = generate_template(seed=5, m=4, k=2, edge_density=0.4)
-        teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=9)
+        teacher = SyntheticTeacher(TemplateInstances(template, IidUniform(template.m), draw_seed=9))
         session = Session(teacher)
         learner = TirelessLearner(session)
         for _ in range(8):
@@ -101,7 +103,8 @@ class TestTireless:
 
     def test_every_hypothesis_clean(self):
         template = generate_template(seed=6, m=3, k=3, edge_density=0.5)
-        teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=10)
+        instances = TemplateInstances(template, IidUniform(template.m), draw_seed=10)
+        teacher = SyntheticTeacher(instances)
         session = Session(teacher)
         learner = TirelessLearner(session)
         for _ in range(10):
@@ -123,7 +126,8 @@ class TestTireless:
 class TestConservativeInit:
     def test_ledger_after_first_round(self):
         template = generate_template(seed=7, m=2, k=3, edge_density=0.5)
-        teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=11)
+        instances = TemplateInstances(template, IidUniform(template.m), draw_seed=11)
+        teacher = SyntheticTeacher(instances)
         session = Session(teacher)
         ConservativeLearner(session).run_round()
         ledger = session.ledger
@@ -329,7 +333,8 @@ class TestReviseSplitKinds:
         # revising worlds and check the learner's guards stayed silent.
         for seed in range(20):
             template = generate_template(seed + 200, m=4, k=2, edge_density=0.5)
-            teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=seed)
+            instances = TemplateInstances(template, IidUniform(template.m), draw_seed=seed)
+            teacher = SyntheticTeacher(instances)
             session = Session(teacher)
             learner = ConservativeLearner(session)
             for _ in range(10):
@@ -469,7 +474,8 @@ class TestReviseInvariants:
             for seed in range(50, 62):
                 template = generate_template(seed, m=4, k=k, edge_density=0.5)
                 schedule = parse_schedule(spec, template.m)
-                teacher = SyntheticTeacher(template, schedule, draw_seed=seed * 31 + 1)
+                instances = TemplateInstances(template, schedule, draw_seed=seed * 31 + 1)
+                teacher = SyntheticTeacher(instances)
                 learner = ConservativeLearner(Session(teacher))
                 for _ in range(rounds):
                     learner.run_round()
@@ -496,7 +502,8 @@ class TestReviseContract:
         monkeypatch.setattr("domainlearn.learners.revise", checked)
         for seed in range(6):
             template = generate_template(seed + 300, m=4, k=2, edge_density=0.5)
-            session = Session(SyntheticTeacher(template, IidUniform(template.m), draw_seed=seed))
+            instances = TemplateInstances(template, IidUniform(template.m), draw_seed=seed)
+            session = Session(SyntheticTeacher(instances))
             learner = ConservativeLearner(session)
             for _ in range(12):
                 learner.run_round()
@@ -531,7 +538,9 @@ class TestReviseContract:
         monkeypatch.setattr("domainlearn.learners.revise", checked)
         for seed in range(4):
             template = generate_template(seed + 40, m=5, k=2, edge_density=0.5)
-            teacher = SyntheticTeacher(template, parse_schedule("novel-last:4", 5), draw_seed=seed)
+            schedule = parse_schedule("novel-last:4", 5)
+            instances = TemplateInstances(template, schedule, draw_seed=seed)
+            teacher = SyntheticTeacher(instances)
             learner = ConservativeLearner(Session(teacher))
             for _ in range(8):
                 learner.run_round()
@@ -557,18 +566,20 @@ class TestConservativeRounds:
 
     def test_cost_bound_holds_per_round(self):
         template = generate_template(seed=23, m=5, k=3, edge_density=0.5)
-        teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=29)
+        instances = TemplateInstances(template, IidUniform(template.m), draw_seed=29)
+        teacher = SyntheticTeacher(instances)
         session = Session(teacher)
         learner = ConservativeLearner(session)
         for _ in range(30):
             learner.run_round()
             snapshot = session.ledger.per_round[-1]
-            m_now = revealed_class_count(template, teacher)
+            m_now = revealed_class_count(template, instances)
             assert snapshot.cnq_cum <= 3 + (snapshot.n - 1) * (m_now - 1)
 
     def test_error_bounds_per_round_and_cumulative(self):
         template = generate_template(seed=24, m=4, k=2, edge_density=0.5)
-        teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=30)
+        instances = TemplateInstances(template, IidUniform(template.m), draw_seed=30)
+        teacher = SyntheticTeacher(instances)
         session = Session(teacher)
         learner = ConservativeLearner(session)
         errors_before = 0
@@ -577,13 +588,14 @@ class TestConservativeRounds:
             round_errors = session.ledger.errors_cumulative - errors_before
             errors_before = session.ledger.errors_cumulative
             assert round_errors <= 2 * (2 * round_no - 1)  # |E| <= k(2i-1)
-            m_now = revealed_class_count(template, teacher)
+            m_now = revealed_class_count(template, instances)
             assert errors_before <= 2 * (2 * round_no + 1) * (m_now - 1)
 
     def test_invariants_after_every_round(self):
         for seed in (31, 32, 33):
             template = generate_template(seed=seed, m=4, k=2, edge_density=0.5)
-            teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=seed)
+            instances = TemplateInstances(template, IidUniform(template.m), draw_seed=seed)
+            teacher = SyntheticTeacher(instances)
             session = Session(teacher)
             learner = ConservativeLearner(session)
             for _ in range(12):
@@ -601,13 +613,14 @@ class TestConservativeRounds:
 
     def test_zero_errors_after_full_coverage(self):
         template = generate_template(seed=41, m=3, k=2, edge_density=0.5)
-        teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=77)
+        instances = TemplateInstances(template, IidUniform(template.m), draw_seed=77)
+        teacher = SyntheticTeacher(instances)
         session = Session(teacher)
         learner = ConservativeLearner(session)
         coverage_round = None
         for round_no in range(1, 40):
             learner.run_round()
-            if coverage_round is None and len(set(revealed_domains(teacher))) == 3:
+            if coverage_round is None and len(set(revealed_domains(instances))) == 3:
                 coverage_round = round_no
                 errors_at_coverage = session.ledger.errors_cumulative
         assert coverage_round is not None
@@ -655,7 +668,8 @@ class InconsistentTeacher(SyntheticTeacher):
 
 class TestInternalFailures:
     def test_tireless_rejects_inconsistent_teacher(self):
-        teacher = InconsistentTeacher(PAIR_WORLD, Scripted((0, 1), 2), draw_seed=1)
+        instances = TemplateInstances(PAIR_WORLD, Scripted((0, 1), 2), draw_seed=1)
+        teacher = InconsistentTeacher(instances)
         session = Session(teacher)
         learner = TirelessLearner(session)
         learner.run_round()
@@ -668,7 +682,7 @@ class TestInternalFailures:
                 u = next(iter(assignment))
                 return frozenset({(u, 0, u)})
 
-        teacher = DirtyHtqTeacher(PAIR_WORLD, Scripted((0,), 2), draw_seed=1)
+        teacher = DirtyHtqTeacher(TemplateInstances(PAIR_WORLD, Scripted((0,), 2), draw_seed=1))
         session = Session(teacher)
         learner = ConservativeLearner(session)
         with pytest.raises(LearnerInternalError):

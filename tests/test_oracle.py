@@ -18,7 +18,12 @@ from domainlearn.oracle import (
 )
 from domainlearn.protocol import Session
 from domainlearn.summarize import summarize
-from domainlearn.teacher import IidUniform, SyntheticTeacher, generate_template
+from domainlearn.teacher import (
+    IidUniform,
+    SyntheticTeacher,
+    TemplateInstances,
+    generate_template,
+)
 
 from .strategies import blown_up_digraphs, digraphs, random_digraph
 
@@ -106,7 +111,8 @@ class TestIsomorphicSmall:
 
 def learner_after_rounds(seed: int, rounds: int, m: int = 3, k: int = 2):
     template = generate_template(seed, m=m, k=k, edge_density=0.5)
-    teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=seed + 1)
+    instances = TemplateInstances(template, IidUniform(template.m), draw_seed=seed + 1)
+    teacher = SyntheticTeacher(instances)
     session = Session(teacher)
     learner = ConservativeLearner(session)
     for _ in range(rounds):

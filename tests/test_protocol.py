@@ -12,7 +12,7 @@ from domainlearn.protocol import (
     Session,
     Teacher,
 )
-from domainlearn.teacher import Scripted, SyntheticTeacher, WorldTemplate
+from domainlearn.teacher import Scripted, SyntheticTeacher, TemplateInstances, WorldTemplate
 
 
 def edge_world(with_loop: bool = False) -> WorldTemplate:
@@ -21,7 +21,8 @@ def edge_world(with_loop: bool = False) -> WorldTemplate:
 
 
 def make_session(script=(0, 1, 0, 1), with_loop=False) -> Session:
-    teacher = SyntheticTeacher(edge_world(with_loop), Scripted(tuple(script), 2), draw_seed=5)
+    instances = TemplateInstances(edge_world(with_loop), Scripted(tuple(script), 2), draw_seed=5)
+    teacher = SyntheticTeacher(instances)
     return Session(teacher)
 
 
@@ -173,7 +174,8 @@ class TestSessionIsTheGate:
     called and before any ledger counter moves."""
 
     def open_third_round(self) -> tuple[Session, RecordingTeacher]:
-        inner = SyntheticTeacher(edge_world(), Scripted((0, 1, 0), 2), draw_seed=5)
+        instances = TemplateInstances(edge_world(), Scripted((0, 1, 0), 2), draw_seed=5)
+        inner = SyntheticTeacher(instances)
         teacher = RecordingTeacher(inner)
         session = Session(teacher)
         u = session.next_vertex()

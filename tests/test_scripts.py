@@ -13,6 +13,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from domainlearn.experiments import CSV_HEADER
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +41,20 @@ def test_cost_curves(tmp_path):
     assert [line.split(",")[:2] for line in lines[1:]] == [
         ["tireless", "5"], ["conservative", "5"], ["tireless", "10"], ["conservative", "10"],
     ]
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--rounds", "5,abc"], "--rounds '5,abc': 'abc' is not a valid int"),
+    # this once played the n=10 cells, then ended in a traceback
+    (["--rounds", "10,0"], "rounds must be >= 1"),
+    (["--m", "0"], "m must be >= 1, got 0"),
+])
+def test_cost_curves_rejects_an_invalid_cell_before_any_play(tmp_path, args, message):
+    out = tmp_path / "cost_curves.csv"
+    result = run_script("cost_curves.py", *args, "--out", str(out), cwd=tmp_path)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_coupon_demo(tmp_path):

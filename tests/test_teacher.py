@@ -20,6 +20,7 @@ from domainlearn.teacher import (
     SyntheticTeacher,
     TeacherExhausted,
     TemplateGenerationError,
+    TemplateInstances,
     WorldTemplate,
     generate_template,
     parse_schedule,
@@ -73,14 +74,15 @@ class TestGenerateTemplate:
 class TestSchedules:
     def test_scripted_order(self):
         template = generate_template(seed=5, m=2, k=1, edge_density=0.5)
-        teacher = SyntheticTeacher(template, Scripted((0, 0, 1), 2), draw_seed=1)
+        instances = TemplateInstances(template, Scripted((0, 0, 1), 2), draw_seed=1)
+        teacher = SyntheticTeacher(instances)
         for _ in range(3):
             teacher.next_vertex()
-        assert revealed_domains(teacher) == (0, 0, 1)
+        assert revealed_domains(instances) == (0, 0, 1)
 
     def test_scripted_exhausts(self):
         template = generate_template(seed=5, m=2, k=1, edge_density=0.5)
-        teacher = SyntheticTeacher(template, Scripted((0,), 2), draw_seed=1)
+        teacher = SyntheticTeacher(TemplateInstances(template, Scripted((0,), 2), draw_seed=1))
         teacher.next_vertex()
         with pytest.raises(TeacherExhausted):
             teacher.next_vertex()
@@ -155,7 +157,7 @@ class TestSchedules:
         monkeypatch.setattr(type(schedule), "draws", _no_draws)
         template = generate_template(seed=5, m=3, k=1, edge_density=0.5)
         with pytest.raises(ValueError, match="schedule draws from 2 domains, the template has 3"):
-            SyntheticTeacher(template, schedule, draw_seed=1)
+            SyntheticTeacher(TemplateInstances(template, schedule, draw_seed=1))
 
 
 def _no_draws(*args):
@@ -179,14 +181,16 @@ def loop_free_pair_world() -> WorldTemplate:
 
 class TestEdgeRule:
     def test_cross_domain_edge(self):
-        teacher = SyntheticTeacher(loop_free_pair_world(), Scripted((0, 1), 2), draw_seed=3)
+        instances = TemplateInstances(loop_free_pair_world(), Scripted((0, 1), 2), draw_seed=3)
+        teacher = SyntheticTeacher(instances)
         teacher.next_vertex()
         teacher.next_vertex()
         assert teacher.connection(0, 0, 1) is True
         assert teacher.connection(1, 0, 0) is False
 
     def test_same_domain_pairs_follow_template_loop(self):
-        teacher = SyntheticTeacher(loop_free_pair_world(), Scripted((0, 0), 2), draw_seed=3)
+        instances = TemplateInstances(loop_free_pair_world(), Scripted((0, 0), 2), draw_seed=3)
+        teacher = SyntheticTeacher(instances)
         teacher.next_vertex()
         teacher.next_vertex()
         # no (d0, r, d0) loop in the template: no edges among instances
@@ -195,7 +199,8 @@ class TestEdgeRule:
         assert teacher.connection(1, 0, 0) is False
 
     def test_spurious_loop_grants_every_same_domain_pair(self):
-        teacher = SyntheticTeacher(loop_free_pair_world(), Scripted((0, 0, 0), 2), draw_seed=3)
+        instances = TemplateInstances(loop_free_pair_world(), Scripted((0, 0, 0), 2), draw_seed=3)
+        teacher = SyntheticTeacher(instances)
         for _ in range(3):
             teacher.next_vertex()
         # hypothesis claims domain 0 has a self-loop the world lacks
@@ -220,7 +225,8 @@ class TestEdgeRule:
             template = generate_template(seed, m, k, edge_density=density)
         except TemplateGenerationError:
             return
-        teacher = SyntheticTeacher(template, schedule(m), draw_seed=seed + 1)
+        instances = TemplateInstances(template, schedule(m), draw_seed=seed + 1)
+        teacher = SyntheticTeacher(instances)
         for _ in range(reveals):
             try:
                 teacher.next_vertex()
@@ -232,7 +238,7 @@ class TestEdgeRule:
             for a in range(k):
                 for v in world.vertices:
                     edge = template.graph.has_edge(
-                        teacher.domain_of(u), a, teacher.domain_of(v)
+                        instances.domain_of(u), a, instances.domain_of(v)
                     )
                     assert world.has_edge(u, a, v) == edge
                     assert teacher.connection(u, a, v) == edge
@@ -262,7 +268,8 @@ class TestRowView:
             template = generate_template(seed, m, k, edge_density=density)
         except TemplateGenerationError:
             return
-        teacher = SyntheticTeacher(template, schedule(m), draw_seed=seed + 1)
+        instances = TemplateInstances(template, schedule(m), draw_seed=seed + 1)
+        teacher = SyntheticTeacher(instances)
         for n in range(1, reveals + 1):
             try:
                 teacher.next_vertex()
@@ -272,7 +279,7 @@ class TestRowView:
             if not data.draw(st.booleans(), label="peek"):
                 continue
             world = teacher.peek_ground_truth()
-            domains = [teacher.domain_of(v) for v in range(n)]
+            domains = [instances.domain_of(v) for v in range(n)]
             expected = LabeledDigraph(
                 k,
                 range(n),
@@ -304,11 +311,12 @@ class TestDeterminism:
         template = generate_template(seed=8, m=4, k=2, edge_density=0.4)
 
         def transcript():
-            teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=44)
+            instances = TemplateInstances(template, IidUniform(template.m), draw_seed=44)
+            teacher = SyntheticTeacher(instances)
             log = []
             for _ in range(20):
                 v = teacher.next_vertex()
-                log.append((v, teacher.domain_of(v)))
+                log.append((v, instances.domain_of(v)))
             for u in range(20):
                 for a in range(2):
                     log.append(teacher.connection(u, a, (u * 3 + a) % 20))
@@ -325,35 +333,38 @@ class TestClassStructure:
             template = generate_template(seed, m, k, edge_density=0.5)
         except TemplateGenerationError:
             return
-        teacher = SyntheticTeacher(template, IidUniform(template.m), draw_seed=seed + 1)
+        instances = TemplateInstances(template, IidUniform(template.m), draw_seed=seed + 1)
+        teacher = SyntheticTeacher(instances)
         for _ in range(reveals):
             teacher.next_vertex()
-            assert revealed_class_count(template, teacher) == len(
+            assert revealed_class_count(template, instances) == len(
                 oracle_partition(teacher.peek_ground_truth())
             )
 
     def test_full_coverage_classes_are_domain_instance_sets(self):
         template = generate_template(seed=33, m=3, k=2, edge_density=0.5)
-        teacher = SyntheticTeacher(template, Scripted((0, 1, 2, 0, 1, 2, 1), 3), draw_seed=2)
+        instances = TemplateInstances(template, Scripted((0, 1, 2, 0, 1, 2, 1), 3), draw_seed=2)
+        teacher = SyntheticTeacher(instances)
         for _ in range(7):
             teacher.next_vertex()
         partition = equivalence_partition(teacher.peek_ground_truth())
         assert len(partition) == 3
         by_domain = {}
         for v in teacher.peek_ground_truth().vertices:
-            by_domain.setdefault(teacher.domain_of(v), []).append(v)
+            by_domain.setdefault(instances.domain_of(v), []).append(v)
         assert sorted(partition) == sorted(by_domain.values())
 
     def test_partial_coverage_classes_are_domain_unions(self):
         template = generate_template(seed=33, m=4, k=2, edge_density=0.5)
-        teacher = SyntheticTeacher(template, Scripted((0, 1, 0, 1), 4), draw_seed=2)
+        instances = TemplateInstances(template, Scripted((0, 1, 0, 1), 4), draw_seed=2)
+        teacher = SyntheticTeacher(instances)
         for _ in range(4):
             teacher.next_vertex()
         partition = equivalence_partition(teacher.peek_ground_truth())
         assert len(partition) <= 4
         for cls in partition:
-            domains = {teacher.domain_of(v) for v in cls}
+            domains = {instances.domain_of(v) for v in cls}
             # every instance of a mentioned domain is inside the class
             for v in teacher.peek_ground_truth().vertices:
-                if teacher.domain_of(v) in domains:
+                if instances.domain_of(v) in domains:
                     assert v in cls
