@@ -86,8 +86,10 @@ def play_both_learners(g: LabeledDigraph) -> None:
             learner.run_round()
             peek = teacher.peek_ground_truth()
             assert peek == induced_subgraph(g, range(r))
-            state = (learner.summary, learner.assignment, learner.tree)
-            assert check_round_invariants(peek, *state) == {}
+            failed = check_round_invariants(
+                peek, learner.summary, learner.assignment, learner.tree
+            )
+            assert failed == {}
             m = len(oracle_partition(peek))
             assert m >= m_before  # classes only split as vertices arrive
             m_before = m
