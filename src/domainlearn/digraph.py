@@ -231,9 +231,11 @@ def error_set(
     granted (the graph lacks it) exactly when the policy allows it, and
     wrongly denied otherwise.  ``assignment`` must map every vertex of g,
     or ``ValueError`` is raised.  Evaluated per (source, right) with
-    bitmasks: one pass over the assignment and one over the summary's
-    edges build the allowed masks, so the cost is O(n * k + |E(summary)|)
-    mask operations plus the size of the output.  Of g it reads only ``k``,
+    bitmasks: one pass over the assignment builds each domain's member
+    mask, and the allowed mask of domain x under right a is the union of
+    the member masks of the bits of ``summary.out_mask(a, x)``, so the cost
+    is O(n * k + |E(summary)|) mask operations plus the size of the output,
+    and no summary edge is built as a tuple.  Of g it reads only ``k``,
     ``vertices`` and ``out_mask``, so any object answering those three
     stands in for the graph: the synthetic teacher passes itself.
     """
@@ -247,10 +249,13 @@ def error_set(
         member_mask[domain] = member_mask.get(domain, 0) | (1 << v)
     # allowed_mask[(x, a)]: targets granted to any source assigned to x.
     allowed_mask: dict[tuple[int, int], int] = {}
-    for x, a, y in summary.edges():
-        if y in member_mask:
-            key = (x, a)
-            allowed_mask[key] = allowed_mask.get(key, 0) | member_mask[y]
+    for x in member_mask:
+        for a in range(summary.k):
+            allowed = 0
+            for y in _mask_bits(summary.out_mask(a, x)):
+                allowed |= member_mask.get(y, 0)
+            if allowed:
+                allowed_mask[(x, a)] = allowed
     errors: list[Edge] = []
     k = g.k
     for u in vertices:

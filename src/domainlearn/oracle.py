@@ -2,10 +2,11 @@
 production algorithms and the learners.
 
 The references read the same graph store as production code (a digraph is
-stored once, as per-right bitmasks); their independence lies in the
-algorithms: an all-members pairwise partition with transitivity
-assertions, a strong-homomorphism check by edge counting, and a
-backtracking isomorphism search.  Nothing here is on
+stored once, as per-right bitmasks) and compare whole rows of it rather
+than single edges; their independence lies in the algorithms: an
+all-members pairwise partition with transitivity assertions, a
+strong-homomorphism check of every source's row against every image
+class, and a backtracking isomorphism search.  Nothing here is on
 any measured path: these functions may read teacher ground truth and are
 wired only into tests and verify mode.
 """
@@ -26,17 +27,16 @@ class OracleLimitError(ValueError):
 
 def _same(rows: Mapping[int, list[tuple[int, int]]], u: int, v: int) -> bool:
     """The literal pair test on ``rows[w]``, vertex w's ``(out, in)`` masks
-    by right: for every right, the four edges among {u, v} are all present
-    or all absent, and u and v have the same out- and in-neighbours outside
-    {u, v}."""
+    by right: for every right, u and v have the same out- and in-neighbours
+    outside {u, v} (one xor per right, with the pair's own bits masked
+    off), and the four edges among {u, v} are all present or all absent."""
     pair = (1 << u) | (1 << v)
+    outside = ~pair
     for (ou, iu), (ov, iv) in zip(rows[u], rows[v]):
+        if ((ou ^ ov) | (iu ^ iv)) & outside:
+            return False
         four = ((ou >> u) & 1) + ((ou >> v) & 1) + ((ov >> u) & 1) + ((ov >> v) & 1)
         if four != 0 and four != 4:
-            return False
-        if (ou ^ ov) & ~pair:
-            return False
-        if (iu ^ iv) & ~pair:
             return False
     return True
 
@@ -95,10 +95,10 @@ def is_strong_homomorphism(
     """True iff ``assignment`` preserves and reflects labelled edges:
     (u, a, v) in E(G) exactly when (assignment[u], a, assignment[v]) in E(H).
 
-    Checked by edge counting: for every pair of images (x, y) and right a,
-    the edges of G from the vertices mapped to x into those mapped to y must
-    number |x| * |y| when (x, a, y) is an edge of H and 0 otherwise.  Each
-    count is a sum of popcounts of out masks, so no edge is enumerated.
+    The definition evaluated per row: for every vertex u mapped to x, right
+    a and image y, u's out mask ANDed with the member mask of y must be that
+    whole member mask when (x, a, y) is an edge of H and 0 otherwise, so no
+    edge is enumerated.
     """
     vertices = g.vertices
     for v in vertices:
@@ -113,12 +113,16 @@ def is_strong_homomorphism(
     members = {y: sum(1 << v for v in cls) for y, cls in classes.items()}
     for x, sources in classes.items():
         for a in range(g.k):
-            out = [g.out_mask(a, u) for u in sources]
-            for y, targets in members.items():
-                count = sum((mask & targets).bit_count() for mask in out)
-                full = len(sources) * len(classes[y])
-                if count != (full if h.has_edge(x, a, y) else 0):
-                    return False
+            # (targets, the part of them every source of x must reach)
+            expected = [
+                (targets, targets if h.has_edge(x, a, y) else 0)
+                for y, targets in members.items()
+            ]
+            for u in sources:
+                out = g.out_mask(a, u)
+                for targets, reached in expected:
+                    if out & targets != reached:
+                        return False
     return True
 
 
@@ -162,8 +166,13 @@ def check_round_invariants(
     failed: dict[str, str] = {}
 
     missing_vertices = [v for v in summary.vertices if not ground_truth.has_vertex(v)]
-    missing_edges = [e for e in summary.edges() if not ground_truth.has_edge(*e)]
-    if missing_vertices or missing_edges:
+    foreign = any(
+        summary.out_mask(a, x) & ~ground_truth.out_mask(a, x)
+        for x in summary.vertices
+        for a in range(summary.k)
+    )
+    if missing_vertices or foreign:
+        missing_edges = [e for e in summary.edges() if not ground_truth.has_edge(*e)]
         failed["summary-subgraph"] = (
             f"foreign vertices {missing_vertices}, foreign edges {missing_edges}"
         )
@@ -220,17 +229,18 @@ def isomorphic_small(
     small digraphs.
 
     Backtracking search over vertices ordered by candidate-pool size, pruned
-    by per-vertex degree signatures.  Refuses graphs above ``limit``.
+    by per-vertex degree signatures.  Graphs that differ in k, vertex count
+    or edge count are not isomorphic whatever their size; only a search
+    above ``limit`` vertices is refused.
     """
-    if g1.vertex_count > limit or g2.vertex_count > limit:
-        raise OracleLimitError(
-            f"isomorphic_small limited to {limit} vertices, got "
-            f"{g1.vertex_count} and {g2.vertex_count}"
-        )
     if g1.k != g2.k:
         return False
     if g1.vertex_count != g2.vertex_count or g1.edge_count != g2.edge_count:
         return False
+    if g1.vertex_count > limit:
+        raise OracleLimitError(
+            f"isomorphic_small limited to {limit} vertices, got {g1.vertex_count}"
+        )
 
     sig1 = {v: _vertex_signature(g1, v) for v in g1.vertices}
     sig2 = {v: _vertex_signature(g2, v) for v in g2.vertices}

@@ -2,19 +2,45 @@
 
 from __future__ import annotations
 
+import functools
+import operator
+
 from hypothesis import strategies as st
 
 from domainlearn.digraph import LabeledDigraph
 from domainlearn.rng import SplitMix64, derive_seed
 
 
+DENSITY_LEVELS = 3
+
+
 @st.composite
 def digraphs(draw, min_n: int = 0, max_n: int = 8, max_k: int = 3) -> LabeledDigraph:
+    """A digraph on vertices 0..n-1 over k rights, drawn as one target mask
+    per (u, a).
+
+    A density level L in [-3, 3] makes every mask the AND (L > 0) or OR
+    (L < 0) of |L| + 1 uniform slices of one drawn integer, so sparse
+    graphs, rich in indistinguishable vertices, and near-complete ones are
+    drawn as well as dense random ones.  Every example makes the same
+    draws whatever its n and k: the level, then max_n * max_k integers of
+    one range, of which the cells outside n x k are dropped.  No draw's
+    range or count depends on an earlier draw, so hypothesis discards no
+    example as misaligned.
+    """
     n = draw(st.integers(min_n, max_n))
     k = draw(st.integers(1, max_k))
-    candidates = [(u, a, v) for u in range(n) for a in range(k) for v in range(n)]
-    edges = draw(st.sets(st.sampled_from(candidates))) if candidates else set()
-    return LabeledDigraph(k, range(n), edges)
+    level = draw(st.integers(-DENSITY_LEVELS, DENSITY_LEVELS))
+    combine = operator.and_ if level > 0 else operator.or_
+    full = (1 << n) - 1
+    g = LabeledDigraph(k, range(n))
+    for u in range(max_n):
+        for a in range(max_k):
+            bits = draw(st.integers(0, (1 << ((DENSITY_LEVELS + 1) * max_n)) - 1))
+            if u < n and a < k:
+                slices = [(bits >> (i * max_n)) & full for i in range(abs(level) + 1)]
+                g.connect(u, a, functools.reduce(combine, slices), 0)
+    return g
 
 
 @st.composite

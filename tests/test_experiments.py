@@ -25,6 +25,7 @@ from domainlearn.experiments import (
     verify_experiment,
 )
 from domainlearn.learners import ConservativeLearner
+from domainlearn.oracle import ISOMORPHISM_VERTEX_LIMIT
 from domainlearn.protocol import ProtocolViolation
 from domainlearn.teacher import SyntheticTeacher, generate_template, template_to_text
 
@@ -727,6 +728,16 @@ class CorruptsThirdRound(ConservativeLearner):
             self.assignment = {**self.assignment, newest: other[0]}
 
 
+class OutgrowsTheIsomorphismLimit(ConservativeLearner):
+    """Fault injection: after round 3 (its last), swaps in an edgeless
+    summary with one vertex more than the isomorphism search accepts."""
+
+    def run_round(self):
+        super().run_round()
+        if self._session.ledger.nvq_count == 3:
+            self.summary = LabeledDigraph(self.summary.k, range(ISOMORPHISM_VERTEX_LIMIT + 1))
+
+
 class TestPinnedOutputs:
     @pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS)
     def test_csv_digest(self, argv, digest, capsys):
@@ -757,6 +768,18 @@ class TestPinnedOutputs:
             "aef45f14b5803a0ea7ec3badce0ae6f1f7adb0bad24db538b6959673b9aac838"
         )
         assert "  leaf-count: 2 leaves vs 1 domains" in out.splitlines()
+
+    def test_verify_fails_a_summary_over_the_isomorphism_limit(self, monkeypatch, capsys):
+        # the reference summary is small, so the oversized one is a FAIL,
+        # not an error about the limit
+        monkeypatch.setattr(
+            experiments, "make_learner",
+            lambda kind, session: OutgrowsTheIsomorphismLimit(session),
+        )
+        assert main(["verify", "--k", "2", "--m", "3", "--seed", "13", "--rounds", "3"]) == 1
+        captured = capsys.readouterr()
+        assert "  summary not isomorphic to the reference summary" in captured.out.splitlines()
+        assert captured.err == ""
 
     def test_exhausted_schedule_stops_every_command(self, capsys):
         short = ["--schedule", "scripted:0,1", "--rounds", "5"]

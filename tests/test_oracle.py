@@ -108,6 +108,16 @@ class TestIsomorphicSmall:
             isomorphic_small(g, g)
         assert isomorphic_small(g, g, limit=13)
 
+    @pytest.mark.parametrize("g1,g2", [
+        (LabeledDigraph(1, range(3)), LabeledDigraph(1, range(13))),
+        (LabeledDigraph(1, range(13)), LabeledDigraph(2, range(13))),
+        (LabeledDigraph(1, range(13)), LabeledDigraph(1, range(13), [(0, 0, 1)])),
+    ], ids=["vertex-count", "k", "edge-count"])
+    def test_a_mismatch_is_decided_before_the_limit(self, g1, g2):
+        # over the limit is no reason to refuse graphs that cannot match
+        assert not isomorphic_small(g1, g2)
+        assert not isomorphic_small(g2, g1)
+
 
 def learner_after_rounds(seed: int, rounds: int, m: int = 3, k: int = 2):
     template = generate_template(seed, m=m, k=k, edge_density=0.5)
@@ -155,6 +165,22 @@ class TestRoundInvariants:
             teacher.peek_ground_truth(), broken, learner.assignment, learner.tree
         )
         assert "strong-homomorphism" in failed
+
+    def test_foreign_summary_edge_fails_subgraph(self):
+        learner, teacher = learner_after_rounds(seed=13, rounds=8)
+        ground_truth, summary = teacher.peek_ground_truth(), learner.summary
+        foreign = next(
+            (x, a, y)
+            for x in summary.vertices
+            for a in range(summary.k)
+            for y in summary.vertices
+            if not ground_truth.has_edge(x, a, y)
+        )
+        broken = LabeledDigraph(summary.k, summary.vertices, [*summary.edges(), foreign])
+        failed = check_round_invariants(ground_truth, broken, learner.assignment)
+        assert failed["summary-subgraph"] == (
+            f"foreign vertices [], foreign edges [{foreign}]"
+        )
 
     def test_indistinguishable_domains_fail_irreducibility(self):
         # two edgeless domains cannot be told apart, though the assignment

@@ -64,6 +64,33 @@ def test_coupon_demo(tmp_path):
     assert "skewed domains (0.5, 0.3, 0.2) (m=3, 50 trials)" in result.stdout
 
 
+def test_scaling(tmp_path):
+    result = run_script("scaling.py", "--scale", "0.01", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert [line for line in lines if not line.startswith(" ")] == [
+        "cons-iid-m:", "cons-iid-n:", "tireless-n:", "novel-last-p:",
+    ]
+    assert sum(line.startswith("  slope in ") and ", excess " in line for line in lines) == 4
+    # tireless at n = 2, 4, 8: k*n^2 connection queries, n clean hypothesis tests
+    tireless = lines[lines.index("tireless-n:") + 2:lines.index("tireless-n:") + 5]
+    assert [(int(n), int(ledger)) for n, _, ledger in map(str.split, tireless)] == [
+        (n, 2 * n * n + n) for n in (2, 4, 8)
+    ]
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--scale", "nan"], "--scale must be positive"),
+    # n = 1500, 3000 and 6000 all round to 1: no slope can be fitted
+    (["--scale", "0.0001"],
+     "--scale 0.0001 leaves cons-iid-n with equal n values [1, 1, 1]"),
+])
+def test_scaling_rejects_what_it_cannot_play(tmp_path, args, message):
+    result = run_script("scaling.py", *args, cwd=tmp_path)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_bench_pairs(tmp_path):
     # one pair of 1 s with the repo on both sides
     result = run_script(
