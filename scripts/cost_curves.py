@@ -5,9 +5,10 @@ Runs both policy-administration strategies over shared worlds for a doubling
 ladder of round counts and tabulates cumulative connection-query cost:
 the exhaustive strategy grows quadratically (k*n^2) while the classify-and-
 repair strategy stays linear (<= k + (n-1)(m-1)).  Writes the combined CSV
-and prints a small table.  Every cell is validated before any is played
-and before ``--out`` is opened; an invalid one prints one ``error:`` line
-and exits 2.
+and prints a small table.  Every cell's config is made, and so checked,
+and ``--out`` is opened for appending before any cell is played; an
+invalid cell or an unwritable ``--out`` prints one ``error:`` line and
+exits 2.  The file is truncated and written only when the sweep is done.
 
 Usage: python3 scripts/cost_curves.py [--k 2] [--m 4] [--seed 13]
        [--rounds 10,20,40,80,160] [--out cost_curves.csv]
@@ -32,17 +33,17 @@ def main() -> int:
     parser.add_argument("--out", default="cost_curves.csv")
     args = parser.parse_args()
 
-    config = ExperimentConfig(k=args.k, m=args.m, template_seed=args.seed)
     try:
         rounds = parse_items(f"--rounds {args.rounds!r}", args.rounds, int)
-        for n in rounds:
-            replace(config, rounds=n).validate()
-    except ValueError as exc:
+        config = ExperimentConfig(k=args.k, m=args.m, template_seed=args.seed)
+        cells = [replace(config, rounds=n) for n in rounds]
+        handle = open(args.out, "a", newline="")
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = sweep_experiment(config, rounds)
-
-    with open(args.out, "w", newline="") as handle:
+    with handle:
+        result = sweep_experiment(cells)
+        handle.truncate(0)
         handle.write(result.to_csv())
     print(f"wrote {args.out}")
 

@@ -13,16 +13,18 @@ names as the flags); flags override the file.  Exit status is 1 when a
 bound is violated, a monitor violation occurs, or a verify check fails or
 no round was checked, and 2, after one ``error: ...`` line, when the
 configuration is invalid (a verify interval past its rounds included) or a
-file cannot be read or written.  The configuration is validated and
-``--out`` opened before any round is played, so neither error wastes a
-run.  Exit status 3, after one ``internal error: ...`` line, means the
-learner saw a state its algorithm rules out with a truthful teacher
-(``LearnerInternalError``).  ``--out`` is written only when the command
-completes, so an invalid configuration, a template that cannot be
-generated or an internal error leaves an earlier file untouched.  A
-schedule that runs out before ``--rounds`` ends the play with no failure;
-``run`` and ``verify`` then print one ``stopped: schedule exhausted after
-N of R rounds`` line on stderr, while ``sweep`` and ``dump`` stay silent.
+file cannot be read or written.  A configuration is checked when it is
+made from the file and flags together; the command's own checks follow,
+then ``--out`` is opened, all before any round is played, so neither
+error wastes a run.  Exit status 3, after one ``internal error: ...``
+line, means the learner saw a state its algorithm rules out with a
+truthful teacher (``LearnerInternalError``).  ``--out`` is written only
+when the command completes, so an invalid configuration, a template that
+cannot be generated or an internal error leaves an earlier file
+untouched.  A schedule that runs out before ``--rounds`` ends the play
+with no failure; ``run`` and ``verify`` then print one ``stopped: schedule
+exhausted after N of R rounds`` line on stderr, while ``sweep`` and
+``dump`` stay silent.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         overrides["rounds"] = _round_list(args)[0]
     if args.config:
         return ExperimentConfig.from_file(args.config, **overrides)
-    return replace(ExperimentConfig(), **overrides)
+    return ExperimentConfig(**overrides)
 
 
 def _round_list(args: argparse.Namespace) -> list[int]:
@@ -105,10 +107,10 @@ def _round_list(args: argparse.Namespace) -> list[int]:
 @contextmanager
 def _output(out: str | None) -> Iterator[TextIO]:
     """The stream a command writes to: stdout, or a buffer for ``out``.
-    Commands enter it after validating their configuration and before doing
-    any work.  ``out`` is opened for appending, so an unwritable path fails
-    at once but nothing is truncated; only when the command returns is the
-    file truncated and the buffer written.  A command that fails leaves an
+    Commands enter it after their own checks of the configuration and
+    before doing any work.  ``out`` is opened for appending, so an
+    unwritable path fails at once but nothing is truncated; only when the
+    command returns is the file truncated and the buffer written.  A command that fails leaves an
     earlier file as it was, and an absent one empty."""
     if not out:
         yield sys.stdout
@@ -141,7 +143,6 @@ def _emit_report(report, stream: TextIO) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    config.validate()
     with _output(config.out) as stream:
         report = run_experiment(config)
         _note_exhausted(report, config)
@@ -176,10 +177,9 @@ def _verify_text(report) -> str:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     round_counts = [config.rounds] if args.rounds is None else _round_list(args)
-    for rounds in round_counts:
-        replace(config, rounds=rounds).validate()
+    cells = [replace(config, rounds=n) for n in round_counts]
     with _output(config.out) as stream:
-        return _emit_report(sweep_experiment(config, round_counts), stream)
+        return _emit_report(sweep_experiment(cells), stream)
 
 
 def _cmd_coupon(args: argparse.Namespace) -> int:
@@ -205,7 +205,6 @@ def _cmd_coupon(args: argparse.Namespace) -> int:
 
 def _cmd_dump(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    config.validate()
     if args.what == "tree" and config.learner not in TREE_LEARNER_KINDS:
         raise ValueError(f"the {config.learner} learner has no decision tree")
     with _output(config.out) as stream:
@@ -220,7 +219,7 @@ def _dump(args: argparse.Namespace, config: ExperimentConfig, stream: TextIO) ->
         if args.format == "text":
             stream.write(template_to_text(template))
         else:
-            stream.write(digraph_to_dot(template.graph, name="template"))
+            stream.write(digraph_to_dot(template.graph))
         return 0
 
     # policy and tree dumps require running the configured learner first

@@ -55,9 +55,12 @@ _DRAW_STREAM = 0x1D5A7
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "str | None": (str, type(None))}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Config for one experiment; JSON file fields and CLI flags are 1:1."""
+    """Config for one experiment; JSON file fields and CLI flags are 1:1.
+    It is checked when made, by ``replace`` too, and ``ValueError`` rejects
+    an invalid one: an int field takes an integer, ``edge_density`` any
+    number, and no field a boolean."""
 
     learner: str = "conservative"
     k: int = 1
@@ -70,7 +73,11 @@ class ExperimentConfig:
     trials: int = 1
     out: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[f.type]):
+                raise ValueError(f"config field {f.name!r} has the wrong type: {value!r}")
         if self.learner not in LEARNER_KINDS:
             raise ValueError(f"unknown learner {self.learner!r}")
         if self.rounds < 1:
@@ -90,21 +97,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "ExperimentConfig":
-        """Load a JSON object of config fields.  Unknown fields and values of
-        the wrong JSON type raise ``ValueError``: an int field takes an
-        integer, ``edge_density`` any number, and no field a boolean."""
+        """Load a JSON object of config fields, ``overrides`` replacing the
+        file's values before the merged config is checked; unknown fields
+        raise ``ValueError``."""
         data = json.loads(Path(path).read_text())
         if not isinstance(data, dict):
             raise ValueError(f"config {path} must hold a JSON object")
-        types = {f.name: _JSON_TYPES[f.type] for f in fields(cls)}
-        unknown = set(data) - set(types)
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields {sorted(unknown)}")
-        for name, value in data.items():
-            if isinstance(value, bool) or not isinstance(value, types[name]):
-                raise ValueError(f"config field {name!r} has the wrong type: {value!r}")
-        config = cls(**data)
-        return replace(config, **overrides) if overrides else config
+        return cls(**{**data, **overrides})
 
 
 def parse_oracle_checks(spec: str) -> int:
@@ -214,8 +216,8 @@ def _play(config: ExperimentConfig, on_round) -> tuple[list[str], int | None]:
     round.  The play stops after ``config.rounds`` rounds, when the schedule
     is exhausted, or at a monitor violation.  Returns the run's violation
     lines (a monitor violation's single line, else none) and the rounds
-    played when the schedule ran out first (else None)."""
-    config.validate()
+    played when the schedule ran out first (else None).  The config is
+    valid, so only template generation can fail before round 1."""
     session, teacher = build_session(config)
     learner = make_learner(config.learner, session)
     for round_no in range(1, config.rounds + 1):
@@ -291,9 +293,8 @@ def _verify_round(
 
 
 def verify_step(config: ExperimentConfig) -> int:
-    """The oracle check interval of a valid verify config; ``ValueError``
-    unless the config is valid and checks at least one of its rounds."""
-    config.validate()
+    """The oracle check interval of a verify config; ``ValueError`` unless
+    the oracle is on and checks at least one of the config's rounds."""
     step = parse_oracle_checks(config.oracle_checks)
     if not step:
         raise ValueError("verify requires oracle checks enabled (every or every=<j>)")
@@ -340,19 +341,19 @@ class SweepReport:
         return buf.getvalue()
 
 
-def sweep_experiment(config: ExperimentConfig, round_counts: list[int]) -> SweepReport:
-    """Run both learners over shared seeds for each round count; one final
-    row per (cell, learner), cells in the given order."""
+def sweep_experiment(cells: list[ExperimentConfig]) -> SweepReport:
+    """Run both learners on each cell, the configs of the round counts,
+    made before any is played; one final row per (cell, learner), cells in
+    the given order."""
     rows: list[tuple[str, RoundRow]] = []
     violations: list[str] = []
-    for rounds in round_counts:
+    for cell in cells:
         for learner_kind in LEARNER_KINDS:
-            cell = replace(config, learner=learner_kind, rounds=rounds)
-            report = run_experiment(cell)
+            report = run_experiment(replace(cell, learner=learner_kind))
             if report.rows:
                 rows.append((learner_kind, report.rows[-1]))
             violations.extend(
-                f"n={rounds} {learner_kind}: {v}" for v in report.violations
+                f"n={cell.rounds} {learner_kind}: {v}" for v in report.violations
             )
     return SweepReport(rows=rows, violations=violations)
 
@@ -401,11 +402,10 @@ class CouponSummary:
 
 
 def coupon_schedule(config: ExperimentConfig) -> tuple[RevelationSchedule, float]:
-    """The schedule of a valid coupon config and its exact expected draws
-    to coverage; ``ValueError`` unless the config is valid, its schedule
-    IID, its domains few enough for the exact expectation and that
-    expectation at most ``MAX_EXPECTED_DRAWS``, so every trial ends."""
-    config.validate()
+    """The schedule of a coupon config and its exact expected draws to
+    coverage; ``ValueError`` unless its schedule is IID, its domains few
+    enough for the exact expectation and that expectation at most
+    ``MAX_EXPECTED_DRAWS``, so every trial ends."""
     schedule = parse_schedule(config.schedule, config.m)
     if not isinstance(schedule, (IidUniform, IidWeighted)):
         raise ValueError("coupon requires an IID schedule")
@@ -425,7 +425,7 @@ def coupon_experiment(
 ) -> CouponSummary:
     """Monte Carlo draws-until-coverage versus the exact expectation.
     ``planned`` is ``coupon_schedule(config)`` when the caller has already
-    validated the config with it; otherwise it is computed here."""
+    checked the config with it; otherwise it is computed here."""
     schedule, exact = planned or coupon_schedule(config)
     m = config.m
     total_draws = 0

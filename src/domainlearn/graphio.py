@@ -29,8 +29,8 @@ def digraph_to_text(g: LabeledDigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def digraph_to_dot(g: LabeledDigraph, name: str = "G") -> str:
-    lines = [f"digraph {name} {{"]
+def digraph_to_dot(g: LabeledDigraph) -> str:
+    lines = ["digraph template {"]
     for v in g.vertices:
         lines.append(f'  "{v}";')
     for u, a, v in g.edges():

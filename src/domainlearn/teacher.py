@@ -291,10 +291,6 @@ class TemplateInstances:
             sources |= self._members[d]
         return sources
 
-    def domain_of(self, v: int) -> int:
-        """Template domain of a revealed vertex (ground-truth backdoor)."""
-        return self.row_of[v]
-
 
 class SyntheticTeacher(Teacher):
     """The teacher over any world: a row table ``rows``/``row_of`` over the

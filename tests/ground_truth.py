@@ -1,5 +1,5 @@
 """Ground-truth facts about a template world's revealed instances, read
-only through their ``domain_of``."""
+only through their ``row_of``, the template domain of each."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from domainlearn.teacher import TemplateInstances, WorldTemplate
 
 def revealed_domains(instances: TemplateInstances) -> tuple[int, ...]:
     """Template domains of the revealed vertices, in revelation order."""
-    return tuple(instances.domain_of(v) for v in range(len(instances.row_of)))
+    return tuple(instances.row_of)
 
 
 def revealed_class_count(template: WorldTemplate, instances: TemplateInstances) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import operator
 
 from hypothesis import strategies as st
@@ -48,10 +49,14 @@ def blown_up_digraphs(draw, max_base: int = 4, max_n: int = 12) -> LabeledDigrap
     """A digraph whose vertices are copies of the vertices of a drawn base
     digraph, in a drawn order: (u, a, v) is an edge iff (base[u], a, base[v])
     is a base edge.  Copies of one base vertex are indistinguishable, so the
-    classes have several members with interleaved ids."""
+    classes have several members with interleaved ids.  Like
+    :func:`digraphs`, every example makes the same draws: n, then max_n
+    picks from one range, a multiple of every base size, reduced modulo
+    the base size, of which the picks past n are dropped."""
     base = draw(digraphs(min_n=1, max_n=max_base))
-    copies = draw(st.lists(st.sampled_from(base.vertices), max_size=max_n))
-    n = len(copies)
+    n = draw(st.integers(0, max_n))
+    picks = st.integers(0, math.lcm(*range(1, max_base + 1)) - 1)
+    copies = [draw(picks) % base.vertex_count for _ in range(max_n)][:n]
     return LabeledDigraph(
         base.k,
         range(n),

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -32,11 +33,11 @@ from domainlearn.teacher import SyntheticTeacher, generate_template, template_to
 
 class TestConfig:
     def test_defaults_valid(self):
-        ExperimentConfig().validate()
+        ExperimentConfig()
 
     def test_rejects_unknown_learner(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(learner="psychic").validate()
+            ExperimentConfig(learner="psychic")
 
     def test_oracle_spec_parsing(self):
         assert parse_oracle_checks("off") == 0
@@ -46,15 +47,29 @@ class TestConfig:
             parse_oracle_checks("sometimes")
 
     def test_per_round_oracle_round_guard(self):
-        config = ExperimentConfig(oracle_checks="every", rounds=300)
         with pytest.raises(ValueError, match="256"):
-            config.validate()
+            ExperimentConfig(oracle_checks="every", rounds=300)
         # every=4 over 300 rounds would check the oracle at round 300
         with pytest.raises(ValueError, match="256"):
-            ExperimentConfig(oracle_checks="every=4", rounds=300).validate()
+            ExperimentConfig(oracle_checks="every=4", rounds=300)
         # ... while over 259 rounds its last check is at round 256
-        ExperimentConfig(oracle_checks="every=4", rounds=259).validate()
-        ExperimentConfig(oracle_checks="every", rounds=256).validate()
+        ExperimentConfig(oracle_checks="every=4", rounds=259)
+        ExperimentConfig(oracle_checks="every", rounds=256)
+
+    def test_a_config_cannot_be_changed(self):
+        config = ExperimentConfig()
+        with pytest.raises(FrozenInstanceError):
+            config.rounds = 0
+
+    def test_replace_checks_the_new_config(self):
+        with pytest.raises(ValueError, match="^rounds must be >= 1$"):
+            replace(ExperimentConfig(), rounds=0)
+
+    def test_a_field_of_the_wrong_type_is_named(self):
+        # the message a JSON config file gets (test_config_field_of_the_wrong_type_exits_2)
+        with pytest.raises(ValueError) as raised:
+            ExperimentConfig(k="2")
+        assert str(raised.value) == "config field 'k' has the wrong type: '2'"
 
     def test_from_file_with_overrides(self, tmp_path):
         path = tmp_path / "config.json"
@@ -66,7 +81,8 @@ class TestConfig:
 
     def test_from_file_takes_an_integer_density(self, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"edge_density": 1, "out": None}))
+        # density 1 makes every domain alike, so only m=1 can take it
+        path.write_text(json.dumps({"edge_density": 1, "m": 1, "out": None}))
         assert ExperimentConfig.from_file(path).edge_density == 1
 
     def test_from_file_rejects_unknown_fields(self, tmp_path):
@@ -212,10 +228,14 @@ class TestMonitorViolation:
         assert captured.err == f"violation: {self.VIOLATION}\n"
 
 
+def _cells(config: ExperimentConfig, round_counts: list[int]) -> list[ExperimentConfig]:
+    return [replace(config, rounds=n) for n in round_counts]
+
+
 class TestSweep:
     def test_learner_column_and_cell_order(self):
         config = ExperimentConfig(k=1, m=2, template_seed=4)
-        report = sweep_experiment(config, [4, 8])
+        report = sweep_experiment(_cells(config, [4, 8]))
         assert [kind for kind, _ in report.rows] == [
             "tireless",
             "conservative",
@@ -226,13 +246,13 @@ class TestSweep:
 
     def test_single_round_both_learners_cost_k(self):
         config = ExperimentConfig(k=3, m=2, template_seed=6)
-        report = sweep_experiment(config, [1])
+        report = sweep_experiment(_cells(config, [1]))
         assert all(row.cnq_cum == 3 for _, row in report.rows)
 
     def test_growth_contrast(self):
         # tireless quadruples per doubling of n; conservative roughly doubles
         config = ExperimentConfig(k=2, m=4, template_seed=13)
-        report = sweep_experiment(config, [10, 20, 40, 80])
+        report = sweep_experiment(_cells(config, [10, 20, 40, 80]))
         tireless = [row for kind, row in report.rows if kind == "tireless"]
         conservative = [row for kind, row in report.rows if kind == "conservative"]
         for prev, cur in zip(tireless, tireless[1:]):
@@ -244,8 +264,8 @@ class TestSweep:
 
     def test_deterministic_csv(self):
         config = ExperimentConfig(k=2, m=3, template_seed=21)
-        first = sweep_experiment(config, [5, 10]).to_csv()
-        second = sweep_experiment(config, [5, 10]).to_csv()
+        first = sweep_experiment(_cells(config, [5, 10])).to_csv()
+        second = sweep_experiment(_cells(config, [5, 10])).to_csv()
         assert first == second
 
 
@@ -365,6 +385,21 @@ class TestCli:
         assert main(["run", "--config", str(config), "--rounds", "3"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[-1].startswith("3,9,")
+
+    @pytest.mark.parametrize("stored,flags,rounds", [
+        # a file value that a flag replaces is never checked on its own
+        ({"rounds": 0}, ["--rounds", "5"], 5),
+        ({"m": 3, "schedule": "iid-weighted:0.5,0.5"}, ["--m", "2"], 10),
+    ])
+    def test_config_file_value_a_flag_replaces_is_not_checked(
+        self, stored, flags, rounds, tmp_path, capsys
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(stored))
+        assert main(["run", "--config", str(config), *flags]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert len(captured.out.splitlines()) == 1 + rounds
 
     def test_verify_subcommand(self, capsys):
         code = main(

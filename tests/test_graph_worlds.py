@@ -4,6 +4,8 @@ oracle, the closed-form bounds and the per-bet error facts."""
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,21 +59,33 @@ class RecordingSession(Session):
         return errors
 
 
+# MAX_K is the most rights that digraphs, and so blown_up_digraphs, draws
+MAX_COPIES, MAX_WITNESSES, MAX_K = 12, 3, 3
+
+
 @st.composite
 def witnessed_blowups(draw) -> LabeledDigraph:
-    """A blown-up digraph plus 0-3 witness vertices, each with random out
-    and in masks under every right, all under a random relabelling.
-    Revealed in id order, a late witness can split classes of earlier
-    copies, so one round can add several classes."""
-    base = draw(blown_up_digraphs())
+    """A blown-up digraph plus 0-3 witness vertices (1-3 when it has no
+    vertex), each with random out and in masks under every right, all under
+    a random relabelling.  Revealed in id order, a late witness can split
+    classes of earlier copies, so one round can add several classes.  Every
+    example makes the same draws whatever the base: the witness count from
+    a range that both counts divide, every mask of the largest graph, and a
+    permutation of its ids, of which the labels of absent ids are dropped."""
+    base = draw(blown_up_digraphs(max_n=MAX_COPIES))
     copies, k = base.vertex_count, base.k
-    n = copies + draw(st.integers(0 if copies else 1, 3))
+    fewest = 0 if copies else 1
+    counts = st.integers(0, math.lcm(MAX_WITNESSES, MAX_WITNESSES + 1) - 1)
+    n = copies + fewest + draw(counts) % (MAX_WITNESSES + 1 - fewest)
     g = LabeledDigraph(k, range(n), base.edges())
-    masks = st.integers(0, (1 << n) - 1)
-    for w in range(copies, n):
-        for a in range(k):
-            g.connect(w, a, draw(masks), draw(masks))
-    label = draw(st.permutations(range(n)))
+    largest, full = MAX_COPIES + MAX_WITNESSES, (1 << n) - 1
+    masks = st.integers(0, (1 << largest) - 1)
+    for w in range(copies, copies + MAX_WITNESSES):
+        for a in range(MAX_K):
+            out_mask, in_mask = draw(masks), draw(masks)
+            if w < n and a < k:
+                g.connect(w, a, out_mask & full, in_mask & full)
+    label = [v for v in draw(st.permutations(range(largest))) if v < n]
     return LabeledDigraph(k, range(n), [(label[u], a, label[v]) for u, a, v in g.edges()])
 
 

@@ -31,7 +31,7 @@ def test_dot_export_labels_edges_with_right_names():
     g = LabeledDigraph(2, range(2), [(0, 1, 1)])
     dot = digraph_to_dot(g)
     assert '"0" -> "1" [label="r1"];' in dot
-    assert dot.startswith("digraph G {") and dot.rstrip().endswith("}")
+    assert dot.startswith("digraph template {") and dot.rstrip().endswith("}")
 
 
 def test_policy_text_lists_summary_and_assignment():

@@ -14,12 +14,7 @@ PACKAGE = ROOT / "src" / "domainlearn"
 CALLER_DIRS = ("src", "bench", "scripts")
 
 # Public definitions allowed to have no production caller, with the reason.
-NO_CALLER_NEEDED = {
-    "teacher.py:TemplateInstances.domain_of": (
-        "the ground-truth backdoor that a per-round trace of a run with the "
-        "oracle on is to read (ROADMAP item 7)"
-    ),
-}
+NO_CALLER_NEEDED: dict[str, str] = {}
 
 
 def parse(path: Path) -> ast.Module:

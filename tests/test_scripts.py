@@ -48,10 +48,13 @@ def test_cost_curves(tmp_path):
     # this once played the n=10 cells, then ended in a traceback
     (["--rounds", "10,0"], "rounds must be >= 1"),
     (["--m", "0"], "m must be >= 1, got 0"),
+    # an --out that cannot be opened; this once played the whole sweep,
+    # then ended in a traceback (exit 1)
+    (["--out", "missing/x.csv"], "[Errno 2] No such file or directory: 'missing/x.csv'"),
 ])
 def test_cost_curves_rejects_an_invalid_cell_before_any_play(tmp_path, args, message):
     out = tmp_path / "cost_curves.csv"
-    result = run_script("cost_curves.py", *args, "--out", str(out), cwd=tmp_path)
+    result = run_script("cost_curves.py", "--out", str(out), *args, cwd=tmp_path)
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == f"error: {message}\n"
     assert not out.exists()

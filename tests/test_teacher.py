@@ -238,7 +238,7 @@ class TestEdgeRule:
             for a in range(k):
                 for v in world.vertices:
                     edge = template.graph.has_edge(
-                        instances.domain_of(u), a, instances.domain_of(v)
+                        instances.row_of[u], a, instances.row_of[v]
                     )
                     assert world.has_edge(u, a, v) == edge
                     assert teacher.connection(u, a, v) == edge
@@ -279,7 +279,7 @@ class TestRowView:
             if not data.draw(st.booleans(), label="peek"):
                 continue
             world = teacher.peek_ground_truth()
-            domains = [instances.domain_of(v) for v in range(n)]
+            domains = [instances.row_of[v] for v in range(n)]
             expected = LabeledDigraph(
                 k,
                 range(n),
@@ -316,7 +316,7 @@ class TestDeterminism:
             log = []
             for _ in range(20):
                 v = teacher.next_vertex()
-                log.append((v, instances.domain_of(v)))
+                log.append((v, instances.row_of[v]))
             for u in range(20):
                 for a in range(2):
                     log.append(teacher.connection(u, a, (u * 3 + a) % 20))
@@ -351,7 +351,7 @@ class TestClassStructure:
         assert len(partition) == 3
         by_domain = {}
         for v in teacher.peek_ground_truth().vertices:
-            by_domain.setdefault(instances.domain_of(v), []).append(v)
+            by_domain.setdefault(instances.row_of[v], []).append(v)
         assert sorted(partition) == sorted(by_domain.values())
 
     def test_partial_coverage_classes_are_domain_unions(self):
@@ -363,8 +363,8 @@ class TestClassStructure:
         partition = equivalence_partition(teacher.peek_ground_truth())
         assert len(partition) <= 4
         for cls in partition:
-            domains = {instances.domain_of(v) for v in cls}
+            domains = {instances.row_of[v] for v in cls}
             # every instance of a mentioned domain is inside the class
             for v in teacher.peek_ground_truth().vertices:
-                if instances.domain_of(v) in domains:
+                if instances.row_of[v] in domains:
                     assert v in cls
