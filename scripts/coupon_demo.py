@@ -3,29 +3,25 @@
 
 After the classify-and-repair strategy has seen one entity from every
 protection domain, learning is error-free, so the expected number of rounds
-until full coverage bounds the error-accumulating phase.  This script runs
-the Monte Carlo simulation against the exact inclusion-exclusion expectation
-for a uniform and a skewed revelation schedule.
+until full coverage bounds the error-accumulating phase.  For a uniform and
+a skewed schedule, the script prints a label line, then plays one
+``domainlearn coupon`` through ``cli.main``: the Monte Carlo mean against
+the exact inclusion-exclusion expectation.  It ends as the CLI does.
 
-Usage: python3 scripts/coupon_demo.py [--trials 20000]
+Usage: python3 scripts/coupon_demo.py [--trials 20000] [--seed 7]
 """
 
 from __future__ import annotations
 
 import argparse
 
-from domainlearn.experiments import ExperimentConfig, coupon_experiment
+from domainlearn.cli import main as domainlearn
 
-
-def show(label: str, config: ExperimentConfig) -> None:
-    summary = coupon_experiment(config)
-    print(f"{label} (m={summary.m}, {summary.trials} trials)")
-    print(f"  empirical mean: {summary.empirical_mean:.4f}")
-    print(f"  exact mean:     {summary.exact_mean:.4f}")
-    if summary.uniform_closed_form is not None:
-        print(f"  m*H_m:          {summary.uniform_closed_form:.4f}")
-    gap = abs(summary.empirical_mean - summary.exact_mean) / summary.exact_mean
-    print(f"  relative gap:   {gap * 100:.2f}%\n")
+# label, m, schedule spec and the offset of its seed from --seed
+SCHEDULES = (
+    ("uniform domains", 5, "iid-uniform", 0),
+    ("skewed domains (0.5, 0.3, 0.2)", 3, "iid-weighted:0.5,0.3,0.2", 1),
+)
 
 
 def main() -> int:
@@ -34,17 +30,13 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
-    show(
-        "uniform domains",
-        ExperimentConfig(m=5, trials=args.trials, schedule="iid-uniform",
-                         template_seed=args.seed),
-    )
-    show(
-        "skewed domains (0.5, 0.3, 0.2)",
-        ExperimentConfig(m=3, trials=args.trials,
-                         schedule="iid-weighted:0.5,0.3,0.2",
-                         template_seed=args.seed + 1),
-    )
+    for label, m, schedule, offset in SCHEDULES:
+        print(f"{label} (m={m}, {args.trials} trials)")
+        status = domainlearn(["coupon", f"--m={m}", f"--trials={args.trials}",
+                              f"--schedule={schedule}", f"--seed={args.seed + offset}"])
+        if status:
+            return status
+        print()
     return 0
 
 

@@ -110,8 +110,9 @@ def _output(out: str | None) -> Iterator[TextIO]:
     Commands enter it after their own checks of the configuration and
     before doing any work.  ``out`` is opened for appending, so an
     unwritable path fails at once but nothing is truncated; only when the
-    command returns is the file truncated and the buffer written.  A command that fails leaves an
-    earlier file as it was, and an absent one empty."""
+    command returns is the file truncated and the buffer written.  A
+    command that fails leaves an earlier file as it was, and an absent one
+    empty."""
     if not out:
         yield sys.stdout
         return

@@ -18,6 +18,7 @@ import io
 import itertools
 import json
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 from .digraph import LabeledDigraph
@@ -93,7 +94,12 @@ class ExperimentConfig:
                 "use a larger every=<j> or fewer rounds"
             )
         check_template_parameters(self.m, self.k, self.edge_density)
-        parse_schedule(self.schedule, self.m)
+        self.revelation  # parses the schedule spec and keeps it
+
+    @cached_property
+    def revelation(self) -> RevelationSchedule:
+        """The parsed ``schedule``; parsed once, when the config is made."""
+        return parse_schedule(self.schedule, self.m)
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "ExperimentConfig":
@@ -204,7 +210,7 @@ class RunReport:
 
 def build_session(config: ExperimentConfig) -> tuple[Session, SyntheticTeacher]:
     template = generate_template(config.template_seed, config.m, config.k, config.edge_density)
-    schedule = parse_schedule(config.schedule, config.m)
+    schedule = config.revelation
     seed = derive_seed(config.template_seed, _DRAW_STREAM)
     teacher = SyntheticTeacher(TemplateInstances(template, schedule, seed))
     return Session(teacher), teacher
@@ -406,7 +412,7 @@ def coupon_schedule(config: ExperimentConfig) -> tuple[RevelationSchedule, float
     coverage; ``ValueError`` unless its schedule is IID, its domains few
     enough for the exact expectation and that expectation at most
     ``MAX_EXPECTED_DRAWS``, so every trial ends."""
-    schedule = parse_schedule(config.schedule, config.m)
+    schedule = config.revelation
     if not isinstance(schedule, (IidUniform, IidWeighted)):
         raise ValueError("coupon requires an IID schedule")
     exact = exact_coverage_expectation(schedule.probs)
@@ -420,13 +426,11 @@ def coupon_schedule(config: ExperimentConfig) -> tuple[RevelationSchedule, float
 
 
 def coupon_experiment(
-    config: ExperimentConfig,
-    planned: tuple[RevelationSchedule, float] | None = None,
+    config: ExperimentConfig, planned: tuple[RevelationSchedule, float]
 ) -> CouponSummary:
-    """Monte Carlo draws-until-coverage versus the exact expectation.
-    ``planned`` is ``coupon_schedule(config)`` when the caller has already
-    checked the config with it; otherwise it is computed here."""
-    schedule, exact = planned or coupon_schedule(config)
+    """Monte Carlo draws-until-coverage versus the exact expectation;
+    ``planned`` is ``coupon_schedule(config)``."""
+    schedule, exact = planned
     m = config.m
     total_draws = 0
     for trial in range(config.trials):

@@ -18,6 +18,7 @@ from domainlearn.digraph import LabeledDigraph, equivalence_partition, is_irredu
 from domainlearn.experiments import (
     ExperimentConfig,
     coupon_experiment,
+    coupon_schedule,
     run_experiment,
     sweep_experiment,
     verify_experiment,
@@ -296,10 +297,9 @@ def test_criterion_6_zero_error_steady_state(corpus):
 
 def test_criterion_7_coupon_collector():
     failures = []
-    uniform = coupon_experiment(
-        ExperimentConfig(m=5, k=1, trials=20_000, schedule="iid-uniform",
-                         template_seed=7)
-    )
+    config = ExperimentConfig(m=5, k=1, trials=20_000, schedule="iid-uniform",
+                              template_seed=7)
+    uniform = coupon_experiment(config, coupon_schedule(config))
     closed_form = 5 * (1 + 1 / 2 + 1 / 3 + 1 / 4 + 1 / 5)
     assert uniform.uniform_closed_form == pytest.approx(closed_form)
     assert uniform.exact_mean == pytest.approx(closed_form)
@@ -308,10 +308,9 @@ def test_criterion_7_coupon_collector():
             f"uniform empirical {uniform.empirical_mean:.4f} vs {closed_form:.4f}"
         )
 
-    weighted = coupon_experiment(
-        ExperimentConfig(m=3, k=1, trials=20_000,
-                         schedule="iid-weighted:0.5,0.3,0.2", template_seed=8)
-    )
+    config = ExperimentConfig(m=3, k=1, trials=20_000,
+                              schedule="iid-weighted:0.5,0.3,0.2", template_seed=8)
+    weighted = coupon_experiment(config, coupon_schedule(config))
     if abs(weighted.empirical_mean - weighted.exact_mean) / weighted.exact_mean >= 0.03:
         failures.append(
             f"weighted empirical {weighted.empirical_mean:.4f} "

@@ -17,7 +17,9 @@ from domainlearn.experiments import (
     ExperimentConfig,
     RoundRow,
     _bound_violations,
+    build_session,
     coupon_experiment,
+    coupon_schedule,
     exact_coverage_expectation,
     harmonic_number,
     parse_oracle_checks,
@@ -64,6 +66,18 @@ class TestConfig:
     def test_replace_checks_the_new_config(self):
         with pytest.raises(ValueError, match="^rounds must be >= 1$"):
             replace(ExperimentConfig(), rounds=0)
+
+    def test_the_schedule_spec_is_parsed_once_per_config(self, monkeypatch):
+        config = ExperimentConfig(m=3, schedule="iid-uniform")
+
+        def parse_again(*args):
+            raise AssertionError("the schedule spec was parsed again")
+
+        monkeypatch.setattr(experiments, "parse_schedule", parse_again)
+        _, teacher = build_session(config)
+        assert teacher.next_vertex() == 0
+        schedule, _ = coupon_schedule(config)
+        assert schedule is config.revelation
 
     def test_a_field_of_the_wrong_type_is_named(self):
         # the message a JSON config file gets (test_config_field_of_the_wrong_type_exits_2)
@@ -282,7 +296,7 @@ class TestCoupon:
 
     def test_single_domain_no_variance(self):
         config = ExperimentConfig(m=1, k=1, trials=50, schedule="iid-uniform")
-        summary = coupon_experiment(config)
+        summary = coupon_experiment(config, coupon_schedule(config))
         assert summary.empirical_mean == 1.0
         assert summary.exact_mean == pytest.approx(1.0)
 
@@ -295,14 +309,14 @@ class TestCoupon:
             m=3, k=1, trials=4000, schedule="iid-weighted:0.5,0.3,0.2",
             template_seed=2,
         )
-        summary = coupon_experiment(config)
+        summary = coupon_experiment(config, coupon_schedule(config))
         assert summary.uniform_closed_form is None
         assert abs(summary.empirical_mean - summary.exact_mean) / summary.exact_mean < 0.05
 
     def test_requires_iid_schedule(self):
         config = ExperimentConfig(m=2, schedule="scripted:0,1")
         with pytest.raises(ValueError, match="IID"):
-            coupon_experiment(config)
+            coupon_experiment(config, coupon_schedule(config))
 
     def test_too_many_classes_rejected_before_any_trial(self, monkeypatch):
         def no_trials(*args):
@@ -312,7 +326,7 @@ class TestCoupon:
         monkeypatch.setattr(experiments, "SplitMix64", no_trials)
         config = ExperimentConfig(m=21, trials=20_000, schedule="iid-uniform")
         with pytest.raises(ValueError, match="20 classes"):
-            coupon_experiment(config)
+            coupon_experiment(config, coupon_schedule(config))
 
     @pytest.mark.parametrize("m,schedule", [
         (2, "iid-weighted:1e-300,1"),
@@ -326,7 +340,7 @@ class TestCoupon:
         monkeypatch.setattr(experiments, "SplitMix64", no_trials)
         config = ExperimentConfig(m=m, trials=1, schedule=schedule)
         with pytest.raises(ValueError, match="not at most 1000000"):
-            coupon_experiment(config)
+            coupon_experiment(config, coupon_schedule(config))
 
 
 def _must_not_run(*args, **kwargs):

@@ -91,3 +91,23 @@ def test_names_are_imported_from_their_modules():
         for alias in node.names
     ]
     assert [entry for entry in top_level_imports if entry[1] not in submodules] == []
+
+
+def imported_modules(tree: ast.Module):
+    """Every module an ``import`` or ``from ... import`` names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+
+
+def test_scripts_import_the_package_only_through_the_cli():
+    # a script that plays through cli.main cannot grow its own play path
+    imports = [
+        (path.name, module)
+        for path in sorted((ROOT / "scripts").glob("*.py"))
+        for module in imported_modules(parse(path))
+        if module.split(".")[0] == "domainlearn"
+    ]
+    assert [entry for entry in imports if entry[1] != "domainlearn.cli"] == []

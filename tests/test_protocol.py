@@ -202,6 +202,26 @@ class TestSessionIsTheGate:
         assert teacher.calls == ["connection", "hypothesis_test"]
 
 
+class RepeatingTeacher(RecordingTeacher):
+    """Answers every next-vertex query with vertex 0, so its second reveal
+    repeats a vertex while its world reveals a new one."""
+
+    def next_vertex(self) -> int:
+        super().next_vertex()
+        return 0
+
+
+def test_a_repeated_vertex_is_rejected_before_the_ledger_counts_it():
+    instances = TemplateInstances(edge_world(), Scripted((0, 1), 2), draw_seed=5)
+    session = Session(RepeatingTeacher(SyntheticTeacher(instances)))
+    u = session.next_vertex()
+    assert not session.hypothesis_test(*clean_hypothesis_for(u))
+    before = ledger_counters(session)
+    with pytest.raises(ProtocolViolation, match="^teacher repeated vertex 0$"):
+        session.next_vertex()
+    assert ledger_counters(session) == before
+
+
 class TestLedger:
     def test_connection_answers_and_counts(self):
         session = make_session(script=(0, 1))

@@ -1,12 +1,14 @@
-"""Smoke tests of the experiment scripts in ``scripts/``: each runs in its
-own interpreter with small arguments, so a renamed import or field in
-``domainlearn.experiments`` fails here instead of silently."""
+"""Smoke tests of the experiment scripts in ``scripts/``: each runs with
+small arguments, in its own interpreter or in-process through ``runpy``.
+``cost_curves.py`` and ``coupon_demo.py`` play through ``cli.main``, so a
+renamed CLI flag fails here instead of silently."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
 import os
+import runpy
 import signal
 import subprocess
 import sys
@@ -15,7 +17,11 @@ from pathlib import Path
 
 import pytest
 
+from domainlearn import experiments
 from domainlearn.experiments import CSV_HEADER
+from domainlearn.learners import LearnerInternalError
+
+from .test_experiments import ReducibleAfterFirstRound
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,11 +66,64 @@ def test_cost_curves_rejects_an_invalid_cell_before_any_play(tmp_path, args, mes
     assert not out.exists()
 
 
+def run_cost_curves_in_process(monkeypatch, out: Path, make_learner) -> int:
+    """Run cost_curves.py as ``__main__`` with ``make_learner`` patched in
+    for every learner; returns its exit status."""
+    monkeypatch.setattr(experiments, "make_learner", make_learner)
+    script = str(ROOT / "scripts" / "cost_curves.py")
+    monkeypatch.setattr(sys, "argv", [script, "--rounds", "5", "--out", str(out)])
+    with pytest.raises(SystemExit) as ended:
+        runpy.run_path(script, run_name="__main__")
+    return ended.value.code
+
+
+def test_cost_curves_reports_violations_on_stderr(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "cost_curves.csv"
+    status = run_cost_curves_in_process(
+        monkeypatch, out, lambda kind, session: ReducibleAfterFirstRound(session)
+    )
+    captured = capsys.readouterr()
+    assert status == 1
+    # both learners stop after round 1, so the table reads the n=1 rows:
+    # k=2 connection queries each
+    assert captured.out.splitlines()[0] == f"wrote {out}"
+    assert captured.out.splitlines()[-1].split() == ["1", "2", "2", "1.0"]
+    assert "violation" not in captured.out
+    assert captured.err.splitlines() == [
+        f"violation: n=5 {kind}: round 2: monitor violation: submitted summary is reducible"
+        for kind in ("tireless", "conservative")
+    ]
+
+
+class InternalErrorLearner:
+    def __init__(self, session):
+        pass
+
+    def run_round(self):
+        raise LearnerInternalError("a state the learner rules out")
+
+
+def test_cost_curves_internal_error_exits_3(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "cost_curves.csv"
+    status = run_cost_curves_in_process(
+        monkeypatch, out, lambda kind, session: InternalErrorLearner(session)
+    )
+    captured = capsys.readouterr()
+    assert (status, captured.out) == (3, "")
+    assert captured.err == "internal error: a state the learner rules out\n"
+
+
 def test_coupon_demo(tmp_path):
     result = run_script("coupon_demo.py", "--trials", "50", cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert "uniform domains (m=5, 50 trials)" in result.stdout
     assert "skewed domains (0.5, 0.3, 0.2) (m=3, 50 trials)" in result.stdout
+
+
+def test_coupon_demo_rejects_zero_trials(tmp_path):
+    # this once ended in a ValueError traceback (exit 1)
+    result = run_script("coupon_demo.py", "--trials", "0", cwd=tmp_path)
+    assert (result.returncode, result.stderr) == (2, "error: trials must be >= 1\n")
 
 
 def test_scaling(tmp_path):
