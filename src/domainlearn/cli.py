@@ -9,28 +9,31 @@ Subcommands::
     dump    write a template, learned policy, or decision tree as text/DOT
 
 All subcommands accept ``--config <path>`` (a JSON file with the same field
-names as the flags); flags override the file.  Exit status is 1 when a
-bound is violated, a monitor violation occurs, or a verify check fails or
-no round was checked, and 2, after one ``error: ...`` line, when the
-configuration is invalid (a verify interval past its rounds included) or a
-file cannot be read or written.  A configuration is checked when it is
-made from the file and flags together; the command's own checks follow,
-then ``--out`` is opened, all before any round is played, so neither
-error wastes a run.  Exit status 3, after one ``internal error: ...``
-line, means the learner saw a state its algorithm rules out with a
-truthful teacher (``LearnerInternalError``).  ``--out`` is written only
-when the command completes, so an invalid configuration, a template that
-cannot be generated or an internal error leaves an earlier file
-untouched.  A schedule that runs out before ``--rounds`` ends the play
-with no failure; ``run`` and ``verify`` then print one ``stopped: schedule
-exhausted after N of R rounds`` line on stderr, while ``sweep`` and
-``dump`` stay silent.
+names as the flags); flags override the file.  A configuration is checked
+when it is made from the file and flags together; the command's own checks
+follow, then ``--out`` is opened, all before any round is played, so no
+error wastes a run.  Exit status 2, after one ``error: ...`` line, means
+the configuration is invalid (a verify interval past its rounds included),
+a template cannot be generated or a file cannot be read or written; 3,
+after one ``internal error: ...`` line, means the learner saw a state its
+algorithm rules out with a truthful teacher (``LearnerInternalError``).
+
+Every play command (``run``, ``verify``, ``sweep``, ``dump --what
+policy|tree``) ends the same way: one ``violation: ...`` line on stderr per
+bound or monitor violation (and for a verify that checked no round), then,
+if the schedule ran out before ``--rounds``, one ``stopped: schedule
+exhausted after N of R rounds`` line, which is no failure.  Exit status 1
+means a violation or a failed verify check, else 0.  A dump with a
+violation renders nothing.  ``--out`` receives the command's output when
+the command completes with some; one that fails or writes nothing leaves an
+earlier file as it was and removes a file that its own open created.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
@@ -39,7 +42,8 @@ from typing import Iterator, TextIO
 from .experiments import (
     CouponSummary,
     ExperimentConfig,
-    _play,
+    Outcome,
+    VerifyReport,
     coupon_experiment,
     coupon_schedule,
     run_experiment,
@@ -51,6 +55,7 @@ from .graphio import digraph_to_dot, policy_to_dot, policy_to_text
 from .learners import (
     LEARNER_KINDS,
     TREE_LEARNER_KINDS,
+    Learner,
     LearnerInternalError,
     tree_to_dot,
     tree_to_text,
@@ -109,45 +114,47 @@ def _output(out: str | None) -> Iterator[TextIO]:
     """The stream a command writes to: stdout, or a buffer for ``out``.
     Commands enter it after their own checks of the configuration and
     before doing any work.  ``out`` is opened for appending, so an
-    unwritable path fails at once but nothing is truncated; only when the
-    command returns is the file truncated and the buffer written.  A
-    command that fails leaves an earlier file as it was, and an absent one
-    empty."""
+    unwritable path fails at once but nothing is truncated.  The file
+    receives the buffer only when the command returns having written some;
+    otherwise an earlier file is left as it was and one the open created
+    is removed."""
     if not out:
         yield sys.stdout
         return
+    created = not os.path.exists(out)
     with open(out, "a", newline="") as handle:
-        buffer = io.StringIO()
-        yield buffer
-        handle.truncate(0)
-        handle.write(buffer.getvalue())
+        buffer, text = io.StringIO(), ""
+        try:
+            yield buffer
+            text = buffer.getvalue()
+        finally:
+            if text:
+                handle.truncate(0)
+                handle.write(text)
+            elif created:
+                os.remove(out)
 
 
-def _note_exhausted(report, config: ExperimentConfig) -> None:
-    """Say on stderr that a run or verify stopped early because its
-    schedule ran out; that is no failure, so the exit status stays."""
-    if report.exhausted_after is not None:
+def _end(outcome: Outcome, rounds: int) -> int:
+    """End a play command on stderr: one line per violation, then one if
+    the schedule ran out before ``rounds``, which is no failure.  Returns
+    the exit status."""
+    for violation in outcome.violations:
+        print(f"violation: {violation}", file=sys.stderr)
+    if outcome.exhausted_after is not None:
         print(
-            f"stopped: schedule exhausted after {report.exhausted_after} "
-            f"of {config.rounds} rounds",
+            f"stopped: schedule exhausted after {outcome.exhausted_after} of {rounds} rounds",
             file=sys.stderr,
         )
-
-
-def _emit_report(report, stream: TextIO) -> int:
-    """Write a run or sweep CSV, print its violations, return its exit code."""
-    stream.write(report.to_csv())
-    for violation in report.violations:
-        print(f"violation: {violation}", file=sys.stderr)
-    return report.exit_code
+    return outcome.exit_code
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     with _output(config.out) as stream:
         report = run_experiment(config)
-        _note_exhausted(report, config)
-        return _emit_report(report, stream)
+        stream.write(report.to_csv())
+    return _end(report, config.rounds)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -158,19 +165,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     with _output(config.out) as stream:
         report = verify_experiment(config)
         stream.write(_verify_text(report))
-    _note_exhausted(report, config)
-    return report.exit_code
+    return _end(report, config.rounds)
 
 
-def _verify_text(report) -> str:
+def _verify_text(report: VerifyReport) -> str:
     lines = []
     for verdict in report.rounds:
         status = "ok" if verdict.passed else "FAIL"
         lines.append(f"round {verdict.round_no}: {status}")
         for failure in verdict.failures:
             lines.append(f"  {failure}")
-    for violation in report.violations:
-        lines.append(f"violation: {violation}")
     lines.append("verify: " + ("all checks passed" if report.all_passed else "FAILED"))
     return "\n".join(lines) + "\n"
 
@@ -180,7 +184,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     round_counts = [config.rounds] if args.rounds is None else _round_list(args)
     cells = [replace(config, rounds=n) for n in round_counts]
     with _output(config.out) as stream:
-        return _emit_report(sweep_experiment(cells), stream)
+        report = sweep_experiment(cells)
+        stream.write(report.to_csv())
+    return _end(report, max(round_counts))
 
 
 def _cmd_coupon(args: argparse.Namespace) -> int:
@@ -209,39 +215,28 @@ def _cmd_dump(args: argparse.Namespace) -> int:
     if args.what == "tree" and config.learner not in TREE_LEARNER_KINDS:
         raise ValueError(f"the {config.learner} learner has no decision tree")
     with _output(config.out) as stream:
-        return _dump(args, config, stream)
+        if args.what == "template":
+            template = generate_template(
+                config.template_seed, config.m, config.k, config.edge_density
+            )
+            if args.format == "text":
+                stream.write(template_to_text(template))
+            else:
+                stream.write(digraph_to_dot(template.graph))
+            return 0
+        # policy and tree dumps render the learner of a run without violations
+        report = run_experiment(config)
+        if not report.violations:
+            stream.write(_render(args, report.learner))
+    return _end(report, config.rounds)
 
 
-def _dump(args: argparse.Namespace, config: ExperimentConfig, stream: TextIO) -> int:
-    if args.what == "template":
-        template = generate_template(
-            config.template_seed, config.m, config.k, config.edge_density
-        )
-        if args.format == "text":
-            stream.write(template_to_text(template))
-        else:
-            stream.write(digraph_to_dot(template.graph))
-        return 0
-
-    # policy and tree dumps require running the configured learner first
-    learner = None
-
-    def keep(_round_no, _session, _teacher, played) -> None:
-        nonlocal learner
-        learner = played
-
-    violations, _ = _play(config, keep)
-    for violation in violations:
-        print(f"violation: {violation}", file=sys.stderr)
-    if violations:
-        return 1
+def _render(args: argparse.Namespace, learner: Learner) -> str:
     if args.what == "policy":
         render = policy_to_text if args.format == "text" else policy_to_dot
-        stream.write(render(learner.summary, learner.assignment))
-        return 0
+        return render(learner.summary, learner.assignment)
     render = tree_to_text if args.format == "text" else tree_to_dot
-    stream.write(render(learner.tree))
-    return 0
+    return render(learner.tree)
 
 
 def build_parser() -> argparse.ArgumentParser:

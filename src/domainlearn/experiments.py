@@ -22,7 +22,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .digraph import LabeledDigraph
-from .learners import LEARNER_KINDS, make_learner
+from .learners import LEARNER_KINDS, Learner, make_learner
 from .oracle import (
     ISOMORPHISM_VERTEX_LIMIT,
     ORACLE_VERTEX_LIMIT,
@@ -190,15 +190,23 @@ def _bound_violations(learner_kind: str, rows: list[RoundRow]) -> list[str]:
 
 
 @dataclass
-class RunReport:
-    rows: list[RoundRow]
+class Outcome:
+    """How a play ended: its violation lines, and the rounds played when
+    the schedule ran out first (else None).  Running out is no failure."""
+
     violations: list[str] = field(default_factory=list)
-    # rounds played when the schedule ran out first, else None
     exhausted_after: int | None = None
 
     @property
     def exit_code(self) -> int:
         return 1 if self.violations else 0
+
+
+@dataclass
+class RunReport(Outcome):
+    rows: list[RoundRow] = field(default_factory=list)
+    # the learner after its last completed round, None before the first
+    learner: Learner | None = None
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -216,41 +224,42 @@ def build_session(config: ExperimentConfig) -> tuple[Session, SyntheticTeacher]:
     return Session(teacher), teacher
 
 
-def _play(config: ExperimentConfig, on_round) -> tuple[list[str], int | None]:
+def _play(config: ExperimentConfig, on_round) -> Outcome:
     """Play one monitored session of ``config``, calling
     ``on_round(round_no, session, teacher, learner)`` after each completed
     round.  The play stops after ``config.rounds`` rounds, when the schedule
-    is exhausted, or at a monitor violation.  Returns the run's violation
-    lines (a monitor violation's single line, else none) and the rounds
-    played when the schedule ran out first (else None).  The config is
-    valid, so only template generation can fail before round 1."""
+    is exhausted, or at a monitor violation, whose single line is the
+    outcome's only violation.  The config is valid, so only template
+    generation can fail before round 1."""
     session, teacher = build_session(config)
     learner = make_learner(config.learner, session)
     for round_no in range(1, config.rounds + 1):
         try:
             learner.run_round()
         except TeacherExhausted:
-            return [], round_no - 1
+            return Outcome(exhausted_after=round_no - 1)
         except ProtocolViolation as exc:
-            return [f"round {round_no}: monitor violation: {exc}"], None
+            return Outcome([f"round {round_no}: monitor violation: {exc}"])
         on_round(round_no, session, teacher, learner)
-    return [], None
+    return Outcome()
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
     step = parse_oracle_checks(config.oracle_checks)
-    rows: list[RoundRow] = []
+    report = RunReport()
 
     def record(round_no, session, teacher, learner) -> None:
         if step and round_no % step == 0:
             observed_m = len(oracle_partition(teacher.peek_ground_truth()))
         else:
             observed_m = learner.summary.vertex_count
-        rows.append(bound_row(config.k, session.ledger.per_round[-1], observed_m))
+        report.rows.append(bound_row(config.k, session.ledger.per_round[-1], observed_m))
+        report.learner = learner
 
-    violations, exhausted_after = _play(config, record)
-    violations.extend(_bound_violations(config.learner, rows))
-    return RunReport(rows=rows, violations=violations, exhausted_after=exhausted_after)
+    outcome = _play(config, record)
+    report.violations = outcome.violations + _bound_violations(config.learner, report.rows)
+    report.exhausted_after = outcome.exhausted_after
+    return report
 
 
 # -- verify mode --------------------------------------------------------------
@@ -264,11 +273,8 @@ class RoundVerdict:
 
 
 @dataclass
-class VerifyReport:
-    rounds: list[RoundVerdict]  # the checked rounds only
-    violations: list[str] = field(default_factory=list)
-    # rounds played when the schedule ran out first, else None
-    exhausted_after: int | None = None
+class VerifyReport(Outcome):
+    rounds: list[RoundVerdict] = field(default_factory=list)  # the checked rounds only
 
     @property
     def all_passed(self) -> bool:
@@ -276,6 +282,7 @@ class VerifyReport:
 
     @property
     def exit_code(self) -> int:
+        # a failed check is no violation line
         return 0 if self.all_passed else 1
 
 
@@ -321,23 +328,18 @@ def verify_experiment(config: ExperimentConfig) -> VerifyReport:
                 RoundVerdict(round_no, passed=not failures, failures=tuple(failures))
             )
 
-    violations, exhausted_after = _play(config, check)
+    outcome = _play(config, check)
     if not rounds:
-        violations.append("no round was checked")
-    return VerifyReport(rounds=rounds, violations=violations, exhausted_after=exhausted_after)
+        outcome.violations.append("no round was checked")
+    return VerifyReport(rounds=rounds, **vars(outcome))
 
 
 # -- sweep --------------------------------------------------------------------
 
 
 @dataclass
-class SweepReport:
-    rows: list[tuple[str, RoundRow]]
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def exit_code(self) -> int:
-        return 1 if self.violations else 0
+class SweepReport(Outcome):
+    rows: list[tuple[str, RoundRow]] = field(default_factory=list)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -350,18 +352,20 @@ class SweepReport:
 def sweep_experiment(cells: list[ExperimentConfig]) -> SweepReport:
     """Run both learners on each cell, the configs of the round counts,
     made before any is played; one final row per (cell, learner), cells in
-    the given order."""
-    rows: list[tuple[str, RoundRow]] = []
-    violations: list[str] = []
+    the given order.  Every learner is revealed the same vertices, so every
+    cell whose schedule runs out stops after the same round."""
+    sweep = SweepReport()
     for cell in cells:
         for learner_kind in LEARNER_KINDS:
             report = run_experiment(replace(cell, learner=learner_kind))
             if report.rows:
-                rows.append((learner_kind, report.rows[-1]))
-            violations.extend(
+                sweep.rows.append((learner_kind, report.rows[-1]))
+            sweep.violations.extend(
                 f"n={cell.rounds} {learner_kind}: {v}" for v in report.violations
             )
-    return SweepReport(rows=rows, violations=violations)
+            if report.exhausted_after is not None:
+                sweep.exhausted_after = report.exhausted_after
+    return sweep
 
 
 # -- coupon-collector experiment -----------------------------------------------

@@ -241,6 +241,23 @@ class TestMonitorViolation:
         assert captured.out == ""
         assert captured.err == f"violation: {self.VIOLATION}\n"
 
+    def test_dump_leaves_out_untouched(self, tmp_path, capsys):
+        # the dump renders nothing, so an earlier file is no output of it
+        kept, absent = tmp_path / "kept.txt", tmp_path / "absent.txt"
+        kept.write_text("earlier output\n")
+        for out in (kept, absent):
+            argv = ["dump", "--what", "policy", "--k", "1", "--m", "2", "--rounds", "5"]
+            assert main([*argv, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"violation: {self.VIOLATION}\n"
+        assert kept.read_text() == "earlier output\n"
+        assert not absent.exists()
+
+    def test_run_still_writes_its_csv_to_out(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        assert main(["run", "--k", "1", "--m", "2", "--rounds", "5", "--out", str(out)]) == 1
+        assert out.read_text().splitlines() == [CSV_HEADER, "1,1,1,0,1,1,1,0"]
+        assert capsys.readouterr().err == f"violation: {self.VIOLATION}\n"
+
 
 def _cells(config: ExperimentConfig, round_counts: list[int]) -> list[ExperimentConfig]:
     return [replace(config, rounds=n) for n in round_counts]
@@ -351,7 +368,8 @@ def _violate(*args, **kwargs):
     raise ProtocolViolation("injected")
 
 
-# each command that writes --out, and the experiment function it plays
+# each command that writes --out, and the experiment function it plays: a
+# name in cli, or experiments' _play, which dump reaches through run_experiment
 _EXPERIMENT_OF_COMMAND = [
     (["run"], "run_experiment"),
     (["sweep"], "sweep_experiment"),
@@ -359,6 +377,11 @@ _EXPERIMENT_OF_COMMAND = [
     (["coupon"], "coupon_experiment"),
     (["dump", "--what", "policy"], "_play"),
 ]
+
+
+def _refuse(monkeypatch, experiment: str) -> None:
+    """Make the experiment function named in ``_EXPERIMENT_OF_COMMAND`` raise."""
+    monkeypatch.setattr(experiments if experiment == "_play" else cli, experiment, _must_not_run)
 
 
 class TestCli:
@@ -476,7 +499,7 @@ class TestCli:
 
     def test_dump_tree_requires_conservative(self, monkeypatch, capsys):
         # a usage error: rejected before any round is played
-        monkeypatch.setattr(cli, "_play", _must_not_run)
+        monkeypatch.setattr(cli, "run_experiment", _must_not_run)
         code = main(["dump", "--what", "tree", "--learner", "tireless",
                      "--k", "1", "--m", "2", "--seed", "5", "--rounds", "3"])
         assert code == 2
@@ -539,7 +562,7 @@ class TestCli:
     def test_unwritable_out_fails_before_any_round(
         self, command, experiment, monkeypatch, tmp_path, capsys
     ):
-        monkeypatch.setattr(cli, experiment, _must_not_run)
+        _refuse(monkeypatch, experiment)
         out = tmp_path / "missing" / "x.csv"
         assert main([*command, "--rounds", "3", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
@@ -574,7 +597,7 @@ class TestCli:
     def test_invalid_config_leaves_out_untouched(
         self, command, experiment, invalid, monkeypatch, tmp_path, capsys
     ):
-        monkeypatch.setattr(cli, experiment, _must_not_run)
+        _refuse(monkeypatch, experiment)
         kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
         kept.write_text("earlier output\n")
         for out in (kept, absent):
@@ -616,7 +639,12 @@ class TestCli:
         argv = ["verify", "--k", "1", "--m", "2", "--schedule", "novel-last:3",
                 "--oracle", "every=10", "--rounds", "20"]
         assert main(argv) == 1
-        assert capsys.readouterr().out == "violation: no round was checked\nverify: FAILED\n"
+        captured = capsys.readouterr()
+        assert captured.out == "verify: FAILED\n"
+        assert captured.err == (
+            "violation: no round was checked\n"
+            "stopped: schedule exhausted after 4 of 20 rounds\n"
+        )
 
     @pytest.mark.parametrize("command", ["run", "verify", "dump"])
     def test_round_list_only_for_sweep(self, command, capsys):
@@ -630,12 +658,15 @@ class TestCli:
         assert "indistinguishable" in capsys.readouterr().err
 
     def test_template_generation_failure_exits_2(self, tmp_path, capsys):
-        kept = tmp_path / "kept.csv"
+        # an absent --out was once left behind as an empty file
+        kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
         kept.write_text("earlier output\n")
-        args = ["run", "--k", "1", "--m", "2", "--density", "1e-9", "--out", str(kept)]
-        assert main(args) == 2
-        assert capsys.readouterr().err.startswith("error: no irreducible template")
+        for out in (kept, absent):
+            args = ["run", "--k", "1", "--m", "2", "--density", "1e-9", "--out", str(out)]
+            assert main(args) == 2
+            assert capsys.readouterr().err.startswith("error: no irreducible template")
         assert kept.read_text() == "earlier output\n"
+        assert not absent.exists()
 
     @pytest.mark.parametrize("command", ["run", "verify"])
     def test_learner_internal_error_exits_3(self, command, monkeypatch, tmp_path, capsys):
@@ -644,14 +675,16 @@ class TestCli:
         monkeypatch.setattr(
             SyntheticTeacher, "hypothesis_test", lambda *_: frozenset({(0, 0, 0)})
         )
-        kept = tmp_path / "kept.csv"
+        kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
         kept.write_text("earlier output\n")
-        args = [command, "--learner", "conservative", "--rounds", "3", "--out", str(kept)]
-        assert main(args) == 3
-        err = capsys.readouterr().err
-        assert err == "internal error: initial single-vertex hypothesis returned errors\n"
-        assert "Traceback" not in err
+        for out in (kept, absent):
+            args = [command, "--learner", "conservative", "--rounds", "3", "--out", str(out)]
+            assert main(args) == 3
+            err = capsys.readouterr().err
+            assert err == "internal error: initial single-vertex hypothesis returned errors\n"
+            assert "Traceback" not in err
         assert kept.read_text() == "earlier output\n"
+        assert not absent.exists()
 
     def test_dump_policy_generates_the_template_once(self, monkeypatch, capsys):
         calls = []
@@ -848,7 +881,32 @@ class TestPinnedOutputs:
         assert [line for line in captured.out.splitlines() if line.startswith("assign ")] == [
             "assign 0 -> 0", "assign 1 -> 1"
         ]
-        assert captured.err == ""
+        assert captured.err == stopped
+
+    @pytest.mark.parametrize("command,rounds", [
+        pytest.param(["run"], "5", id="run"),
+        pytest.param(["verify"], "5", id="verify"),
+        pytest.param(["sweep"], "5,1", id="sweep-5,1"),
+        pytest.param(["sweep"], "1,5", id="sweep-1,5"),
+        pytest.param(["dump", "--what", "policy"], "5", id="dump-policy"),
+    ])
+    def test_every_play_command_ends_the_same_way(self, command, rounds, monkeypatch, capsys):
+        argv = [*command, "--k", "1", "--m", "2"]
+        assert main([*argv, "--schedule", "scripted:0,1", "--rounds", rounds]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "stopped: schedule exhausted after 2 of 5 rounds\n"
+        monkeypatch.setattr(
+            experiments, "make_learner", lambda kind, session: ReducibleAfterFirstRound(session)
+        )
+        assert main([*argv, "--rounds", "5"]) == 1
+        captured = capsys.readouterr()
+        assert "violation" not in captured.out
+        violation = "round 2: monitor violation: submitted summary is reducible"
+        if command == ["sweep"]:
+            expected = [f"n=5 {kind}: {violation}" for kind in ("tireless", "conservative")]
+        else:
+            expected = [violation]
+        assert captured.err.splitlines() == [f"violation: {line}" for line in expected]
 
     def test_a_completed_or_violated_run_names_no_exhaustion(self, monkeypatch, capsys):
         assert main(["run", "--schedule", "scripted:0,1", "--rounds", "2"]) == 0

@@ -111,3 +111,16 @@ def test_scripts_import_the_package_only_through_the_cli():
         if module.split(".")[0] == "domainlearn"
     ]
     assert [entry for entry in imports if entry[1] != "domainlearn.cli"] == []
+
+
+def test_modules_import_no_private_name_of_another():
+    # a private name is its own module's business; other modules use the public ones
+    imports = [
+        (path.name, alias.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "domainlearn")
+        for alias in node.names
+    ]
+    assert [entry for entry in imports if entry[1].startswith("_")] == []

@@ -387,7 +387,7 @@ class TestPinnedRevisions:
                     witness_splits += witness != newcomer
                 seen = tests
 
-            assert _play(config, record)[0] == []
+            assert _play(config, record).violations == []
         assert witness_splits > 0  # the corpus still covers third-party witnesses
         assert digest.hexdigest() == REVISION_CORPUS_DIGEST
 
@@ -408,7 +408,7 @@ def failed_bets(config: ExperimentConfig, monkeypatch) -> list[tuple[int, int, f
 
     with monkeypatch.context() as patch:
         patch.setattr(Session, "hypothesis_test", recording)
-        assert _play(config, lambda *_: None)[0] == []
+        assert _play(config, lambda *_: None).violations == []
     return bets
 
 
