@@ -7,7 +7,7 @@ A domain-based policy compresses such a graph into a small "summary" digraph
 of protection domains plus an assignment of entities to domains.  This module
 provides the graph type itself plus the relational operations everything else
 is built on: the partition into indistinguishable vertices, induced
-subgraphs, irreducibility, and policy error sets.
+subgraphs, irreducibility, a policy's grants and its error sets.
 
 Determinism contract: vertex ids are non-negative integers and every
 iteration order exposed by this module is sorted, so identical inputs always
@@ -219,6 +219,25 @@ def is_irreducible(g: LabeledDigraph) -> bool:
     return len(equivalence_partition(g)) == g.vertex_count
 
 
+def granted(
+    summary: LabeledDigraph, member_mask: Mapping[int, int]
+) -> dict[tuple[int, int], int]:
+    """What a policy grants, by rows: ``grants[(x, a)]`` is the union of
+    ``member_mask[y]``, the members of domain y as a bitmask, over the bits
+    y of ``summary.out_mask(a, x)``, for each domain x of ``member_mask``
+    and right a; zero masks are left out.  The cost is
+    O(len(member_mask) * k + |E(summary)|) mask operations."""
+    grants: dict[tuple[int, int], int] = {}
+    for x in member_mask:
+        for a in range(summary.k):
+            targets = 0
+            for y in _mask_bits(summary.out_mask(a, x)):
+                targets |= member_mask.get(y, 0)
+            if targets:
+                grants[(x, a)] = targets
+    return grants
+
+
 def error_set(
     g: LabeledDigraph, summary: LabeledDigraph, assignment: Mapping[int, int]
 ) -> frozenset[Edge]:
@@ -230,14 +249,11 @@ def error_set(
     wrong, because the policy already says it: a wrong request was wrongly
     granted (the graph lacks it) exactly when the policy allows it, and
     wrongly denied otherwise.  ``assignment`` must map every vertex of g,
-    or ``ValueError`` is raised.  Evaluated per (source, right) with
-    bitmasks: one pass over the assignment builds each domain's member
-    mask, and the allowed mask of domain x under right a is the union of
-    the member masks of the bits of ``summary.out_mask(a, x)``, so the cost
-    is O(n * k + |E(summary)|) mask operations plus the size of the output,
-    and no summary edge is built as a tuple.  Of g it reads only ``k``,
-    ``vertices`` and ``out_mask``, so any object answering those three
-    stands in for the graph: the synthetic teacher passes itself.
+    or ``ValueError`` is raised.  Each vertex's row is xored with what
+    :func:`granted` gives its domain, so the cost is O(n * k + |E(summary)|)
+    mask operations plus the size of the output.  Of g it reads only
+    ``k``, ``vertices`` and ``out_mask``, so any object answering those
+    three stands in for the graph: the synthetic teacher passes itself.
     """
     vertices = g.vertices
     member_mask: dict[int, int] = {}
@@ -247,15 +263,7 @@ def error_set(
         except KeyError:
             raise ValueError(f"assignment is not total: vertex {v} unmapped") from None
         member_mask[domain] = member_mask.get(domain, 0) | (1 << v)
-    # allowed_mask[(x, a)]: targets granted to any source assigned to x.
-    allowed_mask: dict[tuple[int, int], int] = {}
-    for x in member_mask:
-        for a in range(summary.k):
-            allowed = 0
-            for y in _mask_bits(summary.out_mask(a, x)):
-                allowed |= member_mask.get(y, 0)
-            if allowed:
-                allowed_mask[(x, a)] = allowed
+    allowed_mask = granted(summary, member_mask)
     errors: list[Edge] = []
     k = g.k
     for u in vertices:

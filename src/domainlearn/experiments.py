@@ -85,6 +85,9 @@ class ExperimentConfig:
             raise ValueError("rounds must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        # the generators keep 64 bits, so a seed outside would alias one inside
+        if not 0 <= self.template_seed < 1 << 64:
+            raise ValueError(f"template_seed must be in [0, 2**64), got {self.template_seed}")
         step = parse_oracle_checks(self.oracle_checks)
         last_check = self.rounds - self.rounds % step if step else 0
         if last_check > ORACLE_VERTEX_LIMIT:
@@ -268,8 +271,11 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 @dataclass(frozen=True)
 class RoundVerdict:
     round_no: int
-    passed: bool
     failures: tuple[str, ...] = ()
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 @dataclass
@@ -324,9 +330,7 @@ def verify_experiment(config: ExperimentConfig) -> VerifyReport:
     def check(round_no, session, teacher, learner) -> None:
         if round_no % step == 0:
             failures = _verify_round(learner, teacher.peek_ground_truth())
-            rounds.append(
-                RoundVerdict(round_no, passed=not failures, failures=tuple(failures))
-            )
+            rounds.append(RoundVerdict(round_no, tuple(failures)))
 
     outcome = _play(config, check)
     if not rounds:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
-from .digraph import Edge, LabeledDigraph
+from .digraph import Edge, LabeledDigraph, granted
 from .protocol import Session
 from .summarize import summarize
 
@@ -195,28 +195,6 @@ def tree_to_dot(tree: TreeNode) -> str:
 # -- error-set reasoning -----------------------------------------------------
 
 
-def edg(
-    u: int,
-    a: int,
-    v: int,
-    summary: LabeledDigraph,
-    assignment: Mapping[int, int],
-    errors: frozenset[Edge],
-) -> bool:
-    """Whether (u, a, v) is an edge of the revealed subgraph, deduced from a
-    tested hypothesis instead of a connection query.
-
-    ``errors`` must be the hypothesis-test response for exactly
-    (summary, assignment): the set of wrongly decided requests.  Membership
-    is all it needs.  The request is an edge iff the policy decision and
-    the error verdict disagree in the xor sense: either the policy allows
-    it and it is not an error, or the policy denies it and it is (a wrong
-    request the policy allows was wrongly granted).
-    """
-    allowed = summary.has_edge(assignment[u], a, assignment[v])
-    return allowed != ((u, a, v) in errors)
-
-
 def revise(
     tree: TreeNode,
     summary: LabeledDigraph,
@@ -245,8 +223,8 @@ def revise(
     a leaf exactly when its error column
     ``[test.request_for(v) in errors for v in members]`` is mixed, and a
     member's request is an edge (the yes side) exactly when its error bit
-    differs from that policy bit (see :func:`edg`).  A mixed column leaves
-    neither side empty.
+    differs from that policy bit.  A mixed column leaves neither side
+    empty.
 
     Each leaf travels with its sorted members; one member is final.  For
     more, the candidate tests are tried in one fixed order, rights
@@ -403,12 +381,21 @@ class ConservativeLearner(Learner):
         # snapshot; no connection query is issued past this point.
         self.assignment = revise(self.tree, self.summary, frozen, u, errors)
         representatives = sorted(leaf.label for leaf in self.tree.leaves())
+        members: dict[int, int] = {}  # the representatives by frozen domain
+        for x in representatives:
+            members[frozen[x]] = members.get(frozen[x], 0) | (1 << x)
+        grants = granted(self.summary, members)
+        wrong: dict[tuple[int, int], int] = {}
+        for x, a, y in errors:
+            wrong[(x, a)] = wrong.get((x, a), 0) | (1 << y)
+        kept = sum(members.values())
         rebuilt = LabeledDigraph(session.k, representatives)
         for x in representatives:
             for a in range(session.k):
-                for y in representatives:
-                    if edg(x, a, y, self.summary, frozen, errors):
-                        rebuilt.add_edge(x, a, y)
+                # (x, a, y) is an edge iff the frozen policy grants it xor it
+                # was an error: a wrong grant is no edge, a wrong denial is one
+                targets = grants.get((frozen[x], a), 0) ^ wrong.get((x, a), 0)
+                rebuilt.connect(x, a, targets & kept, 0)
         self.summary = rebuilt
         confirm = session.hypothesis_test(self.summary, self.assignment)
         if confirm:

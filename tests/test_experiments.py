@@ -30,7 +30,12 @@ from domainlearn.experiments import (
 from domainlearn.learners import ConservativeLearner
 from domainlearn.oracle import ISOMORPHISM_VERTEX_LIMIT
 from domainlearn.protocol import ProtocolViolation
-from domainlearn.teacher import SyntheticTeacher, generate_template, template_to_text
+from domainlearn.teacher import (
+    SyntheticTeacher,
+    TemplateInstances,
+    generate_template,
+    template_to_text,
+)
 
 
 class TestConfig:
@@ -57,6 +62,14 @@ class TestConfig:
         # ... while over 259 rounds its last check is at round 256
         ExperimentConfig(oracle_checks="every=4", rounds=259)
         ExperimentConfig(oracle_checks="every", rounds=256)
+
+    @pytest.mark.parametrize("seed,alias", [(-1, 2**64 - 1), (2**64, 0)])
+    def test_a_seed_outside_64_bits_is_rejected(self, seed, alias):
+        # the generators reduce a seed mod 2**64, so it would play as its alias
+        ExperimentConfig(template_seed=alias)
+        with pytest.raises(ValueError) as raised:
+            ExperimentConfig(template_seed=seed)
+        assert str(raised.value) == f"template_seed must be in [0, 2**64), got {seed}"
 
     def test_a_config_cannot_be_changed(self):
         config = ExperimentConfig()
@@ -593,6 +606,9 @@ class TestCli:
         ["--schedule", "novel-last:abc"],
         ["--schedule", "iid-weighted:0.5,abc", "--m", "2"],
         ["--oracle", "every=abc"],
+        # these once played as the seeds 2**64 - 1 and 0
+        ["--seed", "-1"],
+        ["--seed", str(2**64)],
     ])
     def test_invalid_config_leaves_out_untouched(
         self, command, experiment, invalid, monkeypatch, tmp_path, capsys
@@ -834,9 +850,8 @@ class TestPinnedOutputs:
             raise AssertionError("a run with the oracle off built the revealed graph")
 
         monkeypatch.setattr(SyntheticTeacher, "peek_ground_truth", refuse)
-        if "tireless" not in argv:
-            # the tireless learner's own reconstruction is built by connect
-            monkeypatch.setattr(LabeledDigraph, "connect", refuse)
+        # the template world's sources are read only to build the revealed graph
+        monkeypatch.setattr(TemplateInstances, "in_mask", refuse)
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

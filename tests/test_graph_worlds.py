@@ -100,6 +100,7 @@ def play_both_learners(g: LabeledDigraph) -> None:
             learner.run_round()
             peek = teacher.peek_ground_truth()
             assert peek == induced_subgraph(g, range(r))
+            assert learner.summary == induced_subgraph(peek, learner.summary.vertices)
             failed = check_round_invariants(
                 peek, learner.summary, learner.assignment, learner.tree
             )

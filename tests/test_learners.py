@@ -22,7 +22,6 @@ from domainlearn.learners import (
     To,
     TreeNode,
     classify,
-    edg,
     make_learner,
     revise,
     tree_to_dot,
@@ -205,28 +204,44 @@ class TestClassify:
         assert len(calls) == tree.leaf_count - 1
 
 
-class TestEdg:
-    """The xor table: policy verdict xor error-set membership."""
+class TestRebuildXor:
+    """The summary rebuilt after a failed bet reads each edge as the frozen
+    policy's verdict xor the error verdict.  Vertex 1 is revealed second and
+    guessed into vertex 0's domain, so the frozen policy decides every
+    request by its one summary loop; each case checks one cell of the
+    rebuilt summary."""
 
-    H = LabeledDigraph(1, [0], [(0, 0, 0)])  # allows everything within domain 0
+    # d0 has a loop: the frozen policy allows every request
+    ALLOWS = [(0, 0, 0), (0, 0, 1)]
+    # no loop: the frozen policy denies every request
+    DENIES = [(0, 0, 1)]
 
-    def test_allowed_not_error(self):
-        assert edg(0, 0, 1, self.H, {0: 0, 1: 0}, frozenset()) is True
+    @pytest.mark.parametrize("edges,source,target,allowed,error", [
+        pytest.param(ALLOWS, 0, 1, True, False, id="allowed_not_error"),
+        pytest.param(ALLOWS, 1, 0, True, True, id="allowed_and_error"),  # wrongly granted
+        pytest.param(DENIES, 0, 1, False, True, id="denied_and_error"),  # wrongly denied
+        pytest.param(DENIES, 1, 0, False, False, id="denied_not_error"),
+    ])
+    def test_rebuilt_row(self, edges, source, target, allowed, error):
+        session, _ = start_session(world(edges), (0, 1))
+        dirty = []
+        test = session.hypothesis_test
 
-    def test_allowed_and_error(self):
-        # a wrongly granted request
-        errors = frozenset({(0, 0, 1)})
-        assert edg(0, 0, 1, self.H, {0: 0, 1: 0}, errors) is False
+        def recording(summary, assignment):
+            errors = test(summary, assignment)
+            if errors:
+                dirty.append((summary.has_edge(0, 0, 0), errors))
+            return errors
 
-    def test_denied_and_error(self):
-        # a wrongly denied request
-        empty_h = LabeledDigraph(1, [0])
-        errors = frozenset({(0, 0, 1)})
-        assert edg(0, 0, 1, empty_h, {0: 0, 1: 0}, errors) is True
-
-    def test_denied_not_error(self):
-        empty_h = LabeledDigraph(1, [0])
-        assert edg(0, 0, 1, empty_h, {0: 0, 1: 0}, frozenset()) is False
+        session.hypothesis_test = recording
+        learner = ConservativeLearner(session)
+        learner.run_round()
+        learner.run_round()
+        (policy, errors), = dirty  # the failed bet; its repair tested clean
+        assert policy is allowed
+        assert ((source, 0, target) in errors) is error
+        row = learner.summary.out_mask(0, source)
+        assert (row >> target) & 1 == (allowed != error)
 
 
 class TestReviseWorkedTrace:
