@@ -8,6 +8,10 @@ in a fresh interpreter, timed around ``cli.main`` and kept as the best of
 and of the ledger total (cnq + htq + errors of the last CSV row) against the
 variable.  Their difference is the *excess exponent*: 0 when the simulator's
 time tracks the queries, above 0 when hidden bookkeeping grows faster.
+Each point also reports its child's own peak RSS (``ru_maxrss`` of
+``RUSAGE_SELF``, KiB on Linux; the least of the 3), and each scenario the
+least-squares bytes of it per unit of the variable.  Only the child process
+is measured.
 
 Scenarios (template seed 13, k=2, density 0.5):
   cons-iid-m    conservative, iid-uniform, n=1000, m = 8, 16, 32, 64
@@ -37,9 +41,10 @@ ROOT = Path(__file__).resolve().parent.parent
 BASE = ["run", "--k", "2", "--seed", "13"]
 REPEAT = 3
 
-# Plays argv[1:] through cli.main and prints the time and the ledger total.
+# Plays argv[1:] through cli.main and prints the time, the ledger total and
+# its own peak RSS.
 CHILD = """
-import contextlib, io, json, sys, time
+import contextlib, io, json, resource, sys, time
 from domainlearn.cli import main
 out = io.StringIO()
 start = time.perf_counter()
@@ -48,7 +53,8 @@ with contextlib.redirect_stdout(out):
 seconds = time.perf_counter() - start
 _, cnq, htq, errors = out.getvalue().splitlines()[-1].split(",")[:4]
 print(json.dumps({"status": status, "seconds": seconds,
-                  "ledger": int(cnq) + int(htq) + int(errors)}))
+                  "ledger": int(cnq) + int(htq) + int(errors),
+                  "rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """
 
 
@@ -123,19 +129,22 @@ def main() -> int:
 
     for name, (variable, ladder) in ladders(args.scale).items():
         print(f"{name}:")
-        print(f"  {variable:>6} {'seconds':>9} {'ledger':>8}")
-        values, times, ledgers = [], [], []
+        print(f"  {variable:>6} {'seconds':>9} {'ledger':>8} {'rss_kib':>8}")
+        values, times, ledgers, rss = [], [], [], []
         for value, argv in ladder:
             points = [play(argv) for _ in range(REPEAT)]
             values.append(value)
             times.append(min(point["seconds"] for point in points))
             ledgers.append(points[0]["ledger"])
-            print(f"  {value:>6} {times[-1]:>9.3f} {ledgers[-1]:>8}", flush=True)
+            rss.append(min(point["rss_kib"] for point in points))
+            print(f"  {value:>6} {times[-1]:>9.3f} {ledgers[-1]:>8} {rss[-1]:>8}", flush=True)
         time_slope, ledger_slope = slope(values, times), slope(values, ledgers)
         print(
             f"  slope in {variable}: time {time_slope:.2f}, "
             f"ledger {ledger_slope:.2f}, excess {time_slope - ledger_slope:.2f}"
         )
+        per_unit = statistics.linear_regression(values, [1024 * kib for kib in rss]).slope
+        print(f"  memory in {variable}: {per_unit:.0f} B per {variable}")
     return 0
 
 

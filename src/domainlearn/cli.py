@@ -52,21 +52,14 @@ from .experiments import (
     verify_step,
 )
 from .graphio import digraph_to_dot, policy_to_dot, policy_to_text
-from .learners import (
-    LEARNER_KINDS,
-    TREE_LEARNER_KINDS,
-    Learner,
-    LearnerInternalError,
-    tree_to_dot,
-    tree_to_text,
-)
+from .learners import LEARNERS, Learner, LearnerInternalError, tree_to_dot, tree_to_text
 from .teacher import TemplateGenerationError, generate_template, parse_items, template_to_text
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """The config flags; each stores into the ExperimentConfig field it sets."""
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--learner", choices=LEARNER_KINDS)
+    parser.add_argument("--learner", choices=LEARNERS)
     parser.add_argument("--k", type=int, help="alphabet size (number of rights)")
     parser.add_argument("--m", type=int, help="number of world domains")
     parser.add_argument(
@@ -212,7 +205,7 @@ def _cmd_coupon(args: argparse.Namespace) -> int:
 
 def _cmd_dump(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    if args.what == "tree" and config.learner not in TREE_LEARNER_KINDS:
+    if args.what == "tree" and not LEARNERS[config.learner].keeps_tree:
         raise ValueError(f"the {config.learner} learner has no decision tree")
     with _output(config.out) as stream:
         if args.what == "template":
@@ -246,21 +239,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    for name, handler, extra in (
-        ("run", _cmd_run, None),
-        ("verify", _cmd_verify, None),
-        ("sweep", _cmd_sweep, None),
-        ("coupon", _cmd_coupon, None),
-        ("dump", _cmd_dump, "dump"),
+    for name, handler in (
+        ("run", _cmd_run),
+        ("verify", _cmd_verify),
+        ("sweep", _cmd_sweep),
+        ("coupon", _cmd_coupon),
+        ("dump", _cmd_dump),
     ):
         sub = subparsers.add_parser(name)
         _add_config_flags(sub)
-        if extra == "dump":
-            sub.add_argument(
-                "--what", choices=("template", "policy", "tree"), default="template"
-            )
-            sub.add_argument("--format", choices=("text", "dot"), default="text")
         sub.set_defaults(handler=handler)
+    dump = subparsers.choices["dump"]
+    dump.add_argument("--what", choices=("template", "policy", "tree"), default="template")
+    dump.add_argument("--format", choices=("text", "dot"), default="text")
     return parser
 
 

@@ -7,9 +7,10 @@ Bound columns are pure functions of (k, n, observed_m):
 * ``bound_cons_cnq``  = k + (n-1)(m-1)     (conservative cost ceiling)
 * ``bound_cons_err``  = k(2n+1)(m-1)       (conservative error ceiling)
 
-``observed_m`` is the oracle class count of the revealed subgraph when
-oracle checks are enabled; otherwise it is the learner-visible summary size,
-so measured runs stay uncontaminated by ground-truth access.
+``observed_m`` is the oracle class count of the revealed subgraph on the
+rounds a run's oracle checks; otherwise it is the learner-visible summary
+size, so measured runs stay uncontaminated by ground-truth access.  Every
+play checks its rows against the bound that the learner's class states.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .digraph import LabeledDigraph
-from .learners import LEARNER_KINDS, Learner, make_learner
+from .learners import LEARNERS, Learner, make_learner
 from .oracle import (
     ISOMORPHISM_VERTEX_LIMIT,
     ORACLE_VERTEX_LIMIT,
@@ -79,7 +80,7 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[f.type]):
                 raise ValueError(f"config field {f.name!r} has the wrong type: {value!r}")
-        if self.learner not in LEARNER_KINDS:
+        if self.learner not in LEARNERS:
             raise ValueError(f"unknown learner {self.learner!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
@@ -152,11 +153,7 @@ class RoundRow:
         )
 
 
-def bound_row(
-    k: int,
-    snapshot,
-    observed_m: int,
-) -> RoundRow:
+def bound_row(k: int, snapshot, observed_m: int) -> RoundRow:
     n = snapshot.n
     return RoundRow(
         n=n,
@@ -168,28 +165,6 @@ def bound_row(
         bound_cons_cnq=k + (n - 1) * (observed_m - 1),
         bound_cons_err=k * (2 * n + 1) * (observed_m - 1),
     )
-
-
-def _bound_violations(learner_kind: str, rows: list[RoundRow]) -> list[str]:
-    violations = []
-    for row in rows:
-        if learner_kind == "tireless":
-            if row.cnq_cum != row.bound_tireless:
-                violations.append(
-                    f"round {row.n}: tireless cnq_cum {row.cnq_cum} != {row.bound_tireless}"
-                )
-            if row.errors_cum != 0:
-                violations.append(f"round {row.n}: tireless errors_cum {row.errors_cum} != 0")
-        else:
-            if row.cnq_cum > row.bound_cons_cnq:
-                violations.append(
-                    f"round {row.n}: conservative cnq_cum {row.cnq_cum} > {row.bound_cons_cnq}"
-                )
-            if row.errors_cum > row.bound_cons_err:
-                violations.append(
-                    f"round {row.n}: conservative errors_cum {row.errors_cum} > {row.bound_cons_err}"
-                )
-    return violations
 
 
 @dataclass
@@ -227,42 +202,43 @@ def build_session(config: ExperimentConfig) -> tuple[Session, SyntheticTeacher]:
     return Session(teacher), teacher
 
 
-def _play(config: ExperimentConfig, on_round) -> Outcome:
+def _play(config: ExperimentConfig, on_round) -> RunReport:
     """Play one monitored session of ``config``, calling
     ``on_round(round_no, session, teacher, learner)`` after each completed
-    round.  The play stops after ``config.rounds`` rounds, when the schedule
-    is exhausted, or at a monitor violation, whose single line is the
-    outcome's only violation.  The config is valid, so only template
+    round.  Each completed round adds its bound row, whose ``observed_m``
+    is the oracle class count on the config's oracle rounds and otherwise
+    the summary size, and a line for each bound of the learner's class that
+    the row breaks.  The play stops after ``config.rounds`` rounds, when
+    the schedule is exhausted, or at a monitor violation, whose line comes
+    before the bound lines.  The config is valid, so only template
     generation can fail before round 1."""
     session, teacher = build_session(config)
     learner = make_learner(config.learner, session)
+    oracle_step = parse_oracle_checks(config.oracle_checks)
+    report = RunReport()
     for round_no in range(1, config.rounds + 1):
         try:
             learner.run_round()
         except TeacherExhausted:
-            return Outcome(exhausted_after=round_no - 1)
+            report.exhausted_after = round_no - 1
+            break
         except ProtocolViolation as exc:
-            return Outcome([f"round {round_no}: monitor violation: {exc}"])
-        on_round(round_no, session, teacher, learner)
-    return Outcome()
-
-
-def run_experiment(config: ExperimentConfig) -> RunReport:
-    step = parse_oracle_checks(config.oracle_checks)
-    report = RunReport()
-
-    def record(round_no, session, teacher, learner) -> None:
-        if step and round_no % step == 0:
+            report.violations.insert(0, f"round {round_no}: monitor violation: {exc}")
+            break
+        if oracle_step and round_no % oracle_step == 0:
             observed_m = len(oracle_partition(teacher.peek_ground_truth()))
         else:
             observed_m = learner.summary.vertex_count
-        report.rows.append(bound_row(config.k, session.ledger.per_round[-1], observed_m))
+        row = bound_row(config.k, session.ledger.per_round[-1], observed_m)
+        report.rows.append(row)
+        report.violations += learner.bound_violations(row)
         report.learner = learner
-
-    outcome = _play(config, record)
-    report.violations = outcome.violations + _bound_violations(config.learner, report.rows)
-    report.exhausted_after = outcome.exhausted_after
+        on_round(round_no, session, teacher, learner)
     return report
+
+
+def run_experiment(config: ExperimentConfig) -> RunReport:
+    return _play(config, lambda *_: None)
 
 
 # -- verify mode --------------------------------------------------------------
@@ -292,9 +268,7 @@ class VerifyReport(Outcome):
         return 0 if self.all_passed else 1
 
 
-def _verify_round(
-    learner, ground_truth: LabeledDigraph
-) -> list[str]:
+def _verify_round(learner, ground_truth: LabeledDigraph) -> list[str]:
     failures: list[str] = []
     reconstruction = learner.reconstruction
     if reconstruction is not None and reconstruction != ground_truth:
@@ -332,10 +306,12 @@ def verify_experiment(config: ExperimentConfig) -> VerifyReport:
             failures = _verify_round(learner, teacher.peek_ground_truth())
             rounds.append(RoundVerdict(round_no, tuple(failures)))
 
-    outcome = _play(config, check)
+    # the rows take m from the summary, which the checks make the oracle
+    # class count on every checked round, so no round partitions twice
+    play = _play(replace(config, oracle_checks="off"), check)
     if not rounds:
-        outcome.violations.append("no round was checked")
-    return VerifyReport(rounds=rounds, **vars(outcome))
+        play.violations.append("no round was checked")
+    return VerifyReport(play.violations, play.exhausted_after, rounds=rounds)
 
 
 # -- sweep --------------------------------------------------------------------
@@ -360,7 +336,7 @@ def sweep_experiment(cells: list[ExperimentConfig]) -> SweepReport:
     cell whose schedule runs out stops after the same round."""
     sweep = SweepReport()
     for cell in cells:
-        for learner_kind in LEARNER_KINDS:
+        for learner_kind in LEARNERS:
             report = run_experiment(replace(cell, learner=learner_kind))
             if report.rows:
                 sweep.rows.append((learner_kind, report.rows[-1]))

@@ -295,8 +295,13 @@ class Learner:
     not rebuild it).
 
     Each strategy defines its own ``run_round``, which plays one round
-    through the session.
+    through the session, and its own ``bound_violations(row)``, the paper's
+    bound on its ledger: one line per bound that a completed round's bound
+    row (``experiments.RoundRow``) breaks.  ``keeps_tree`` says, before any
+    round, whether the strategy keeps a decision tree.
     """
+
+    keeps_tree = False
 
     def __init__(self, session: Session):
         self._session = session
@@ -313,6 +318,18 @@ class TirelessLearner(Learner):
     def __init__(self, session: Session):
         super().__init__(session)
         self.reconstruction = LabeledDigraph(session.k)
+
+    @staticmethod
+    def bound_violations(row) -> list[str]:
+        """Exactly k*n^2 connection queries and no error."""
+        violations = []
+        if row.cnq_cum != row.bound_tireless:
+            violations.append(
+                f"round {row.n}: tireless cnq_cum {row.cnq_cum} != {row.bound_tireless}"
+            )
+        if row.errors_cum != 0:
+            violations.append(f"round {row.n}: tireless errors_cum {row.errors_cum} != 0")
+        return violations
 
     def run_round(self) -> None:
         session = self._session
@@ -343,6 +360,22 @@ class TirelessLearner(Learner):
 class ConservativeLearner(Learner):
     """Occam's-razor strategy: presume newcomers are not novel; repair on
     proof to the contrary."""
+
+    keeps_tree = True
+
+    @staticmethod
+    def bound_violations(row) -> list[str]:
+        """At most k + (n-1)(m-1) connection queries and k(2n+1)(m-1) errors."""
+        violations = []
+        if row.cnq_cum > row.bound_cons_cnq:
+            violations.append(
+                f"round {row.n}: conservative cnq_cum {row.cnq_cum} > {row.bound_cons_cnq}"
+            )
+        if row.errors_cum > row.bound_cons_err:
+            violations.append(
+                f"round {row.n}: conservative errors_cum {row.errors_cum} > {row.bound_cons_err}"
+            )
+        return violations
 
     def run_round(self) -> None:
         if self.tree is None:
@@ -404,13 +437,9 @@ class ConservativeLearner(Learner):
             )
 
 
-_LEARNERS = {"tireless": TirelessLearner, "conservative": ConservativeLearner}
-LEARNER_KINDS = tuple(_LEARNERS)
-# the kinds whose learner keeps a decision tree
-TREE_LEARNER_KINDS = ("conservative",)
+# the only table of learner kinds: each kind is its class
+LEARNERS: dict[str, type[Learner]] = {"tireless": TirelessLearner, "conservative": ConservativeLearner}
 
 
 def make_learner(kind: str, session: Session) -> Learner:
-    if kind not in _LEARNERS:
-        raise ValueError(f"unknown learner kind {kind!r}; expected one of {LEARNER_KINDS}")
-    return _LEARNERS[kind](session)
+    return LEARNERS[kind](session)

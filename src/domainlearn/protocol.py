@@ -113,6 +113,8 @@ class Session:
     def __init__(self, teacher: Teacher):
         self._teacher = teacher
         self._k = teacher.k
+        # membership refuses a right such as 0.5, "0" or None, which a range test would not
+        self._rights = frozenset(range(self._k))
         self.ledger = QueryLedger()
         # True from a next-vertex query until the round's first clean
         # hypothesis test (SC-2)
@@ -142,8 +144,8 @@ class Session:
             raise ProtocolViolation(
                 f"connection query ({u}, {a}, {v}) references an unrevealed vertex"
             )
-        if not 0 <= a < self._k:
-            raise ProtocolViolation(f"right index {a} out of range [0, {self._k})")
+        if a not in self._rights:
+            raise ProtocolViolation(f"right index {a!r} out of range [0, {self._k})")
         self.ledger.cnq_count += 1
         return self._teacher.connection(u, a, v)
 

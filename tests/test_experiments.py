@@ -16,7 +16,6 @@ from domainlearn.experiments import (
     CSV_HEADER,
     ExperimentConfig,
     RoundRow,
-    _bound_violations,
     build_session,
     coupon_experiment,
     coupon_schedule,
@@ -27,7 +26,7 @@ from domainlearn.experiments import (
     sweep_experiment,
     verify_experiment,
 )
-from domainlearn.learners import ConservativeLearner
+from domainlearn.learners import ConservativeLearner, TirelessLearner
 from domainlearn.oracle import ISOMORPHISM_VERTEX_LIMIT
 from domainlearn.protocol import ProtocolViolation
 from domainlearn.teacher import (
@@ -180,10 +179,10 @@ class TestRun:
             bound_cons_cnq=2,
             bound_cons_err=10,
         )
-        assert any("tireless" in v for v in _bound_violations("tireless", [row]))
-        assert any("conservative" in v for v in _bound_violations("conservative", [row]))
+        assert any("tireless" in v for v in TirelessLearner.bound_violations(row))
+        assert any("conservative" in v for v in ConservativeLearner.bound_violations(row))
         clean = RoundRow(2, 4, 2, 0, 2, 4, 4, 10)
-        assert _bound_violations("tireless", [clean]) == []
+        assert TirelessLearner.bound_violations(clean) == []
 
 
 class TestVerify:
@@ -215,6 +214,40 @@ class TestVerify:
         )
         report = verify_experiment(config)
         assert [r.round_no for r in report.rounds] == [3, 6, 9]
+
+
+class Overspends(TirelessLearner):
+    """Fault injection: asks one connection query more after each round,
+    past the tireless learner's exact k*n^2."""
+
+    def run_round(self):
+        super().run_round()
+        self._session.connection(0, 0, 0)
+
+
+class TestBoundViolation:
+    """Every play checks the bound that the learner's class states."""
+
+    ARGS = ["--learner", "tireless", "--k", "1", "--m", "2", "--rounds", "4"]
+    LINE = "round 2: tireless cnq_cum 5 != 4"
+
+    @pytest.fixture(autouse=True)
+    def overspending_learner(self, monkeypatch):
+        monkeypatch.setattr(experiments, "make_learner", lambda kind, session: Overspends(session))
+
+    def test_verify_fails_a_broken_bound(self, capsys):
+        assert main(["verify", *self.ARGS]) == 1
+        captured = capsys.readouterr()
+        assert f"violation: {self.LINE}" in captured.err.splitlines()
+        assert captured.out.splitlines()[-1] == "verify: FAILED"
+
+    @pytest.mark.parametrize(
+        "command", [["run"], ["sweep"], ["dump", "--what", "policy"]], ids=["run", "sweep", "dump"]
+    )
+    def test_every_play_command_reports_it(self, command, capsys):
+        assert main([*command, *self.ARGS]) == 1
+        prefix = "n=4 tireless: " if command == ["sweep"] else ""
+        assert f"violation: {prefix}{self.LINE}" in capsys.readouterr().err.splitlines()
 
 
 class ReducibleAfterFirstRound(ConservativeLearner):

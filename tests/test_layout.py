@@ -124,3 +124,21 @@ def test_modules_import_no_private_name_of_another():
         for alias in node.names
     ]
     assert [entry for entry in imports if entry[1].startswith("_")] == []
+
+
+def test_only_learners_compares_with_a_kind_name():
+    # a strategy is its class: what a kind promises is read from its class,
+    # never from a branch on its name
+    from domainlearn.learners import LEARNERS
+
+    compares = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "learners.py"
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Compare)
+        for operand in (node.left, *node.comparators)
+        for part in ast.walk(operand)
+        if isinstance(part, ast.Constant) and isinstance(part.value, str) and part.value in LEARNERS
+    ]
+    assert compares == []

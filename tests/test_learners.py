@@ -645,8 +645,6 @@ class TestConservativeRounds:
         session, _ = start_session(PAIR_WORLD, (0,))
         assert isinstance(make_learner("tireless", session), TirelessLearner)
         assert isinstance(make_learner("conservative", session), ConservativeLearner)
-        with pytest.raises(ValueError):
-            make_learner("lazy", session)
 
 
 class SkipReviseLearner(ConservativeLearner):

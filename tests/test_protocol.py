@@ -150,6 +150,10 @@ MALFORMED_QUERIES = {
     "cnq-unrevealed-vertex": lambda s: s.connection(0, 0, 3),
     "cnq-right-k": lambda s: s.connection(0, 1, 1),
     "cnq-right-minus-one": lambda s: s.connection(0, -1, 1),
+    # a right of another type, even one inside the range, is no right
+    "cnq-right-half": lambda s: s.connection(0, 0.5, 1),
+    "cnq-right-str": lambda s: s.connection(0, "0", 1),
+    "cnq-right-none": lambda s: s.connection(0, None, 1),
     "htq-extra-vertex": lambda s: s.hypothesis_test(
         TWO_DOMAINS, {0: 0, 1: 1, 2: 0, 3: 0}
     ),

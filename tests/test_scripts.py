@@ -8,6 +8,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import re
 import runpy
 import signal
 import subprocess
@@ -134,11 +135,16 @@ def test_scaling(tmp_path):
         "cons-iid-m:", "cons-iid-n:", "tireless-n:", "novel-last-p:",
     ]
     assert sum(line.startswith("  slope in ") and ", excess " in line for line in lines) == 4
+    assert sum(re.fullmatch(r"  memory in [mnp]: -?\d+ B per [mnp]", line) is not None
+               for line in lines) == 4
     # tireless at n = 2, 4, 8: k*n^2 connection queries, n clean hypothesis tests
-    tireless = lines[lines.index("tireless-n:") + 2:lines.index("tireless-n:") + 5]
-    assert [(int(n), int(ledger)) for n, _, ledger in map(str.split, tireless)] == [
+    header = lines.index("tireless-n:") + 1
+    assert lines[header].split() == ["n", "seconds", "ledger", "rss_kib"]
+    tireless = [line.split() for line in lines[header + 1:header + 4]]
+    assert [(int(n), int(ledger)) for n, _, ledger, _ in tireless] == [
         (n, 2 * n * n + n) for n in (2, 4, 8)
     ]
+    assert all(int(rss_kib) > 0 for *_, rss_kib in tireless)
 
 
 @pytest.mark.parametrize("args,message", [
