@@ -9,14 +9,17 @@ Subcommands::
     dump    write a template, learned policy, or decision tree as text/DOT
 
 All subcommands accept ``--config <path>`` (a JSON file with the same field
-names as the flags); flags override the file.  A configuration is checked
-when it is made from the file and flags together; the command's own checks
-follow, then ``--out`` is opened, all before any round is played, so no
-error wastes a run.  Exit status 2, after one ``error: ...`` line, means
-the configuration is invalid (a verify interval past its rounds included),
-a template cannot be generated or a file cannot be read or written; 3,
-after one ``internal error: ...`` line, means the learner saw a state its
-algorithm rules out with a truthful teacher (``LearnerInternalError``).
+names as the flags); flags override the file.  ``--oracle`` sets verify's
+check interval; only verify reads ground truth, so the other commands only
+check the flag.  A configuration is checked when it is made from the file
+and flags together, before ``--out`` is opened; a command's own checks
+(verify's interval, coupon's schedule) run before any round or trial is
+played, so no error wastes a run.  Exit status 2, after one ``error: ...``
+line, means the configuration is invalid (a verify interval past its rounds
+included), a template cannot be generated or a file cannot be read or
+written; 3, after one ``internal error: ...`` line, means the learner saw a
+state its algorithm rules out with a truthful teacher
+(``LearnerInternalError``).
 
 Every play command (``run``, ``verify``, ``sweep``, ``dump --what
 policy|tree``) ends the same way: one ``violation: ...`` line on stderr per
@@ -45,11 +48,9 @@ from .experiments import (
     Outcome,
     VerifyReport,
     coupon_experiment,
-    coupon_schedule,
     run_experiment,
     sweep_experiment,
     verify_experiment,
-    verify_step,
 )
 from .graphio import digraph_to_dot, policy_to_dot, policy_to_text
 from .learners import LEARNERS, Learner, LearnerInternalError, tree_to_dot, tree_to_text
@@ -105,12 +106,11 @@ def _round_list(args: argparse.Namespace) -> list[int]:
 @contextmanager
 def _output(out: str | None) -> Iterator[TextIO]:
     """The stream a command writes to: stdout, or a buffer for ``out``.
-    Commands enter it after their own checks of the configuration and
-    before doing any work.  ``out`` is opened for appending, so an
-    unwritable path fails at once but nothing is truncated.  The file
-    receives the buffer only when the command returns having written some;
-    otherwise an earlier file is left as it was and one the open created
-    is removed."""
+    Commands enter it once their configuration is made and before doing
+    any work.  ``out`` is opened for appending, so an unwritable path
+    fails at once but nothing is truncated.  The file receives the buffer
+    only when the command returns having written some; otherwise an
+    earlier file is left as it was and one the open created is removed."""
     if not out:
         yield sys.stdout
         return
@@ -154,7 +154,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     if config.oracle_checks == "off":
         config = replace(config, oracle_checks="every")
-    verify_step(config)
     with _output(config.out) as stream:
         report = verify_experiment(config)
         stream.write(_verify_text(report))
@@ -184,9 +183,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_coupon(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    planned = coupon_schedule(config)
     with _output(config.out) as stream:
-        summary: CouponSummary = coupon_experiment(config, planned)
+        summary: CouponSummary = coupon_experiment(config)
         if config.out:
             stream.write(summary.to_csv())
     lines = [

@@ -7,10 +7,11 @@ Bound columns are pure functions of (k, n, observed_m):
 * ``bound_cons_cnq``  = k + (n-1)(m-1)     (conservative cost ceiling)
 * ``bound_cons_err``  = k(2n+1)(m-1)       (conservative error ceiling)
 
-``observed_m`` is the oracle class count of the revealed subgraph on the
-rounds a run's oracle checks; otherwise it is the learner-visible summary
-size, so measured runs stay uncontaminated by ground-truth access.  Every
-play checks its rows against the bound that the learner's class states.
+A row extends the round's :class:`RoundSnapshot`, which the Session
+records: its ``observed_m`` is the size of the summary whose clean test
+closed the round, the revealed graph's class count by SC-1.  So no play
+reads ground truth for its rows; only verify's checks do.  Every play
+checks its rows against the bound that the learner's class states.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .oracle import (
     ORACLE_VERTEX_LIMIT,
     check_round_invariants,
     isomorphic_small,
-    oracle_partition,
+    oracle_partition,  # no caller here: bench/spans.py patches it here, KeyError without it
 )
-from .protocol import ProtocolViolation, Session
+from .protocol import ProtocolViolation, RoundSnapshot, Session
 from .rng import SplitMix64, derive_seed
 from .summarize import summarize
 from .teacher import (
@@ -46,8 +47,6 @@ from .teacher import (
     parse_number,
     parse_schedule,
 )
-
-CSV_HEADER = "n,cnq_cum,htq_cum,errors_cum,observed_m,bound_tireless,bound_cons_cnq,bound_cons_err"
 
 # salt for deriving the teacher's draw stream from the template seed
 _DRAW_STREAM = 0x1D5A7
@@ -135,35 +134,28 @@ def parse_oracle_checks(spec: str) -> int:
 
 
 @dataclass(frozen=True)
-class RoundRow:
-    n: int
-    cnq_cum: int
-    htq_cum: int
-    errors_cum: int
-    observed_m: int
+class RoundRow(RoundSnapshot):
+    """A round's snapshot and its bound columns: one CSV row."""
+
     bound_tireless: int
     bound_cons_cnq: int
     bound_cons_err: int
 
     def as_csv(self) -> str:
-        return (
-            f"{self.n},{self.cnq_cum},{self.htq_cum},{self.errors_cum},"
-            f"{self.observed_m},{self.bound_tireless},{self.bound_cons_cnq},"
-            f"{self.bound_cons_err}"
-        )
+        return ",".join(str(getattr(self, column)) for column in _COLUMNS)
 
 
-def bound_row(k: int, snapshot, observed_m: int) -> RoundRow:
-    n = snapshot.n
+_COLUMNS = tuple(f.name for f in fields(RoundRow))
+CSV_HEADER = ",".join(_COLUMNS)
+
+
+def bound_row(k: int, snapshot: RoundSnapshot) -> RoundRow:
+    n, m = snapshot.n, snapshot.observed_m
     return RoundRow(
-        n=n,
-        cnq_cum=snapshot.cnq_cum,
-        htq_cum=snapshot.htq_cum,
-        errors_cum=snapshot.errors_cum,
-        observed_m=observed_m,
+        **vars(snapshot),
         bound_tireless=k * n * n,
-        bound_cons_cnq=k + (n - 1) * (observed_m - 1),
-        bound_cons_err=k * (2 * n + 1) * (observed_m - 1),
+        bound_cons_cnq=k + (n - 1) * (m - 1),
+        bound_cons_err=k * (2 * n + 1) * (m - 1),
     )
 
 
@@ -205,16 +197,15 @@ def build_session(config: ExperimentConfig) -> tuple[Session, SyntheticTeacher]:
 def _play(config: ExperimentConfig, on_round) -> RunReport:
     """Play one monitored session of ``config``, calling
     ``on_round(round_no, session, teacher, learner)`` after each completed
-    round.  Each completed round adds its bound row, whose ``observed_m``
-    is the oracle class count on the config's oracle rounds and otherwise
-    the summary size, and a line for each bound of the learner's class that
-    the row breaks.  The play stops after ``config.rounds`` rounds, when
-    the schedule is exhausted, or at a monitor violation, whose line comes
-    before the bound lines.  The config is valid, so only template
-    generation can fail before round 1."""
+    round.  Each completed round adds the bound row of the Session's
+    snapshot, and a line for each bound of the learner's class that the row
+    breaks; the play reads neither the learner's summary nor ground truth.
+    The play stops after ``config.rounds`` rounds, when the schedule is
+    exhausted, or at a monitor violation, whose line comes before the bound
+    lines.  The config is valid, so only template generation can fail
+    before round 1."""
     session, teacher = build_session(config)
     learner = make_learner(config.learner, session)
-    oracle_step = parse_oracle_checks(config.oracle_checks)
     report = RunReport()
     for round_no in range(1, config.rounds + 1):
         try:
@@ -225,11 +216,7 @@ def _play(config: ExperimentConfig, on_round) -> RunReport:
         except ProtocolViolation as exc:
             report.violations.insert(0, f"round {round_no}: monitor violation: {exc}")
             break
-        if oracle_step and round_no % oracle_step == 0:
-            observed_m = len(oracle_partition(teacher.peek_ground_truth()))
-        else:
-            observed_m = learner.summary.vertex_count
-        row = bound_row(config.k, session.ledger.per_round[-1], observed_m)
+        row = bound_row(config.k, session.ledger.per_round[-1])
         report.rows.append(row)
         report.violations += learner.bound_violations(row)
         report.learner = learner
@@ -285,20 +272,15 @@ def _verify_round(learner, ground_truth: LabeledDigraph) -> list[str]:
     return failures
 
 
-def verify_step(config: ExperimentConfig) -> int:
-    """The oracle check interval of a verify config; ``ValueError`` unless
-    the oracle is on and checks at least one of the config's rounds."""
+def verify_experiment(config: ExperimentConfig) -> VerifyReport:
+    """Check every step-th round against ground truth, the only reading of
+    it; checking none fails.  ``ValueError`` before any round unless the
+    oracle is on and checks at least one of the config's rounds."""
     step = parse_oracle_checks(config.oracle_checks)
     if not step:
         raise ValueError("verify requires oracle checks enabled (every or every=<j>)")
     if step > config.rounds:
         raise ValueError(f"oracle checks every {step} rounds check none of {config.rounds}")
-    return step
-
-
-def verify_experiment(config: ExperimentConfig) -> VerifyReport:
-    """Check every step-th round against ground truth; checking none fails."""
-    step = verify_step(config)
     rounds: list[RoundVerdict] = []
 
     def check(round_no, session, teacher, learner) -> None:
@@ -306,9 +288,7 @@ def verify_experiment(config: ExperimentConfig) -> VerifyReport:
             failures = _verify_round(learner, teacher.peek_ground_truth())
             rounds.append(RoundVerdict(round_no, tuple(failures)))
 
-    # the rows take m from the summary, which the checks make the oracle
-    # class count on every checked round, so no round partitions twice
-    play = _play(replace(config, oracle_checks="off"), check)
+    play = _play(config, check)
     if not rounds:
         play.violations.append("no round was checked")
     return VerifyReport(play.violations, play.exhausted_after, rounds=rounds)
@@ -391,10 +371,10 @@ class CouponSummary:
         )
 
 
-def coupon_schedule(config: ExperimentConfig) -> tuple[RevelationSchedule, float]:
-    """The schedule of a coupon config and its exact expected draws to
-    coverage; ``ValueError`` unless its schedule is IID, its domains few
-    enough for the exact expectation and that expectation at most
+def coupon_experiment(config: ExperimentConfig) -> CouponSummary:
+    """Monte Carlo draws-until-coverage versus the exact expectation.
+    ``ValueError`` before any trial unless the schedule is IID, its domains
+    few enough for the exact expectation and that expectation at most
     ``MAX_EXPECTED_DRAWS``, so every trial ends."""
     schedule = config.revelation
     if not isinstance(schedule, (IidUniform, IidWeighted)):
@@ -406,15 +386,6 @@ def coupon_schedule(config: ExperimentConfig) -> tuple[RevelationSchedule, float
             f"expected draws to coverage {exact:.6g} are not at most "
             f"{MAX_EXPECTED_DRAWS}, the most a coupon trial may take"
         )
-    return schedule, exact
-
-
-def coupon_experiment(
-    config: ExperimentConfig, planned: tuple[RevelationSchedule, float]
-) -> CouponSummary:
-    """Monte Carlo draws-until-coverage versus the exact expectation;
-    ``planned`` is ``coupon_schedule(config)``."""
-    schedule, exact = planned
     m = config.m
     total_draws = 0
     for trial in range(config.trials):

@@ -76,12 +76,16 @@ class Teacher(abc.ABC):
 
 @dataclass(frozen=True)
 class RoundSnapshot:
-    """Cumulative ledger state at the moment a round completed."""
+    """Cumulative ledger state at the moment a round completed, and
+    ``observed_m``, the vertex count of the summary whose clean test
+    completed it.  SC-1 and the clean test make that the class count of
+    the revealed graph, whatever the learner."""
 
     n: int
     cnq_cum: int
     htq_cum: int
     errors_cum: int
+    observed_m: int
 
 
 @dataclass
@@ -140,12 +144,17 @@ class Session:
         return vertex
 
     def connection(self, u: int, a: int, v: int) -> bool:
-        if u not in self._revealed_set or v not in self._revealed_set:
+        try:
+            if u not in self._revealed_set or v not in self._revealed_set:
+                raise ProtocolViolation(
+                    f"connection query ({u}, {a}, {v}) references an unrevealed vertex"
+                )
+            if a not in self._rights:
+                raise ProtocolViolation(f"right index {a!r} out of range [0, {self._k})")
+        except TypeError:  # a membership test of an unhashable id or right
             raise ProtocolViolation(
-                f"connection query ({u}, {a}, {v}) references an unrevealed vertex"
-            )
-        if a not in self._rights:
-            raise ProtocolViolation(f"right index {a!r} out of range [0, {self._k})")
+                f"connection query ({u!r}, {a!r}, {v!r}) holds an unhashable vertex or right"
+            ) from None
         self.ledger.cnq_count += 1
         return self._teacher.connection(u, a, v)
 
@@ -177,6 +186,7 @@ class Session:
                     cnq_cum=ledger.cnq_count,
                     htq_cum=ledger.htq_count,
                     errors_cum=ledger.errors_cumulative,
+                    observed_m=summary.vertex_count,
                 )
             )
             self._awaiting_clean = False

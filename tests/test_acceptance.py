@@ -18,7 +18,6 @@ from domainlearn.digraph import LabeledDigraph, equivalence_partition, is_irredu
 from domainlearn.experiments import (
     ExperimentConfig,
     coupon_experiment,
-    coupon_schedule,
     run_experiment,
     sweep_experiment,
     verify_experiment,
@@ -299,7 +298,7 @@ def test_criterion_7_coupon_collector():
     failures = []
     config = ExperimentConfig(m=5, k=1, trials=20_000, schedule="iid-uniform",
                               template_seed=7)
-    uniform = coupon_experiment(config, coupon_schedule(config))
+    uniform = coupon_experiment(config)
     closed_form = 5 * (1 + 1 / 2 + 1 / 3 + 1 / 4 + 1 / 5)
     assert uniform.uniform_closed_form == pytest.approx(closed_form)
     assert uniform.exact_mean == pytest.approx(closed_form)
@@ -310,7 +309,7 @@ def test_criterion_7_coupon_collector():
 
     config = ExperimentConfig(m=3, k=1, trials=20_000,
                               schedule="iid-weighted:0.5,0.3,0.2", template_seed=8)
-    weighted = coupon_experiment(config, coupon_schedule(config))
+    weighted = coupon_experiment(config)
     if abs(weighted.empirical_mean - weighted.exact_mean) / weighted.exact_mean >= 0.03:
         failures.append(
             f"weighted empirical {weighted.empirical_mean:.4f} "

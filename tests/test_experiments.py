@@ -18,7 +18,6 @@ from domainlearn.experiments import (
     RoundRow,
     build_session,
     coupon_experiment,
-    coupon_schedule,
     exact_coverage_expectation,
     harmonic_number,
     parse_oracle_checks,
@@ -88,8 +87,7 @@ class TestConfig:
         monkeypatch.setattr(experiments, "parse_schedule", parse_again)
         _, teacher = build_session(config)
         assert teacher.next_vertex() == 0
-        schedule, _ = coupon_schedule(config)
-        assert schedule is config.revelation
+        assert coupon_experiment(config).exact_mean == pytest.approx(3 * harmonic_number(3))
 
     def test_a_field_of_the_wrong_type_is_named(self):
         # the message a JSON config file gets (test_config_field_of_the_wrong_type_exits_2)
@@ -250,6 +248,39 @@ class TestBoundViolation:
         assert f"violation: {prefix}{self.LINE}" in capsys.readouterr().err.splitlines()
 
 
+class HidesItsCost(ConservativeLearner):
+    """Fault injection: after each round asks 30 connection queries more,
+    then shows a 40-vertex edgeless summary, whose m would lift the
+    conservative bounds over that cost; the tested summary is back before
+    its next round."""
+
+    tested = None
+
+    def run_round(self):
+        if self.tested is not None:
+            self.summary = self.tested
+        super().run_round()
+        for _ in range(30):
+            self._session.connection(0, 0, 0)
+        self.tested = self.summary
+        self.summary = LabeledDigraph(self._session.k, range(40))
+
+
+@pytest.mark.parametrize(
+    "command", [["run"], ["dump", "--what", "policy"]], ids=["run", "dump"]
+)
+def test_a_shown_summary_cannot_hide_the_cost(command, monkeypatch, capsys):
+    # a row's m is the Session's record of the tested summary, not the
+    # summary the learner shows after its round
+    monkeypatch.setattr(experiments, "make_learner", lambda kind, session: HidesItsCost(session))
+    assert main([*command, "--k", "1", "--m", "2", "--seed", "3", "--rounds", "4"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "violation: round 2: conservative cnq_cum 31 > 2",
+        "violation: round 3: conservative cnq_cum 62 > 3",
+        "violation: round 4: conservative cnq_cum 93 > 4",
+    ]
+
+
 class ReducibleAfterFirstRound(ConservativeLearner):
     """Fault injection: from round 2 on, submits an edgeless two-domain
     summary, which SC-1 rejects as reducible."""
@@ -359,7 +390,7 @@ class TestCoupon:
 
     def test_single_domain_no_variance(self):
         config = ExperimentConfig(m=1, k=1, trials=50, schedule="iid-uniform")
-        summary = coupon_experiment(config, coupon_schedule(config))
+        summary = coupon_experiment(config)
         assert summary.empirical_mean == 1.0
         assert summary.exact_mean == pytest.approx(1.0)
 
@@ -372,14 +403,14 @@ class TestCoupon:
             m=3, k=1, trials=4000, schedule="iid-weighted:0.5,0.3,0.2",
             template_seed=2,
         )
-        summary = coupon_experiment(config, coupon_schedule(config))
+        summary = coupon_experiment(config)
         assert summary.uniform_closed_form is None
         assert abs(summary.empirical_mean - summary.exact_mean) / summary.exact_mean < 0.05
 
     def test_requires_iid_schedule(self):
         config = ExperimentConfig(m=2, schedule="scripted:0,1")
         with pytest.raises(ValueError, match="IID"):
-            coupon_experiment(config, coupon_schedule(config))
+            coupon_experiment(config)
 
     def test_too_many_classes_rejected_before_any_trial(self, monkeypatch):
         def no_trials(*args):
@@ -389,7 +420,7 @@ class TestCoupon:
         monkeypatch.setattr(experiments, "SplitMix64", no_trials)
         config = ExperimentConfig(m=21, trials=20_000, schedule="iid-uniform")
         with pytest.raises(ValueError, match="20 classes"):
-            coupon_experiment(config, coupon_schedule(config))
+            coupon_experiment(config)
 
     @pytest.mark.parametrize("m,schedule", [
         (2, "iid-weighted:1e-300,1"),
@@ -403,7 +434,7 @@ class TestCoupon:
         monkeypatch.setattr(experiments, "SplitMix64", no_trials)
         config = ExperimentConfig(m=m, trials=1, schedule=schedule)
         with pytest.raises(ValueError, match="not at most 1000000"):
-            coupon_experiment(config, coupon_schedule(config))
+            coupon_experiment(config)
 
 
 def _must_not_run(*args, **kwargs):
@@ -597,7 +628,8 @@ class TestCli:
     def test_coupon_rejects_before_writing(
         self, invalid, message, monkeypatch, tmp_path, capsys
     ):
-        monkeypatch.setattr(cli, "coupon_experiment", _must_not_run)
+        # each trial seeds its own draw stream first
+        monkeypatch.setattr(experiments, "SplitMix64", _must_not_run)
         out = tmp_path / "coupon.csv"
         out.write_text("earlier output\n")
         assert main(["coupon", *invalid, "--out", str(out)]) == 2
@@ -673,7 +705,7 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_verify_interval_past_the_rounds_exits_2(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(cli, "verify_experiment", _must_not_run)
+        monkeypatch.setattr(experiments, "_play", _must_not_run)
         kept = tmp_path / "kept.txt"
         kept.write_text("earlier output\n")
         argv = ["verify", "--k", "2", "--m", "4", "--rounds", "10", "--oracle", "every=300"]
@@ -875,12 +907,14 @@ class TestPinnedOutputs:
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("name", ["run-conservative", "run-novel-last", "run-tireless"])
+    @pytest.mark.parametrize(
+        "name", ["run-conservative", "run-conservative-oracle", "run-novel-last", "run-tireless"]
+    )
     def test_measured_runs_build_no_ground_truth(self, name, monkeypatch, capsys):
         (argv, digest), = [p.values for p in PINNED_OUTPUTS if p.id == name]
 
         def refuse(*args):
-            raise AssertionError("a run with the oracle off built the revealed graph")
+            raise AssertionError("a measured run built the revealed graph")
 
         monkeypatch.setattr(SyntheticTeacher, "peek_ground_truth", refuse)
         # the template world's sources are read only to build the revealed graph

@@ -142,3 +142,21 @@ def test_only_learners_compares_with_a_kind_name():
         if isinstance(part, ast.Constant) and isinstance(part.value, str) and part.value in LEARNERS
     ]
     assert compares == []
+
+
+def test_only_verify_reads_ground_truth():
+    # measured runs read their m from the Session's record of the round;
+    # only verify's checks compare against the revealed graph
+    (verify,) = [
+        node
+        for node in parse(PACKAGE / "experiments.py").body
+        if isinstance(node, ast.FunctionDef) and node.name == "verify_experiment"
+    ]
+    readers = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, line in references(parse(path))
+        if name == "peek_ground_truth"
+        and not (path.name == "experiments.py" and verify.lineno <= line <= verify.end_lineno)
+    ]
+    assert readers == []

@@ -154,6 +154,10 @@ MALFORMED_QUERIES = {
     "cnq-right-half": lambda s: s.connection(0, 0.5, 1),
     "cnq-right-str": lambda s: s.connection(0, "0", 1),
     "cnq-right-none": lambda s: s.connection(0, None, 1),
+    # an unhashable id or right fails the membership tests with TypeError
+    "cnq-u-unhashable": lambda s: s.connection([0], 0, 1),
+    "cnq-right-unhashable": lambda s: s.connection(0, [0], 1),
+    "cnq-v-unhashable": lambda s: s.connection(0, 0, [0]),
     "htq-extra-vertex": lambda s: s.hypothesis_test(
         TWO_DOMAINS, {0: 0, 1: 1, 2: 0, 3: 0}
     ),
