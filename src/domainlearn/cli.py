@@ -4,32 +4,33 @@ Subcommands::
 
     run     execute one learning session, emit a per-round CSV ledger
     verify  run with full per-round invariant checking against ground truth
-    sweep   run both learners over shared seeds for several round counts
+    sweep   play each learner once, reading its row at each of several round counts
     coupon  Monte Carlo rounds-until-coverage vs the exact expectation
     dump    write a template, learned policy, or decision tree as text/DOT
 
 All subcommands accept ``--config <path>`` (a JSON file with the same field
 names as the flags); flags override the file.  ``--oracle`` sets verify's
-check interval; only verify reads ground truth, so the other commands only
-check the flag.  A configuration is checked when it is made from the file
-and flags together, before ``--out`` is opened; a command's own checks
-(verify's interval, coupon's schedule) run before any round or trial is
-played, so no error wastes a run.  Exit status 2, after one ``error: ...``
-line, means the configuration is invalid (a verify interval past its rounds
-included), a template cannot be generated or a file cannot be read or
-written; 3, after one ``internal error: ...`` line, means the learner saw a
-state its algorithm rules out with a truthful teacher
-(``LearnerInternalError``).
+check interval, ``off`` checking every round; only verify reads ground
+truth and applies the oracle's vertex limit.  A configuration is checked
+when it is made from the file and flags together, before ``--out`` is
+opened; a command's own checks (verify's interval and limit, sweep's
+counts, coupon's schedule) run before any round or trial is played.  Exit
+status 2, after one ``error: ...`` line, means the configuration is
+invalid (those checks included), a template cannot be generated or a file
+cannot be read or written; 3, after one ``internal error: ...`` line,
+means the learner saw a state its algorithm rules out with a truthful
+teacher (``LearnerInternalError``).
 
 Every play command (``run``, ``verify``, ``sweep``, ``dump --what
 policy|tree``) ends the same way: one ``violation: ...`` line on stderr per
 bound or monitor violation (and for a verify that checked no round), then,
 if the schedule ran out before ``--rounds``, one ``stopped: schedule
-exhausted after N of R rounds`` line, which is no failure.  Exit status 1
-means a violation or a failed verify check, else 0.  A dump with a
-violation renders nothing.  ``--out`` receives the command's output when
-the command completes with some; one that fails or writes nothing leaves an
-earlier file as it was and removes a file that its own open created.
+exhausted after N of R rounds`` line, which is no failure; a sweep's are
+those of its one play per learner.  Exit status 1 means a violation or a
+failed verify check, else 0.  A dump with a violation renders nothing.
+``--out`` receives the command's output when the command completes with
+some; one that fails or writes nothing leaves an earlier file as it was and
+removes a file that its own open created.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import io
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import fields, replace
+from dataclasses import fields
 from typing import Iterator, TextIO
 
 from .experiments import (
@@ -152,8 +153,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    if config.oracle_checks == "off":
-        config = replace(config, oracle_checks="every")
     with _output(config.out) as stream:
         report = verify_experiment(config)
         stream.write(_verify_text(report))
@@ -174,9 +173,8 @@ def _verify_text(report: VerifyReport) -> str:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     round_counts = [config.rounds] if args.rounds is None else _round_list(args)
-    cells = [replace(config, rounds=n) for n in round_counts]
     with _output(config.out) as stream:
-        report = sweep_experiment(cells)
+        report = sweep_experiment(config, round_counts)
         stream.write(report.to_csv())
     return _end(report, max(round_counts))
 

@@ -88,14 +88,7 @@ class ExperimentConfig:
         # the generators keep 64 bits, so a seed outside would alias one inside
         if not 0 <= self.template_seed < 1 << 64:
             raise ValueError(f"template_seed must be in [0, 2**64), got {self.template_seed}")
-        step = parse_oracle_checks(self.oracle_checks)
-        last_check = self.rounds - self.rounds % step if step else 0
-        if last_check > ORACLE_VERTEX_LIMIT:
-            raise ValueError(
-                f"oracle checks are limited to {ORACLE_VERTEX_LIMIT} vertices, "
-                f"but the last check would run at round {last_check}; "
-                "use a larger every=<j> or fewer rounds"
-            )
+        parse_oracle_checks(self.oracle_checks)  # its limits are verify's
         check_template_parameters(self.m, self.k, self.edge_density)
         self.revelation  # parses the schedule spec and keeps it
 
@@ -274,13 +267,17 @@ def _verify_round(learner, ground_truth: LabeledDigraph) -> list[str]:
 
 def verify_experiment(config: ExperimentConfig) -> VerifyReport:
     """Check every step-th round against ground truth, the only reading of
-    it; checking none fails.  ``ValueError`` before any round unless the
-    oracle is on and checks at least one of the config's rounds."""
-    step = parse_oracle_checks(config.oracle_checks)
-    if not step:
-        raise ValueError("verify requires oracle checks enabled (every or every=<j>)")
+    it, ``off`` checking every round; checking none fails.  ``ValueError``
+    before any round unless a check falls within the config's rounds and
+    within the oracle's vertex limit."""
+    step = parse_oracle_checks(config.oracle_checks) or 1
     if step > config.rounds:
         raise ValueError(f"oracle checks every {step} rounds check none of {config.rounds}")
+    if (last_check := config.rounds - config.rounds % step) > ORACLE_VERTEX_LIMIT:
+        raise ValueError(
+            f"oracle checks are limited to {ORACLE_VERTEX_LIMIT} vertices, but the last check "
+            f"would run at round {last_check}; use a larger every=<j> or fewer rounds"
+        )
     rounds: list[RoundVerdict] = []
 
     def check(round_no, session, teacher, learner) -> None:
@@ -309,22 +306,24 @@ class SweepReport(Outcome):
         return buf.getvalue()
 
 
-def sweep_experiment(cells: list[ExperimentConfig]) -> SweepReport:
-    """Run both learners on each cell, the configs of the round counts,
-    made before any is played; one final row per (cell, learner), cells in
-    the given order.  Every learner is revealed the same vertices, so every
-    cell whose schedule runs out stops after the same round."""
+def sweep_experiment(config: ExperimentConfig, round_counts: list[int]) -> SweepReport:
+    """Play each learner once, for the largest count, and read each count's
+    row from that play: counts in the given order, learners inner, none
+    from a play with no completed round.  Only the play's loop bound reads
+    ``rounds``, so round n of any longer play is round n of an n-round play.
+    ``ValueError`` before any play for a count below 1."""
+    if min(round_counts) < 1:
+        raise ValueError("rounds must be >= 1")
+    last = max(round_counts)
+    plays = {kind: run_experiment(replace(config, learner=kind, rounds=last)) for kind in LEARNERS}
     sweep = SweepReport()
-    for cell in cells:
-        for learner_kind in LEARNERS:
-            report = run_experiment(replace(cell, learner=learner_kind))
-            if report.rows:
-                sweep.rows.append((learner_kind, report.rows[-1]))
-            sweep.violations.extend(
-                f"n={cell.rounds} {learner_kind}: {v}" for v in report.violations
-            )
-            if report.exhausted_after is not None:
-                sweep.exhausted_after = report.exhausted_after
+    for kind, play in plays.items():
+        sweep.violations.extend(f"n={last} {kind}: {v}" for v in play.violations)
+        if play.exhausted_after is not None:
+            sweep.exhausted_after = play.exhausted_after
+    sweep.rows = [
+        (kind, play.rows[:n][-1]) for n in round_counts for kind, play in plays.items() if play.rows
+    ]
     return sweep
 
 

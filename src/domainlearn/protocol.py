@@ -20,8 +20,8 @@ recoverable conditions.
 from __future__ import annotations
 
 import abc
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from .digraph import Edge, LabeledDigraph, is_irreducible
 
@@ -161,6 +161,9 @@ class Session:
     def hypothesis_test(
         self, summary: LabeledDigraph, assignment: Mapping[int, int]
     ) -> frozenset[Edge]:
+        if not (isinstance(summary, LabeledDigraph) and isinstance(assignment, Mapping)):
+            got = f"{type(summary).__name__} and a {type(assignment).__name__}"
+            raise ProtocolViolation(f"hypothesis is a {got}, not a LabeledDigraph and a Mapping")
         if summary.k != self._k:
             raise ProtocolViolation(f"summary is over {summary.k} rights, not {self._k}")
         if set(assignment) != self._revealed_set:
@@ -170,7 +173,11 @@ class Session:
             )
         if not is_irreducible(summary):
             raise SC1Violation("submitted summary is reducible")
-        if set(assignment.values()) != set(summary.vertices):
+        try:
+            domains = set(assignment.values())
+        except TypeError:  # an unhashable domain fails the set
+            raise ProtocolViolation("hypothesis assignment maps to an unhashable domain") from None
+        if domains != set(summary.vertices):
             raise SC1Violation(
                 "submitted assignment is not surjective onto the summary vertices, "
                 "or maps a vertex outside them"

@@ -376,8 +376,9 @@ def test_criterion_9_determinism(tmp_path):
     )
     if run_experiment(run_config).to_csv() != run_experiment(run_config).to_csv():
         failures.append("run_experiment CSV differs across repeats")
-    sweep_cells = [ExperimentConfig(k=2, m=3, template_seed=78, rounds=n) for n in (5, 10)]
-    if sweep_experiment(sweep_cells).to_csv() != sweep_experiment(sweep_cells).to_csv():
+    sweep_config = ExperimentConfig(k=2, m=3, template_seed=78)
+    sweep_csv = [sweep_experiment(sweep_config, [5, 10]).to_csv() for _ in range(2)]
+    if sweep_csv[0] != sweep_csv[1]:
         failures.append("sweep_experiment CSV differs across repeats")
 
     args = ["run", "--learner", "tireless", "--k", "2", "--m", "3",

@@ -8,6 +8,8 @@ import json
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domainlearn import cli, experiments
 from domainlearn.cli import main
@@ -25,7 +27,7 @@ from domainlearn.experiments import (
     sweep_experiment,
     verify_experiment,
 )
-from domainlearn.learners import ConservativeLearner, TirelessLearner
+from domainlearn.learners import LEARNERS, ConservativeLearner, TirelessLearner
 from domainlearn.oracle import ISOMORPHISM_VERTEX_LIMIT
 from domainlearn.protocol import ProtocolViolation
 from domainlearn.teacher import (
@@ -50,16 +52,6 @@ class TestConfig:
         assert parse_oracle_checks("every=8") == 8
         with pytest.raises(ValueError):
             parse_oracle_checks("sometimes")
-
-    def test_per_round_oracle_round_guard(self):
-        with pytest.raises(ValueError, match="256"):
-            ExperimentConfig(oracle_checks="every", rounds=300)
-        # every=4 over 300 rounds would check the oracle at round 300
-        with pytest.raises(ValueError, match="256"):
-            ExperimentConfig(oracle_checks="every=4", rounds=300)
-        # ... while over 259 rounds its last check is at round 256
-        ExperimentConfig(oracle_checks="every=4", rounds=259)
-        ExperimentConfig(oracle_checks="every", rounds=256)
 
     @pytest.mark.parametrize("seed,alias", [(-1, 2**64 - 1), (2**64, 0)])
     def test_a_seed_outside_64_bits_is_rejected(self, seed, alias):
@@ -201,10 +193,24 @@ class TestVerify:
         )
         assert verify_experiment(config).all_passed
 
-    def test_requires_oracle(self):
-        config = ExperimentConfig(learner="conservative", rounds=2)
-        with pytest.raises(ValueError, match="oracle"):
-            verify_experiment(config)
+    def test_off_checks_every_round(self):
+        config = ExperimentConfig(learner="conservative", k=1, m=2, rounds=3)
+        assert config.oracle_checks == "off"
+        report = verify_experiment(config)
+        assert [r.round_no for r in report.rounds] == [1, 2, 3]
+        assert report.all_passed
+
+    def test_per_round_oracle_round_guard(self, monkeypatch):
+        # the oracle's limit is verify's, checked before any round
+        monkeypatch.setattr(experiments, "_play", _must_not_run)
+        # every=4 over 300 rounds would check the oracle at round 300
+        for oracle_checks in ("off", "every", "every=4"):
+            with pytest.raises(ValueError, match="256"):
+                verify_experiment(ExperimentConfig(oracle_checks=oracle_checks, rounds=300))
+        # ... while over 259 rounds its last check is at round 256
+        for oracle_checks, rounds in (("every=4", 259), ("every", 256)):
+            with pytest.raises(AssertionError, match="no round may be played"):
+                verify_experiment(ExperimentConfig(oracle_checks=oracle_checks, rounds=rounds))
 
     def test_interval_checking(self):
         config = ExperimentConfig(
@@ -246,6 +252,16 @@ class TestBoundViolation:
         assert main([*command, *self.ARGS]) == 1
         prefix = "n=4 tireless: " if command == ["sweep"] else ""
         assert f"violation: {prefix}{self.LINE}" in capsys.readouterr().err.splitlines()
+
+    def test_a_sweep_reports_each_play_once(self, capsys):
+        # one play per learner, of the largest count: the n=2 rows are read
+        # from it, and its lines are not repeated for n=2
+        assert main(["sweep", "--k", "1", "--m", "2", "--rounds", "2,4"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"violation: n=4 {kind}: round {n}: tireless cnq_cum {n * n + n - 1} != {n * n}"
+            for kind in LEARNERS
+            for n in (2, 3, 4)
+        ]
 
 
 class HidesItsCost(ConservativeLearner):
@@ -336,14 +352,58 @@ class TestMonitorViolation:
         assert capsys.readouterr().err == f"violation: {self.VIOLATION}\n"
 
 
-def _cells(config: ExperimentConfig, round_counts: list[int]) -> list[ExperimentConfig]:
-    return [replace(config, rounds=n) for n in round_counts]
+@st.composite
+def sweep_configs(draw) -> tuple[ExperimentConfig, list[int]]:
+    """A small world, a schedule that may end before the largest count (a
+    short script or ``novel-last``) and 1 to 4 round counts."""
+    m = draw(st.integers(1, 4))
+    schedule = draw(st.sampled_from(["iid-uniform", "novel-last", "scripted"]))
+    if schedule == "novel-last":
+        schedule += f":{draw(st.integers(1, 4))}"
+    elif schedule == "scripted":
+        script = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6))
+        schedule += ":" + ",".join(map(str, script))
+    config = ExperimentConfig(
+        k=draw(st.integers(1, 2)), m=m, template_seed=draw(st.integers(0, 2**16)),
+        schedule=schedule,
+    )
+    return config, draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
 
 
 class TestSweep:
+    @given(sweep_configs())
+    @settings(max_examples=60)
+    def test_each_count_reads_the_row_of_its_own_play(self, drawn):
+        # round n of the longest play is the last round of an n-round play,
+        # exhausted scripts included
+        config, round_counts = drawn
+        expected = []
+        for n in round_counts:
+            for kind in LEARNERS:
+                rows = run_experiment(replace(config, learner=kind, rounds=n)).rows
+                expected += [(kind, rows[-1])] if rows else []
+        assert sweep_experiment(config, round_counts).rows == expected
+
+    def test_plays_each_learner_once(self, monkeypatch):
+        plays = []
+
+        def counting(config):
+            plays.append((config.learner, config.rounds))
+            return run_experiment(config)
+
+        monkeypatch.setattr(experiments, "run_experiment", counting)
+        report = sweep_experiment(ExperimentConfig(k=1, m=2), [3, 7, 5])
+        assert plays == [(kind, 7) for kind in LEARNERS]
+        assert [row.n for _, row in report.rows] == [3, 3, 7, 7, 5, 5]
+
+    def test_a_count_below_1_is_refused_before_any_play(self, monkeypatch):
+        monkeypatch.setattr(experiments, "run_experiment", _must_not_run)
+        with pytest.raises(ValueError, match="^rounds must be >= 1$"):
+            sweep_experiment(ExperimentConfig(), [10, 0])
+
     def test_learner_column_and_cell_order(self):
         config = ExperimentConfig(k=1, m=2, template_seed=4)
-        report = sweep_experiment(_cells(config, [4, 8]))
+        report = sweep_experiment(config, [4, 8])
         assert [kind for kind, _ in report.rows] == [
             "tireless",
             "conservative",
@@ -354,13 +414,13 @@ class TestSweep:
 
     def test_single_round_both_learners_cost_k(self):
         config = ExperimentConfig(k=3, m=2, template_seed=6)
-        report = sweep_experiment(_cells(config, [1]))
+        report = sweep_experiment(config, [1])
         assert all(row.cnq_cum == 3 for _, row in report.rows)
 
     def test_growth_contrast(self):
         # tireless quadruples per doubling of n; conservative roughly doubles
         config = ExperimentConfig(k=2, m=4, template_seed=13)
-        report = sweep_experiment(_cells(config, [10, 20, 40, 80]))
+        report = sweep_experiment(config, [10, 20, 40, 80])
         tireless = [row for kind, row in report.rows if kind == "tireless"]
         conservative = [row for kind, row in report.rows if kind == "conservative"]
         for prev, cur in zip(tireless, tireless[1:]):
@@ -372,8 +432,8 @@ class TestSweep:
 
     def test_deterministic_csv(self):
         config = ExperimentConfig(k=2, m=3, template_seed=21)
-        first = sweep_experiment(_cells(config, [5, 10])).to_csv()
-        second = sweep_experiment(_cells(config, [5, 10])).to_csv()
+        first = sweep_experiment(config, [5, 10]).to_csv()
+        second = sweep_experiment(config, [5, 10]).to_csv()
         assert first == second
 
 
@@ -714,6 +774,23 @@ class TestCli:
             "error: oracle checks every 300 rounds check none of 10\n"
         )
         assert kept.read_text() == "earlier output\n"
+
+    def test_only_verify_applies_the_oracle_limit(self, monkeypatch, capsys):
+        # run reads no ground truth, so the oracle's limit is no concern of it
+        def refuse(*args):
+            raise AssertionError("a measured run built the revealed graph")
+
+        monkeypatch.setattr(SyntheticTeacher, "peek_ground_truth", refuse)
+        argv = ["--k", "1", "--m", "2", "--oracle", "every", "--rounds", "300"]
+        assert main(["run", *argv]) == 0
+        captured = capsys.readouterr()
+        assert (len(captured.out.splitlines()), captured.err) == (301, "")
+        monkeypatch.setattr(experiments, "_play", _must_not_run)
+        assert main(["verify", *argv[:-4], "--rounds", "300"]) == 2
+        assert capsys.readouterr().err == (
+            "error: oracle checks are limited to 256 vertices, but the last check would run "
+            "at round 300; use a larger every=<j> or fewer rounds\n"
+        )
 
     def test_verify_that_checks_no_round_fails(self, capsys):
         # the schedule ends after 4 rounds, before the first check at 10

@@ -144,19 +144,37 @@ def test_only_learners_compares_with_a_kind_name():
     assert compares == []
 
 
-def test_only_verify_reads_ground_truth():
-    # measured runs read their m from the Session's record of the round;
-    # only verify's checks compare against the revealed graph
+def uses_outside_verify(name: str, *allowed: str) -> list[str]:
+    """``file:line`` of each reference to ``name`` in the package, imports
+    aside, outside ``experiments.verify_experiment`` and the files
+    ``allowed``."""
     (verify,) = [
         node
         for node in parse(PACKAGE / "experiments.py").body
         if isinstance(node, ast.FunctionDef) and node.name == "verify_experiment"
     ]
-    readers = [
-        f"{path.name}:{line}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for name, line in references(parse(path))
-        if name == "peek_ground_truth"
-        and not (path.name == "experiments.py" and verify.lineno <= line <= verify.end_lineno)
-    ]
-    assert readers == []
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        imports = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        found += [
+            f"{path.name}:{line}"
+            for used, line in references(tree)
+            if used == name
+            and line not in imports
+            and path.name not in allowed
+            and not (path.name == "experiments.py" and verify.lineno <= line <= verify.end_lineno)
+        ]
+    return found
+
+
+def test_only_verify_reads_ground_truth():
+    # measured runs read their m from the Session's record of the round;
+    # only verify's checks compare against the revealed graph
+    assert uses_outside_verify("peek_ground_truth") == []
+
+
+def test_only_verify_checks_the_oracle_limit():
+    # the oracle defines its limit and only verify consults the oracle, so
+    # no other play or config is refused for it
+    assert uses_outside_verify("ORACLE_VERTEX_LIMIT", "oracle.py") == []

@@ -174,6 +174,11 @@ MALFORMED_QUERIES = {
     "htq-other-alphabet": lambda s: s.hypothesis_test(
         LabeledDigraph(2, [0, 1], [(0, 0, 1)]), {0: 0, 1: 1, 2: 0}
     ),
+    # these once ended in AttributeError or TypeError, not a violation
+    "htq-summary-none": lambda s: s.hypothesis_test(None, {0: 0, 1: 1, 2: 0}),
+    # a list of the revealed ids passes a test of its set of items
+    "htq-assignment-list": lambda s: s.hypothesis_test(TWO_DOMAINS, [0, 1, 2]),
+    "htq-domain-unhashable": lambda s: s.hypothesis_test(TWO_DOMAINS, {0: 0, 1: 1, 2: [0]}),
 }
 
 
