@@ -16,7 +16,8 @@ own spread (its interquartile range over its median) is wider than that
 bound, so the runs cannot tell a change within the bound from none,
 unless every change run reads better than every parent run (printed as
 ``UNRESOLVED``); per workload, each side's share of failed sessions
-(``REGRESSION`` when the change's is larger); each per-layer metric's
+(``REGRESSION`` when the change's is larger) and the ``peak_rss_mb``
+change per extra untraced block, in KB; each per-layer metric's
 traced median per side; each side's source size (``src_lines``, the lines
 of ``src/domainlearn/*.py``); and every run's raw output lines and result.
 
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import re
@@ -108,9 +110,9 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric: each side's quartiles, the change's wins over
     the pairs, its median's relative change, whether the gain is claimable,
     whether the change exceeds the metric's bound and whether the parent's
-    spread leaves the metric unresolved; plus blocks,
-    failures, each side's failed share of the attempted sessions and
-    whether the change's share is the larger."""
+    spread leaves the metric unresolved; plus blocks, the RSS change per
+    extra block, failures, each side's failed share of the attempted
+    sessions and whether the change's share is the larger."""
     by_side = {side: [r for r in runs if r["side"] == side] for side in SIDES}
     summary: dict = {"pairs": len(by_side["change"])}
     for metric in metrics:
@@ -139,6 +141,7 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
             "unresolved": spread > metric["bound"] and not every_run_better,
         }
     summary["blocks"] = {side: [blocks(r) for r in by_side[side]] for side in SIDES}
+    summary["rss_per_extra_block_kb"] = rss_per_extra_block_kb(summary)
     summary["failed"] = {side: [r["result"]["failed"] for r in by_side[side]] for side in SIDES}
     attempted = {side: sum(r["result"]["attempted"] for r in by_side[side]) for side in SIDES}
     summary["failed_share"] = {
@@ -157,6 +160,20 @@ def median_blocks(counts: list[int | None]) -> float:
     """The median of the known block counts, or NaN if none is known."""
     known = [count for count in counts if count is not None]
     return statistics.median(known) if known else float("nan")
+
+
+def rss_per_extra_block_kb(summary: dict) -> float | None:
+    """The change in median ``peak_rss_mb`` over the change in median
+    untraced block count, in KB: a figure near what the harness keeps per
+    block says that a ``peak_rss_mb`` move is the harness's retention of
+    the extra blocks, not the simulator's memory.  None when
+    ``peak_rss_mb`` is not measured or the block medians are equal or
+    unknown."""
+    extra = median_blocks(summary["blocks"]["change"]) - median_blocks(summary["blocks"]["parent"])
+    if "peak_rss_mb" not in summary or math.isnan(extra) or extra == 0:
+        return None
+    rss = summary["peak_rss_mb"]
+    return (rss["change"]["median"] - rss["parent"]["median"]) * 1024 / extra
 
 
 def stop(signum: int, frame) -> None:
@@ -245,6 +262,9 @@ def main() -> int:
             if metric == "peak_rss_mb":
                 parent_blocks, change_blocks = (median_blocks(entry["blocks"][side]) for side in SIDES)
                 blocks_note = f", blocks {parent_blocks:g} -> {change_blocks:g}"
+                per_block = entry["rss_per_extra_block_kb"]
+                if per_block is not None:
+                    blocks_note += f", {per_block:.3g} KB per extra block"
             print(f"  {workload:17} {metric:14} parent {parent['median']:12.5g} "
                   f"change {change['median']:12.5g} ({entry[metric]['median_change']:+.1%}, "
                   f"wins {entry[metric]['change_wins']}/{entry['pairs']}"

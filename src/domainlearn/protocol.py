@@ -9,7 +9,8 @@ monitor mediates every query, owns the cost ledger, and enforces the two
 success criteria:
 
 * SC-1: every hypothesis submitted must be irreducible with a surjective
-  assignment.
+  assignment.  The monitor partitions a summary value once, and again
+  only when it changes, in-place edits included: a bet pays one comparison.
 * SC-2: after a next-vertex query, the learner must obtain at least one
   error-free hypothesis test before requesting another vertex.
 
@@ -23,7 +24,7 @@ import abc
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .digraph import Edge, LabeledDigraph, is_irreducible
+from .digraph import Edge, LabeledDigraph, induced_subgraph, is_irreducible
 
 
 class ProtocolViolation(RuntimeError):
@@ -110,8 +111,10 @@ class Session:
     The monitor is the only place a query is validated: a malformed query
     raises before the teacher sees it and before the ledger counts it.  The
     monitor, not the learner, owns the ledger, so reported cost cannot be
-    understated.  Strictly single-threaded; run independent sessions for
-    parallel experiments.
+    understated.  It keeps its own copy of the last summary found
+    irreducible, and that copy's vertex set, so a learner that edits a
+    summary it submitted cannot change what the monitor checked.  Strictly
+    single-threaded; run independent sessions for parallel experiments.
     """
 
     def __init__(self, teacher: Teacher):
@@ -124,6 +127,9 @@ class Session:
         # hypothesis test (SC-2)
         self._awaiting_clean = False
         self._revealed_set: set[int] = set()
+        # a copy of the last summary found irreducible (at first the empty one)
+        self._irreducible = LabeledDigraph(self._k)
+        self._irreducible_vertices: set[int] = set()
 
     @property
     def k(self) -> int:
@@ -161,23 +167,32 @@ class Session:
     def hypothesis_test(
         self, summary: LabeledDigraph, assignment: Mapping[int, int]
     ) -> frozenset[Edge]:
+        """Check types, alphabet, domain and SC-1, in that order, then ask
+        the teacher.  A summary equal to the monitor's copy, by the copy's own
+        ``LabeledDigraph.__eq__``, is not partitioned again."""
         if not (isinstance(summary, LabeledDigraph) and isinstance(assignment, Mapping)):
             got = f"{type(summary).__name__} and a {type(assignment).__name__}"
             raise ProtocolViolation(f"hypothesis is a {got}, not a LabeledDigraph and a Mapping")
         if summary.k != self._k:
             raise ProtocolViolation(f"summary is over {summary.k} rights, not {self._k}")
-        if set(assignment) != self._revealed_set:
+        keys = set(assignment)
+        if keys != self._revealed_set:
+            # sorted by repr: a key of another type does not compare with an id
             raise ProtocolViolation(
                 "hypothesis assignment domain must be exactly the revealed set; "
-                f"got {sorted(assignment)} vs {sorted(self._revealed_set)}"
+                f"missing {sorted(self._revealed_set - keys, key=repr)}, "
+                f"extra {sorted(keys - self._revealed_set, key=repr)}"
             )
-        if not is_irreducible(summary):
-            raise SC1Violation("submitted summary is reducible")
+        if not LabeledDigraph.__eq__(self._irreducible, summary):
+            if not is_irreducible(summary):
+                raise SC1Violation("submitted summary is reducible")
+            self._irreducible = induced_subgraph(summary, summary.vertices)
+            self._irreducible_vertices = set(summary.vertices)
         try:
             domains = set(assignment.values())
         except TypeError:  # an unhashable domain fails the set
             raise ProtocolViolation("hypothesis assignment maps to an unhashable domain") from None
-        if domains != set(summary.vertices):
+        if domains != self._irreducible_vertices:
             raise SC1Violation(
                 "submitted assignment is not surjective onto the summary vertices, "
                 "or maps a vertex outside them"

@@ -192,6 +192,9 @@ def test_bench_pairs(tmp_path):
     assert not any(summary[name]["unresolved"] for name in metrics)
     assert summary["cnq_total"]["exceeds_bound"] is False
     assert "peak_rss_mb" in result.stdout and "blocks" in result.stdout
+    # with one block count per side the figure is there exactly when they differ
+    per_block = summary["rss_per_extra_block_kb"]
+    assert (per_block is None) == (summary["blocks"]["parent"] == summary["blocks"]["change"])
     # one pair has no spread, so a won pair is a claimable gain
     assert rate["gain_claimable"] == (rate["change_wins"] == 1)
     cnq_calls = record["traced"]["tireless"]["protocol.cnq_calls"]
@@ -283,6 +286,32 @@ def test_bench_pairs_flags_a_change_past_its_bound():
     summary = bench_pairs.summarise(runs({"parent": 0, "change": 1}), metrics)
     assert summary["failed_share"] == {"parent": 0.0, "change": 0.1}
     assert summary["failed_share_grew"] is True
+
+
+def test_bench_pairs_ties_a_peak_rss_move_to_the_block_count():
+    metrics = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+
+    def runs(parent, change):
+        """One run per (peak_rss_mb, untraced blocks) pair; a block count
+        of None leaves the run with no lines to read it from."""
+        return [
+            {"side": side, "lines": [f"cons-iid seed 0: {blocks} untraced and 0 traced blocks"]
+             if blocks is not None else [],
+             "result": {"attempted": 2, "failed": 0, "metrics": {"peak_rss_mb": {"value": rss}}}}
+            for side, values in (("parent", parent), ("change", change))
+            for rss, blocks in values
+        ]
+
+    summarise = load_bench_pairs().summarise
+    # +1.0 MB median over +13 median blocks: 1024 KB / 13
+    summary = summarise(runs([(37.0, 200), (37.2, 202)], [(38.0, 213), (38.2, 215)]), metrics)
+    assert summary["blocks"] == {"parent": [200, 202], "change": [213, 215]}
+    assert summary["rss_per_extra_block_kb"] == pytest.approx(1024 / 13)
+    # equal block medians, or none known, give no figure
+    summary = summarise(runs([(37.0, 200)], [(38.0, 200)]), metrics)
+    assert summary["rss_per_extra_block_kb"] is None
+    summary = summarise(runs([(37.0, None)], [(38.0, None)]), metrics)
+    assert summary["rss_per_extra_block_kb"] is None
 
 
 def test_bench_pairs_flags_a_spread_past_its_bound():
