@@ -4,7 +4,9 @@ production algorithms and the learners.
 The references read the same graph store as production code (a digraph is
 stored once, as per-right bitmasks) and compare whole rows of it rather
 than single edges; their independence lies in the algorithms: an
-all-members pairwise partition with transitivity assertions, a
+all-members pairwise partition with transitivity assertions, whose pair
+test is the literal definition (agreement outside the pair, then the four
+edges within it) on each vertex's 2k masks packed into one int, a
 strong-homomorphism check of every source's row against every image
 class, and a backtracking isomorphism search.  Nothing here is on
 any measured path: these functions may read teacher ground truth and are
@@ -13,7 +15,7 @@ wired only into tests and verify mode.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .digraph import LabeledDigraph
 
@@ -25,20 +27,49 @@ class OracleLimitError(ValueError):
     """Raised when an input exceeds the oracle's desk-scale limit."""
 
 
-def _same(rows: Mapping[int, list[tuple[int, int]]], u: int, v: int) -> bool:
-    """The literal pair test on ``rows[w]``, vertex w's ``(out, in)`` masks
-    by right: for every right, u and v have the same out- and in-neighbours
-    outside {u, v} (one xor per right, with the pair's own bits masked
-    off), and the four edges among {u, v} are all present or all absent."""
+class _Rows(NamedTuple):
+    """Every vertex's 2k masks packed into one int, ``row[v]``, in fields
+    of W bits, W the largest vertex id + 1: field 2a holds ``out_mask(a,
+    v)`` and field 2a+1 ``in_mask(a, v)``, field j from bit j*W.  ``every``
+    has bit 0 of each field set and ``outs`` bit 0 of each out field, so
+    ``pair * every`` selects a pair's bits in every field."""
+
+    row: dict[int, int]
+    every: int
+    outs: int
+
+
+def _rows(g: LabeledDigraph) -> _Rows:
+    """Read each vertex's 2k masks once and pack them into its row."""
+    vertices = g.vertices
+    width = vertices[-1] + 1 if vertices else 0
+    out_mask, in_mask = g.out_mask, g.in_mask
+    shifts = [(a, 2 * a * width, (2 * a + 1) * width) for a in range(g.k)]
+    row = {
+        v: sum((out_mask(a, v) << out_at) | (in_mask(a, v) << in_at) for a, out_at, in_at in shifts)
+        for v in vertices
+    }
+    every = sum(1 << (j * width) for j in range(2 * g.k))
+    outs = sum(1 << out_at for _, out_at, _ in shifts)
+    return _Rows(row, every, outs)
+
+
+def _same(rows: _Rows, u: int, v: int) -> bool:
+    """The literal pair test on whole rows (see :class:`_Rows`): u and v
+    have the same out- and in-neighbours outside {u, v} under every right
+    (one xor of the two rows, with the pair's bits of every field masked
+    off), and under every right the four edges among {u, v} are all
+    present or all absent.  The four are bits u and v of the two out
+    fields, ``su`` and ``sv``: all equal when ``su == sv`` and, in every
+    out field, bit u of ``su`` equals its bit v.  O(1) big-int operations
+    on 2k*W-bit rows."""
+    row, every, outs = rows
+    ru, rv = row[u], row[v]
     pair = (1 << u) | (1 << v)
-    outside = ~pair
-    for (ou, iu), (ov, iv) in zip(rows[u], rows[v]):
-        if ((ou ^ ov) | (iu ^ iv)) & outside:
-            return False
-        four = ((ou >> u) & 1) + ((ou >> v) & 1) + ((ov >> u) & 1) + ((ov >> v) & 1)
-        if four != 0 and four != 4:
-            return False
-    return True
+    if (ru ^ rv) & ~(pair * every):
+        return False
+    su = ru & pair * outs
+    return su == rv & pair * outs and (su >> u) & outs == (su >> v) & outs
 
 
 def oracle_partition(
@@ -52,18 +83,17 @@ def oracle_partition(
     than one class, aborts loudly as a transitivity failure instead of being
     merged.  Refuses graphs above the desk-scale ``limit``.
 
-    Each vertex's k ``(out, in)`` mask pairs are read once per call.  Each
+    Each vertex's 2k masks are read once per call, into its row.  Each
     newcomer is compared once with every member of every class, so a call
-    on n vertices makes n(n-1)/2 pair tests of at most k rights each.
+    on n vertices makes n(n-1)/2 pair tests, each O(1) big-int operations
+    on 2k*W-bit rows, W the largest vertex id + 1.
     """
     vertices = g.vertices
     if len(vertices) > limit:
         raise OracleLimitError(
             f"oracle_partition limited to {limit} vertices, got {len(vertices)}"
         )
-    out_mask, in_mask = g.out_mask, g.in_mask
-    rights = range(g.k)
-    rows = {v: [(out_mask(a, v), in_mask(a, v)) for a in rights] for v in vertices}
+    rows = _rows(g)
 
     classes: list[list[int]] = []
     for v in vertices:

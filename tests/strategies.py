@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 
@@ -67,6 +68,25 @@ def blown_up_digraphs(draw, max_base: int = 4, max_n: int = 12) -> LabeledDigrap
             for v in range(n)
             if base.has_edge(copies[u], a, copies[v])
         ],
+    )
+
+
+@st.composite
+def sparse_digraphs(draw, max_n: int = 8, max_id: int = 4095) -> LabeledDigraph:
+    """A :func:`digraphs` example relabelled onto distinct ids in [0,
+    max_id], in a drawn order, the way a summary's vertices are the sparse
+    ids of its representatives.  The ids are a drawn start plus running
+    sums of drawn gaps, each at most (max_id + 1) // max_n, then
+    permuted; every example draws max_n ids, of which the first n are
+    used, so no draw is filtered."""
+    g = draw(digraphs(max_n=max_n))
+    step = (max_id + 1) // max_n
+    ids = list(itertools.accumulate(
+        [draw(st.integers(0, step - 1))] + [draw(st.integers(1, step - 1)) for _ in range(max_n - 1)]
+    ))
+    ids = [ids[i] for i in draw(st.permutations(range(max_n)))]
+    return LabeledDigraph(
+        g.k, [ids[v] for v in g.vertices], [(ids[u], a, ids[v]) for u, a, v in g.edges()]
     )
 
 

@@ -25,7 +25,21 @@ from domainlearn.teacher import (
     generate_template,
 )
 
-from .strategies import blown_up_digraphs, digraphs, random_digraph
+from .strategies import blown_up_digraphs, digraphs, random_digraph, sparse_digraphs
+from .test_digraph import indistinguishable
+
+
+def literal_classes(g: LabeledDigraph) -> list[list[int]]:
+    """The classes of the cell-by-cell relation, in the oracle's order:
+    by smallest member, members ascending."""
+    classes: list[list[int]] = []
+    for v in g.vertices:
+        home = next((cls for cls in classes if indistinguishable(g, cls[0], v)), None)
+        if home is None:
+            classes.append([v])
+        else:
+            home.append(v)
+    return classes
 
 
 class TestOraclePartition:
@@ -55,6 +69,12 @@ class TestOraclePartition:
             oracle_partition(LabeledDigraph(1, range(3)))
         assert str(raised.value) == message
 
+    @given(sparse_digraphs())
+    @settings(max_examples=150)
+    def test_agrees_with_the_definition_on_sparse_ids(self, g):
+        # rows are as wide as the largest id, not the vertex count
+        assert oracle_partition(g) == literal_classes(g)
+
     @given(st.one_of(digraphs(), blown_up_digraphs()))
     @settings(max_examples=150)
     def test_agrees_with_production_partition(self, g):
@@ -69,6 +89,57 @@ class TestOraclePartition:
             density = ((i * 7) % 10) / 10.0
             g = random_digraph(seed=i, n=n, k=k, density=density)
             assert oracle_partition(g) == equivalence_partition(g), f"graph {i}"
+
+
+# k = 3 on vertices {0, 4, 9}: W = 10, the last right's in-field is field 5
+SPARSE = (0, 4, 9)
+
+
+def pair_same(edges) -> bool:
+    """``_same`` on the pair (0, 4), asked in both orders."""
+    rows = oracle._rows(LabeledDigraph(3, SPARSE, edges))
+    same = oracle._same(rows, 0, 4)
+    assert oracle._same(rows, 4, 0) is same
+    return same
+
+
+class TestPairFields:
+    @pytest.mark.parametrize("edges,same", [
+        ([(0, 2, 4)], False),
+        ([(4, 2, 0)], False),
+        ([(0, 2, 0), (4, 2, 4), (0, 2, 4)], False),
+        ([(0, 2, 0), (4, 2, 4), (4, 2, 0)], False),
+        ([(0, 2, 0), (4, 2, 4), (0, 2, 4), (4, 2, 0)], True),
+    ], ids=["u-to-v", "v-to-u", "loops-and-u-to-v", "loops-and-v-to-u", "all-four"])
+    def test_one_pair_edge(self, edges, same):
+        assert pair_same(edges) is same
+
+    @pytest.mark.parametrize("edges,same", [
+        ([(0, 0, 0)], False),
+        ([(4, 2, 4)], False),
+        ([(0, 0, 0), (4, 0, 4)], False),
+    ], ids=["u-loop", "v-loop-last-right", "both-loops-no-cross-edges"])
+    def test_one_self_loop(self, edges, same):
+        assert pair_same(edges) is same
+
+    @pytest.mark.parametrize("edges,same", [
+        ([(9, 2, 0)], False),
+        ([(9, 2, 4)], False),
+        ([(9, 2, 0), (9, 2, 4)], True),
+    ], ids=["into-u", "into-v", "into-both"])
+    def test_one_bit_of_the_last_in_field(self, edges, same):
+        # bit 9 of in_mask(2, .): the top bit of a 60-bit row
+        assert pair_same(edges) is same
+
+    @pytest.mark.parametrize("edges,same", [
+        ([(0, 0, 9)], False),
+        ([(4, 1, 9)], False),
+        ([(0, 0, 9), (4, 0, 9)], True),
+        ([(9, 0, 9)], True),
+    ], ids=["u-to-top", "v-to-top", "both-to-top", "top-loop"])
+    def test_a_bit_at_the_largest_id(self, edges, same):
+        # bit W-1 of an out field is the last before the next field's bit 0
+        assert pair_same(edges) is same
 
 
 class TestIsomorphicSmall:
