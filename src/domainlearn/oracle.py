@@ -44,32 +44,35 @@ def _rows(g: LabeledDigraph) -> _Rows:
     vertices = g.vertices
     width = vertices[-1] + 1 if vertices else 0
     out_mask, in_mask = g.out_mask, g.in_mask
-    shifts = [(a, 2 * a * width, (2 * a + 1) * width) for a in range(g.k)]
-    row = {
-        v: sum((out_mask(a, v) << out_at) | (in_mask(a, v) << in_at) for a, out_at, in_at in shifts)
-        for v in vertices
-    }
-    every = sum(1 << (j * width) for j in range(2 * g.k))
-    outs = sum(1 << out_at for _, out_at, _ in shifts)
+    row = dict.fromkeys(vertices, 0)
+    every = outs = 0
+    for a in range(g.k):
+        out_at, in_at = 2 * a * width, (2 * a + 1) * width
+        for v in vertices:
+            row[v] |= out_mask(a, v) << out_at | in_mask(a, v) << in_at
+        every |= 1 << out_at | 1 << in_at
+        outs |= 1 << out_at
     return _Rows(row, every, outs)
 
 
 def _same(rows: _Rows, u: int, v: int) -> bool:
     """The literal pair test on whole rows (see :class:`_Rows`): u and v
     have the same out- and in-neighbours outside {u, v} under every right
-    (one xor of the two rows, with the pair's bits of every field masked
-    off), and under every right the four edges among {u, v} are all
-    present or all absent.  The four are bits u and v of the two out
-    fields, ``su`` and ``sv``: all equal when ``su == sv`` and, in every
-    out field, bit u of ``su`` equals its bit v.  O(1) big-int operations
-    on 2k*W-bit rows."""
+    (the xor of the two rows lies within the pair's bits of every field),
+    and under every right the four edges among {u, v} are all present or
+    all absent.  The four are bits u and v of the two rows' out fields:
+    all equal when the xor has none of them (u's equal v's) and, in every
+    out field of u, bit u equals bit v.  O(1) big-int operations on
+    2k*W-bit rows."""
     row, every, outs = rows
-    ru, rv = row[u], row[v]
+    ru = row[u]
+    diff = ru ^ row[v]
     pair = (1 << u) | (1 << v)
-    if (ru ^ rv) & ~(pair * every):
+    if diff & pair * every != diff:
         return False
-    su = ru & pair * outs
-    return su == rv & pair * outs and (su >> u) & outs == (su >> v) & outs
+    four = pair * outs
+    su = ru & four
+    return not diff & four and (su >> u) & outs == (su >> v) & outs
 
 
 def oracle_partition(

@@ -73,20 +73,19 @@ def blown_up_digraphs(draw, max_base: int = 4, max_n: int = 12) -> LabeledDigrap
 
 @st.composite
 def sparse_digraphs(draw, max_n: int = 8, max_id: int = 4095) -> LabeledDigraph:
-    """A :func:`digraphs` example relabelled onto distinct ids in [0,
-    max_id], in a drawn order, the way a summary's vertices are the sparse
-    ids of its representatives.  The ids are a drawn start plus running
-    sums of drawn gaps, each at most (max_id + 1) // max_n, then
-    permuted; every example draws max_n ids, of which the first n are
-    used, so no draw is filtered."""
+    """A :func:`digraphs` example relabelled onto sparse ids in [0,
+    max_id], the way a summary's vertices are its representatives, the
+    least member of each class, so 0 always among them.  The n ids are 0
+    and running sums of drawn gaps, each at most max_id // (max_n - 1),
+    handed out in a drawn order.  Every example draws max_n - 1 gaps and
+    a permutation of max_n, whatever its n, so no draw is filtered."""
     g = draw(digraphs(max_n=max_n))
-    step = (max_id + 1) // max_n
-    ids = list(itertools.accumulate(
-        [draw(st.integers(0, step - 1))] + [draw(st.integers(1, step - 1)) for _ in range(max_n - 1)]
-    ))
-    ids = [ids[i] for i in draw(st.permutations(range(max_n)))]
+    n = g.vertex_count
+    gap = st.integers(1, max_id // (max_n - 1))
+    ids = list(itertools.accumulate([0] + [draw(gap) for _ in range(max_n - 1)]))
+    order = [ids[i] for i in draw(st.permutations(range(max_n))) if i < n]
     return LabeledDigraph(
-        g.k, [ids[v] for v in g.vertices], [(ids[u], a, ids[v]) for u, a, v in g.edges()]
+        g.k, [order[v] for v in g.vertices], [(order[u], a, order[v]) for u, a, v in g.edges()]
     )
 
 
