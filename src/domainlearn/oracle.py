@@ -60,10 +60,10 @@ def _same(rows: _Rows, u: int, v: int) -> bool:
     have the same out- and in-neighbours outside {u, v} under every right
     (the xor of the two rows lies within the pair's bits of every field),
     and under every right the four edges among {u, v} are all present or
-    all absent.  The four are bits u and v of the two rows' out fields:
-    all equal when the xor has none of them (u's equal v's) and, in every
-    out field of u, bit u equals bit v.  O(1) big-int operations on
-    2k*W-bit rows."""
+    all absent.  The four are bits u and v of an out field in both rows:
+    they are all equal when the xor has none of them (u's bits equal v's)
+    and, in each out field of u's row, bit u equals bit v.  O(1) big-int
+    operations on 2k*W-bit rows."""
     row, every, outs = rows
     ru = row[u]
     diff = ru ^ row[v]
