@@ -21,9 +21,10 @@ Scenarios (template seed 13, k=2, density 0.5):
                 played to the end of the script (n = p + 15)
 
 ``--scale`` multiplies every n and p (at least 1), so a quick check can
-run the same ladders small; m is never scaled.
+run the same ladders small; m is never scaled.  ``--only`` plays only the
+named scenarios, in the order above.
 
-Usage: python3 scripts/scaling.py [--scale 1]
+Usage: python3 scripts/scaling.py [--scale 1] [--only NAME[,NAME]]
 """
 
 from __future__ import annotations
@@ -107,11 +108,17 @@ def slope(xs: list[int], ys: list[float]) -> float:
     return logs.slope
 
 
-def invalid(scale: float) -> str | None:
-    """Why ``--scale`` cannot be played, or None."""
+def invalid(scale: float, only: list[str] | None) -> str | None:
+    """Why ``--scale`` and ``--only`` cannot be played, or None."""
     if not 0 < scale < math.inf:
         return "--scale must be positive"
-    for name, (variable, ladder) in ladders(scale).items():
+    chosen = ladders(scale)
+    unknown = [name for name in only or () if name not in chosen]
+    if unknown:
+        return f"--only names no scenario {unknown[0]!r}; scenarios: {', '.join(chosen)}"
+    for name, (variable, ladder) in chosen.items():
+        if only is not None and name not in only:
+            continue
         values = [value for value, _ in ladder]
         if len(set(values)) < len(values):
             return f"--scale {scale:g} leaves {name} with equal {variable} values {values}"
@@ -121,13 +128,16 @@ def invalid(scale: float) -> str | None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--only", type=lambda text: text.split(","), default=None)
     args = parser.parse_args()
-    problem = invalid(args.scale)
+    problem = invalid(args.scale, args.only)
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return 2
 
     for name, (variable, ladder) in ladders(args.scale).items():
+        if args.only is not None and name not in args.only:
+            continue
         print(f"{name}:")
         print(f"  {variable:>6} {'seconds':>9} {'ledger':>8} {'rss_kib':>8}")
         values, times, ledgers, rss = [], [], [], []

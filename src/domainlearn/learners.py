@@ -37,12 +37,18 @@ class LearnerInternalError(RuntimeError):
 
 @dataclass(frozen=True)
 class Loop:
-    """Test: does the candidate have a self-loop labelled ``right``?"""
+    """Test: does the candidate have a self-loop labelled ``right``?
+    ``column(members, errors)`` is its error column in :func:`revise`: for
+    each member v, whether ``request_for(v)`` is in ``errors``."""
 
     right: int
 
     def request_for(self, candidate: int) -> Edge:
         return (candidate, self.right, candidate)
+
+    def column(self, members: list[int], errors: frozenset[Edge]) -> list[bool]:
+        a = self.right
+        return [(v, a, v) in errors for v in members]
 
     def describe(self) -> str:
         return f"loop(r{self.right})"
@@ -50,7 +56,9 @@ class Loop:
 
 @dataclass(frozen=True)
 class To:
-    """Test: does the candidate have an edge labelled ``right`` to ``target``?"""
+    """Test: does the candidate have an edge labelled ``right`` to ``target``?
+    ``column(members, errors)`` is its error column in :func:`revise`: for
+    each member v, whether ``request_for(v)`` is in ``errors``."""
 
     right: int
     target: int
@@ -58,19 +66,29 @@ class To:
     def request_for(self, candidate: int) -> Edge:
         return (candidate, self.right, self.target)
 
+    def column(self, members: list[int], errors: frozenset[Edge]) -> list[bool]:
+        a, t = self.right, self.target
+        return [(v, a, t) in errors for v in members]
+
     def describe(self) -> str:
         return f"to(r{self.right}, {self.target})"
 
 
 @dataclass(frozen=True)
 class From:
-    """Test: does ``source`` have an edge labelled ``right`` to the candidate?"""
+    """Test: does ``source`` have an edge labelled ``right`` to the candidate?
+    ``column(members, errors)`` is its error column in :func:`revise`: for
+    each member v, whether ``request_for(v)`` is in ``errors``."""
 
     source: int
     right: int
 
     def request_for(self, candidate: int) -> Edge:
         return (self.source, self.right, candidate)
+
+    def column(self, members: list[int], errors: frozenset[Edge]) -> list[bool]:
+        w, a = self.source, self.right
+        return [(w, a, v) in errors for v in members]
 
     def describe(self) -> str:
         return f"from({self.source}, r{self.right})"
@@ -220,9 +238,10 @@ def revise(
     split, so the members of a leaf share one frozen domain and, for any
     test, the policy bit ``summary.has_edge(frozen[u], a, frozen[v])`` of
     their requests (u, a, v) is one constant.  A test therefore separates
-    a leaf exactly when its error column
-    ``[test.request_for(v) in errors for v in members]`` is mixed, and a
-    member's request is an edge (the yes side) exactly when its error bit
+    a leaf exactly when its error column ``test.column(members, errors)``
+    (``[test.request_for(v) in errors for v in members]``, built from
+    plain tuples with no method call per member) is mixed, and a member's
+    request is an edge (the yes side) exactly when its error bit
     differs from that policy bit.  A mixed column leaves neither side
     empty.
 
@@ -265,7 +284,7 @@ def revise(
             continue
         for index in range(start, len(candidates)):
             split_test = candidates[index]
-            column = [split_test.request_for(v) in errors for v in members]
+            column = split_test.column(members, errors)
             if any(column) and not all(column):
                 break
         else:

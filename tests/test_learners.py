@@ -9,6 +9,8 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from domainlearn.digraph import LabeledDigraph
 from domainlearn.experiments import ExperimentConfig, _play
@@ -202,6 +204,27 @@ class TestClassify:
 
         classify(tree, 99, query)
         assert len(calls) == tree.leaf_count - 1
+
+
+# ids past every member's, so that some errors name no member
+IDS = st.integers(0, 11)
+RIGHTS = st.integers(0, 2)
+DECISION_TESTS = st.one_of(
+    st.builds(Loop, RIGHTS), st.builds(To, RIGHTS, IDS), st.builds(From, IDS, RIGHTS)
+)
+
+
+class TestErrorColumn:
+    """A decision test's error column is its requests' membership in the
+    error set, member by member."""
+
+    @given(
+        DECISION_TESTS,
+        st.lists(st.integers(0, 7), unique=True),
+        st.frozensets(st.tuples(IDS, RIGHTS, IDS), max_size=40),
+    )
+    def test_column_is_the_request_comprehension(self, test, members, errors):
+        assert test.column(members, errors) == [test.request_for(v) in errors for v in members]
 
 
 class TestRebuildXor:
@@ -526,16 +549,22 @@ class TestReviseContract:
 
     def test_no_column_lookup_repeats(self, monkeypatch):
         # Within one revision each (test, member) request is looked up once,
-        # save one more look-up per split that reads the split test's policy
-        # bit; a leaf retrying To(a, x) at witness w = x, or a split side
-        # retrying the tests its leaf already tried, repeats look-ups.
+        # in an error column, save one more look-up per split that reads the
+        # split test's policy bit; a leaf retrying To(a, x) at witness w = x,
+        # or a split side retrying the tests its leaf already tried, repeats
+        # look-ups.
         lookups = []
-        for test_class in (To, From):
-            def recording(test, candidate, original=test_class.request_for):
+        for test_class in (Loop, To, From):
+            def column(test, members, errors, original=test_class.column):
+                lookups.extend((test, v) for v in members)
+                return original(test, members, errors)
+
+            def request_for(test, candidate, original=test_class.request_for):
                 lookups.append((test, candidate))
                 return original(test, candidate)
 
-            monkeypatch.setattr(test_class, "request_for", recording)
+            monkeypatch.setattr(test_class, "column", column)
+            monkeypatch.setattr(test_class, "request_for", request_for)
         revisions = 0
 
         def checked(tree, summary, frozen, new_vertex, errors):

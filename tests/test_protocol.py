@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -540,7 +540,10 @@ class SessionMachine(RuleBasedStateMachine):
         assert [snapshot.observed_m for snapshot in per_round] == self.observed_m
 
 
+# no shrink phase: a failing machine reports its first failing run, since
+# shrinking one can take minutes at hundreds of MB
 SessionMachine.TestCase.settings = settings(
-    max_examples=50, stateful_step_count=30, deadline=None
+    max_examples=50, stateful_step_count=30, deadline=None,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
 )
 test_session_machine = SessionMachine.TestCase

@@ -147,11 +147,24 @@ def test_scaling(tmp_path):
     assert all(int(rss_kib) > 0 for *_, rss_kib in tireless)
 
 
+def test_scaling_only_plays_the_named_scenarios(tmp_path):
+    result = run_script(
+        "scaling.py", "--scale", "0.01", "--only", "novel-last-p,tireless-n", cwd=tmp_path
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert [line for line in lines if not line.startswith(" ")] == ["tireless-n:", "novel-last-p:"]
+    assert sum(line.startswith("  slope in ") for line in lines) == 2
+
+
 @pytest.mark.parametrize("args,message", [
     (["--scale", "nan"], "--scale must be positive"),
     # n = 1500, 3000 and 6000 all round to 1: no slope can be fitted
     (["--scale", "0.0001"],
      "--scale 0.0001 leaves cons-iid-n with equal n values [1, 1, 1]"),
+    (["--only", "tireless-n,novel-last"],
+     "--only names no scenario 'novel-last'; "
+     "scenarios: cons-iid-m, cons-iid-n, tireless-n, novel-last-p"),
 ])
 def test_scaling_rejects_what_it_cannot_play(tmp_path, args, message):
     result = run_script("scaling.py", *args, cwd=tmp_path)
