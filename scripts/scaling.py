@@ -108,17 +108,21 @@ def slope(xs: list[int], ys: list[float]) -> float:
     return logs.slope
 
 
+def selected(scale: float, only: list[str] | None) -> dict:
+    """The ladders of ``scale`` that ``only`` names (all when None), in
+    their order."""
+    return {name: ladder for name, ladder in ladders(scale).items() if only is None or name in only}
+
+
 def invalid(scale: float, only: list[str] | None) -> str | None:
     """Why ``--scale`` and ``--only`` cannot be played, or None."""
     if not 0 < scale < math.inf:
         return "--scale must be positive"
-    chosen = ladders(scale)
-    unknown = [name for name in only or () if name not in chosen]
+    names = ladders(scale)
+    unknown = [name for name in only or () if name not in names]
     if unknown:
-        return f"--only names no scenario {unknown[0]!r}; scenarios: {', '.join(chosen)}"
-    for name, (variable, ladder) in chosen.items():
-        if only is not None and name not in only:
-            continue
+        return f"--only names no scenario {unknown[0]!r}; scenarios: {', '.join(names)}"
+    for name, (variable, ladder) in selected(scale, only).items():
         values = [value for value, _ in ladder]
         if len(set(values)) < len(values):
             return f"--scale {scale:g} leaves {name} with equal {variable} values {values}"
@@ -135,9 +139,7 @@ def main() -> int:
         print(f"error: {problem}", file=sys.stderr)
         return 2
 
-    for name, (variable, ladder) in ladders(args.scale).items():
-        if args.only is not None and name not in args.only:
-            continue
+    for name, (variable, ladder) in selected(args.scale, args.only).items():
         print(f"{name}:")
         print(f"  {variable:>6} {'seconds':>9} {'ledger':>8} {'rss_kib':>8}")
         values, times, ledgers, rss = [], [], [], []
