@@ -16,8 +16,9 @@ own spread (its interquartile range over its median) is wider than that
 bound, so the runs cannot tell a change within the bound from none,
 unless every change run reads better than every parent run (printed as
 ``UNRESOLVED``); per workload, each side's share of failed sessions
-(``REGRESSION`` when the change's is larger) and the ``peak_rss_mb``
-change per extra untraced block, in KB; each per-layer metric's
+(``REGRESSION`` when the change's is larger), the ``peak_rss_mb``
+change per extra untraced block, in KB, and the rise in block count at
+which ``peak_rss_mb`` would cross its bound; each per-layer metric's
 traced median per side; each side's source size (``src_lines``, the lines
 of ``src/domainlearn/*.py``); and every run's raw output lines and result.
 
@@ -142,6 +143,7 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
         }
     summary["blocks"] = {side: [blocks(r) for r in by_side[side]] for side in SIDES}
     summary["rss_per_extra_block_kb"] = rss_per_extra_block_kb(summary)
+    summary["rss_bound_block_rise"] = rss_bound_block_rise(summary, metrics)
     summary["failed"] = {side: [r["result"]["failed"] for r in by_side[side]] for side in SIDES}
     attempted = {side: sum(r["result"]["attempted"] for r in by_side[side]) for side in SIDES}
     summary["failed_share"] = {
@@ -174,6 +176,23 @@ def rss_per_extra_block_kb(summary: dict) -> float | None:
         return None
     rss = summary["peak_rss_mb"]
     return (rss["change"]["median"] - rss["parent"]["median"]) * 1024 / extra
+
+
+def rss_bound_block_rise(summary: dict, metrics: list[dict]) -> float | None:
+    """The rise in untraced block count, as a share of the parent's
+    median, at which ``peak_rss_mb`` would cross its bound if every extra
+    block kept ``rss_per_extra_block_kb``: bound x parent median
+    ``peak_rss_mb`` x 1024 / KB per extra block / parent median blocks.
+    A change that only speeds the simulator runs about that many more
+    blocks at that much more ``rounds_per_s``.  None when the KB per extra
+    block is unknown or not positive."""
+    per_block = summary["rss_per_extra_block_kb"]
+    parent_blocks = median_blocks(summary["blocks"]["parent"])
+    if per_block is None or per_block <= 0 or not parent_blocks > 0:
+        return None
+    bound = next(m["bound"] for m in metrics if m["name"] == "peak_rss_mb")
+    rss = summary["peak_rss_mb"]["parent"]["median"]
+    return bound * rss * 1024 / per_block / parent_blocks
 
 
 def stop(signum: int, frame) -> None:
@@ -265,6 +284,9 @@ def main() -> int:
                 per_block = entry["rss_per_extra_block_kb"]
                 if per_block is not None:
                     blocks_note += f", {per_block:.3g} KB per extra block"
+                rise = entry["rss_bound_block_rise"]
+                if rise is not None:
+                    blocks_note += f", bound at {rise:+.0%} blocks"
             print(f"  {workload:17} {metric:14} parent {parent['median']:12.5g} "
                   f"change {change['median']:12.5g} ({entry[metric]['median_change']:+.1%}, "
                   f"wins {entry[metric]['change_wins']}/{entry['pairs']}"

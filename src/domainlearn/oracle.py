@@ -4,10 +4,11 @@ production algorithms and the learners.
 The references read the same graph store as production code (a digraph is
 stored once, as per-right bitmasks) and compare whole rows of it rather
 than single edges; their independence lies in the algorithms: an
-all-members pairwise partition with transitivity assertions, whose pair
-test is the literal definition (agreement outside the pair, then the four
-edges within it) on each vertex's 2k masks packed into one int, a
-strong-homomorphism check of every source's row against every image
+all-members pairwise partition with transitivity assertions, which tests
+each newcomer against a whole class in one call, with the literal
+definition as its pair test (agreement outside the pair, then the four
+edges within it) on each vertex's 2k masks packed into one int and field
+masks built once per vertex, a strong-homomorphism check of every source's row against every image
 class, and a backtracking isomorphism search.  Nothing here is on
 any measured path: these functions may read teacher ground truth and are
 wired only into tests and verify mode.
@@ -30,17 +31,22 @@ class OracleLimitError(ValueError):
 class _Rows(NamedTuple):
     """Every vertex's 2k masks packed into one int, ``row[v]``, in fields
     of W bits, W the largest vertex id + 1: field 2a holds ``out_mask(a,
-    v)`` and field 2a+1 ``in_mask(a, v)``, field j from bit j*W.  ``every``
-    has bit 0 of each field set and ``outs`` bit 0 of each out field, so
-    ``pair * every`` selects a pair's bits in every field."""
+    v)`` and field 2a+1 ``in_mask(a, v)``, field j from bit j*W.  With
+    ``every`` bit 0 of each field and ``outs`` bit 0 of each out field,
+    ``field[v]`` is ``every << v`` (bit v of every field) and ``four[v]``
+    is ``outs << v`` (bit v of every out field), built once per vertex, so
+    ``field[u] | field[v]`` selects a pair's bits in every field with no
+    multiplication."""
 
     row: dict[int, int]
-    every: int
+    field: dict[int, int]
+    four: dict[int, int]
     outs: int
 
 
 def _rows(g: LabeledDigraph) -> _Rows:
-    """Read each vertex's 2k masks once and pack them into its row."""
+    """Read each vertex's 2k masks once and pack them into its row; build
+    each vertex's two field masks."""
     vertices = g.vertices
     width = vertices[-1] + 1 if vertices else 0
     out_mask, in_mask = g.out_mask, g.in_mask
@@ -52,27 +58,34 @@ def _rows(g: LabeledDigraph) -> _Rows:
             row[v] |= out_mask(a, v) << out_at | in_mask(a, v) << in_at
         every |= 1 << out_at | 1 << in_at
         outs |= 1 << out_at
-    return _Rows(row, every, outs)
+    field = {v: every << v for v in vertices}
+    four = {v: outs << v for v in vertices}
+    return _Rows(row, field, four, outs)
 
 
-def _same(rows: _Rows, u: int, v: int) -> bool:
-    """The literal pair test on whole rows (see :class:`_Rows`): u and v
-    have the same out- and in-neighbours outside {u, v} under every right
-    (the xor of the two rows lies within the pair's bits of every field),
-    and under every right the four edges among {u, v} are all present or
-    all absent.  The four are bits u and v of an out field in both rows:
-    they are all equal when the xor has none of them (u's bits equal v's)
-    and, in each out field of u's row, bit u equals bit v.  O(1) big-int
-    operations on 2k*W-bit rows."""
-    row, every, outs = rows
-    ru = row[u]
-    diff = ru ^ row[v]
-    pair = (1 << u) | (1 << v)
-    if diff & pair * every != diff:
-        return False
-    four = pair * outs
-    su = ru & four
-    return not diff & four and (su >> u) & outs == (su >> v) & outs
+def _agreeing(rows: _Rows, members: list[int], v: int) -> int:
+    """How many of ``members`` pass the literal pair test with v, on whole
+    rows (see :class:`_Rows`): u and v have the same out- and
+    in-neighbours outside {u, v} under every right (the xor of the two
+    rows lies within the pair's bits of every field), and under every
+    right the four edges among {u, v} are all present or all absent.  The
+    four are bits u and v of an out field in both rows: they are all equal
+    when the xor has none of them (u's bits equal v's) and, in each out
+    field of u's row, bit u equals bit v.  Every member is tested, each in
+    O(1) big-int operations on 2k*W-bit rows."""
+    row, field, four, outs = rows
+    rv, fv, qv = row[v], field[v], four[v]
+    count = 0
+    for u in members:
+        ru = row[u]
+        diff = ru ^ rv
+        if diff & (field[u] | fv) != diff:
+            continue
+        quad = four[u] | qv
+        su = ru & quad
+        if not diff & quad and (su >> u) & outs == (su >> v) & outs:
+            count += 1
+    return count
 
 
 def oracle_partition(
@@ -86,10 +99,12 @@ def oracle_partition(
     than one class, aborts loudly as a transitivity failure instead of being
     merged.  Refuses graphs above the desk-scale ``limit``.
 
-    Each vertex's 2k masks are read once per call, into its row.  Each
-    newcomer is compared once with every member of every class, so a call
-    on n vertices makes n(n-1)/2 pair tests, each O(1) big-int operations
-    on 2k*W-bit rows, W the largest vertex id + 1.
+    Each vertex's 2k masks are read once per call, into its row, and its
+    two field masks are built once per call.  Each newcomer is tested
+    against each class in one call, which compares it with every member,
+    so a call on n vertices makes n(n-1)/2 pair tests, each O(1) big-int
+    operations on 2k*W-bit rows, W the largest vertex id + 1, with no
+    multiplication.
     """
     vertices = g.vertices
     if len(vertices) > limit:
@@ -102,10 +117,10 @@ def oracle_partition(
     for v in vertices:
         hits, partial = [], []
         for cls in classes:
-            matches = [_same(rows, member, v) for member in cls]
-            if all(matches):
+            agreeing = _agreeing(rows, cls, v)
+            if agreeing == len(cls):
                 hits.append(cls)
-            elif any(matches):
+            elif agreeing:
                 partial.append(cls)
         if partial:
             raise AssertionError(

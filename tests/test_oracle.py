@@ -4,7 +4,7 @@ round-invariant reports."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from domainlearn import oracle
@@ -64,10 +64,25 @@ class TestOraclePartition:
     ], ids=["partial-match", "two-classes"])
     def test_intransitive_relation_aborts(self, related, message, monkeypatch):
         # no digraph makes the pair test intransitive, so a fake one stands in
-        monkeypatch.setattr(oracle, "_same", lambda rows, u, v: (min(u, v), max(u, v)) in related)
+        monkeypatch.setattr(
+            oracle, "_agreeing",
+            lambda rows, members, v: sum((min(u, v), max(u, v)) in related for u in members),
+        )
         with pytest.raises(AssertionError) as raised:
             oracle_partition(LabeledDigraph(1, range(3)))
         assert str(raised.value) == message
+
+    @given(st.one_of(blown_up_digraphs(), sparse_digraphs()), st.data())
+    @settings(max_examples=150)
+    def test_counts_every_agreeing_member_of_a_mixed_class(self, g, data):
+        # no digraph makes a class mixed, so draw the members from any
+        # classes, in any order: the count, not just all or none, is checked
+        assume(g.vertex_count)
+        v = data.draw(st.sampled_from(g.vertices))
+        others = [u for u in g.vertices if u != v]
+        members = data.draw(st.lists(st.sampled_from(others), unique=True) if others else st.just([]))
+        expected = sum(indistinguishable(g, u, v) for u in members)
+        assert oracle._agreeing(oracle._rows(g), members, v) == expected
 
     @given(sparse_digraphs())
     @settings(max_examples=150)
@@ -96,10 +111,11 @@ SPARSE = (0, 4, 9)
 
 
 def pair_same(edges) -> bool:
-    """``_same`` on the pair (0, 4), asked in both orders."""
+    """``_agreeing`` on the pair (0, 4), asked in both orders, each as a
+    one-member class."""
     rows = oracle._rows(LabeledDigraph(3, SPARSE, edges))
-    same = oracle._same(rows, 0, 4)
-    assert oracle._same(rows, 4, 0) is same
+    same = oracle._agreeing(rows, [0], 4) == 1
+    assert (oracle._agreeing(rows, [4], 0) == 1) is same
     return same
 
 

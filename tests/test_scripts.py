@@ -208,6 +208,7 @@ def test_bench_pairs(tmp_path):
     # with one block count per side the figure is there exactly when they differ
     per_block = summary["rss_per_extra_block_kb"]
     assert (per_block is None) == (summary["blocks"]["parent"] == summary["blocks"]["change"])
+    assert (summary["rss_bound_block_rise"] is None) == (per_block is None or per_block <= 0)
     # one pair has no spread, so a won pair is a claimable gain
     assert rate["gain_claimable"] == (rate["change_wins"] == 1)
     cnq_calls = record["traced"]["tireless"]["protocol.cnq_calls"]
@@ -301,30 +302,51 @@ def test_bench_pairs_flags_a_change_past_its_bound():
     assert summary["failed_share_grew"] is True
 
 
+def rss_runs(parent, change):
+    """One run per (peak_rss_mb, untraced blocks) pair; a block count of
+    None leaves the run with no lines to read it from."""
+    return [
+        {"side": side, "lines": [f"cons-iid seed 0: {blocks} untraced and 0 traced blocks"]
+         if blocks is not None else [],
+         "result": {"attempted": 2, "failed": 0, "metrics": {"peak_rss_mb": {"value": rss}}}}
+        for side, values in (("parent", parent), ("change", change))
+        for rss, blocks in values
+    ]
+
+
 def test_bench_pairs_ties_a_peak_rss_move_to_the_block_count():
     metrics = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
-
-    def runs(parent, change):
-        """One run per (peak_rss_mb, untraced blocks) pair; a block count
-        of None leaves the run with no lines to read it from."""
-        return [
-            {"side": side, "lines": [f"cons-iid seed 0: {blocks} untraced and 0 traced blocks"]
-             if blocks is not None else [],
-             "result": {"attempted": 2, "failed": 0, "metrics": {"peak_rss_mb": {"value": rss}}}}
-            for side, values in (("parent", parent), ("change", change))
-            for rss, blocks in values
-        ]
-
     summarise = load_bench_pairs().summarise
     # +1.0 MB median over +13 median blocks: 1024 KB / 13
-    summary = summarise(runs([(37.0, 200), (37.2, 202)], [(38.0, 213), (38.2, 215)]), metrics)
+    summary = summarise(rss_runs([(37.0, 200), (37.2, 202)], [(38.0, 213), (38.2, 215)]), metrics)
     assert summary["blocks"] == {"parent": [200, 202], "change": [213, 215]}
     assert summary["rss_per_extra_block_kb"] == pytest.approx(1024 / 13)
     # equal block medians, or none known, give no figure
-    summary = summarise(runs([(37.0, 200)], [(38.0, 200)]), metrics)
+    summary = summarise(rss_runs([(37.0, 200)], [(38.0, 200)]), metrics)
     assert summary["rss_per_extra_block_kb"] is None
-    summary = summarise(runs([(37.0, None)], [(38.0, None)]), metrics)
+    summary = summarise(rss_runs([(37.0, None)], [(38.0, None)]), metrics)
     assert summary["rss_per_extra_block_kb"] is None
+
+
+def test_bench_pairs_reports_the_block_rise_that_crosses_the_rss_bound():
+    metrics = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+    summarise = load_bench_pairs().summarise
+    # +1.0 MB over +10 blocks is 102.4 KB per block; the 0.1 bound of a
+    # 30 MB parent is 3 MB, 30 such blocks, +30% of the parent's 100
+    summary = summarise(rss_runs([(30.0, 100)], [(31.0, 110)]), metrics)
+    assert summary["rss_per_extra_block_kb"] == pytest.approx(102.4)
+    assert summary["rss_bound_block_rise"] == pytest.approx(0.3)
+    # the bound scales the rise
+    bound = [{**metrics[0], "bound": 0.2}]
+    assert summarise(rss_runs([(30.0, 100)], [(31.0, 110)]), bound)["rss_bound_block_rise"] == pytest.approx(0.6)
+    # no figure when the KB per extra block is unknown, or not positive
+    for parent, change in (
+        ([(30.0, 100)], [(31.0, 100)]),
+        ([(30.0, None)], [(31.0, None)]),
+        ([(30.0, 100)], [(30.0, 110)]),
+        ([(30.0, 100)], [(29.0, 110)]),
+    ):
+        assert summarise(rss_runs(parent, change), metrics)["rss_bound_block_rise"] is None
 
 
 def test_bench_pairs_flags_a_spread_past_its_bound():
