@@ -187,12 +187,11 @@ def rss_bound_block_rise(summary: dict, metrics: list[dict]) -> float | None:
     blocks at that much more ``rounds_per_s``.  None when the KB per extra
     block is unknown or not positive."""
     per_block = summary["rss_per_extra_block_kb"]
-    parent_blocks = median_blocks(summary["blocks"]["parent"])
-    if per_block is None or per_block <= 0 or not parent_blocks > 0:
+    if per_block is None or per_block <= 0:
         return None
     bound = next(m["bound"] for m in metrics if m["name"] == "peak_rss_mb")
     rss = summary["peak_rss_mb"]["parent"]["median"]
-    return bound * rss * 1024 / per_block / parent_blocks
+    return bound * rss * 1024 / per_block / median_blocks(summary["blocks"]["parent"])
 
 
 def stop(signum: int, frame) -> None:

@@ -7,11 +7,11 @@ than single edges; their independence lies in the algorithms: an
 all-members pairwise partition with transitivity assertions, which tests
 each newcomer against a whole class in one call, with the literal
 definition as its pair test (agreement outside the pair, then the four
-edges within it) on each vertex's 2k masks packed into one int and field
-masks built once per vertex, a strong-homomorphism check of every source's row against every image
-class, and a backtracking isomorphism search.  Nothing here is on
-any measured path: these functions may read teacher ground truth and are
-wired only into tests and verify mode.
+edges within it) on each vertex's 2k masks packed into one int and its
+field masks built once, a strong-homomorphism check of every source's
+row against every image class, and a backtracking isomorphism search.
+Nothing here is on any measured path: these functions may read teacher
+ground truth and are wired only into tests and verify mode.
 """
 
 from __future__ import annotations
