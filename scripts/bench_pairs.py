@@ -20,7 +20,9 @@ unless every change run reads better than every parent run (printed as
 change per extra untraced block, in KB, and the rise in block count at
 which ``peak_rss_mb`` would cross its bound; each per-layer metric's
 traced median per side; each side's source size (``src_lines``, the lines
-of ``src/domainlearn/*.py``); and every run's raw output lines and result.
+of ``src/domainlearn/*.py``, and ``src_code_lines``, those of them that
+are not blank, comments or docstrings); and every run's raw output lines
+and result.
 
 Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --label LABEL
        --pairs tireless=10,cons-iid=3,cons-adversarial=3,verify=3
@@ -36,6 +38,8 @@ Ctrl-C, stops the script and kills the run it is waiting on.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import math
 import os
@@ -45,10 +49,15 @@ import signal
 import statistics
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 SIDES = ("parent", "change")
 TRACE_SHARE = 1 / 3  # traced pairs run this share of --seconds
+NOT_CODE = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+    tokenize.ENDMARKER,
+}
 
 
 def parse_pairs(text: str) -> dict[str, int]:
@@ -79,6 +88,24 @@ def src_lines(tree: Path) -> int:
     return sum(
         len(path.read_text().splitlines()) for path in (tree / "src" / "domainlearn").glob("*.py")
     )
+
+
+def src_code_lines(tree: Path) -> int:
+    """The lines of ``tree``'s ``src/domainlearn/*.py`` that hold code: a
+    line counts when a token other than a comment or a line break is on it,
+    unless that token is part of a string statement (a docstring)."""
+    total = 0
+    for path in (tree / "src" / "domainlearn").glob("*.py"):
+        text = path.read_text()
+        code: set[int] = set()
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type not in NOT_CODE:
+                code.update(range(token.start[0], token.end[0] + 1))
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Expr) and isinstance(getattr(node.value, "value", None), str):
+                code.difference_update(range(node.lineno, node.end_lineno + 1))
+        total += len(code)
+    return total
 
 
 def bench_run(tree: Path, workload: str, seed: int, trace: int, seconds: float) -> dict:
@@ -263,6 +290,7 @@ def main() -> int:
         ),
         "repeats": dict(args.pairs),
         "src_lines": {side: src_lines(trees[side]) for side in SIDES},
+        "src_code_lines": {side: src_code_lines(trees[side]) for side in SIDES},
         "summary": summary,
         "traced": traced,
         "runs": runs,
@@ -270,9 +298,10 @@ def main() -> int:
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
-    lines = record["src_lines"]
-    print(f"  src_lines parent {lines['parent']} change {lines['change']} "
-          f"({lines['change'] - lines['parent']:+d})")
+    for name in ("src_lines", "src_code_lines"):
+        lines = record[name]
+        print(f"  {name} parent {lines['parent']} change {lines['change']} "
+              f"({lines['change'] - lines['parent']:+d})")
     for workload, entry in summary.items():
         for metric in (m["name"] for m in spec["end_to_end"]):
             parent, change = entry[metric]["parent"], entry[metric]["change"]

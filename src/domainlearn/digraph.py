@@ -24,19 +24,18 @@ Edge = tuple[int, int, int]  # (source vertex, right index, target vertex)
 class LabeledDigraph:
     """Finite edge-labelled digraph stored as per-right adjacency bitmasks.
 
-    Mutable only through :meth:`add_vertex`, :meth:`add_edge` and
-    :meth:`connect`; treat instances as immutable values once fully
-    constructed.  The masks are the only edge store: for each right,
-    ``out_mask(a, u)`` has bit v set iff (u, a, v) is an edge, and
-    ``in_mask(a, v)`` mirrors it.  Only non-zero masks are kept, so two
-    graphs are equal exactly when their vertex sets and mask dicts are.
-    Nothing else is stored about the edges: :attr:`edge_count` is the
-    popcount of the out masks.
+    Mutable only through :meth:`add_vertex` and :meth:`connect`; treat
+    instances as immutable values once fully constructed.  The masks are
+    the only edge store: for each right, ``out_mask(a, u)`` has bit v set
+    iff (u, a, v) is an edge, and ``in_mask(a, v)`` mirrors it.  Only
+    non-zero masks are kept, so two graphs are equal exactly when their
+    vertex sets and mask dicts are.  Nothing else is stored about the
+    edges: :attr:`edge_count` is the popcount of the out masks.
     """
 
     __slots__ = ("k", "_vertices", "_vertex_mask", "_out", "_in")
 
-    def __init__(self, k: int, vertices: Iterable[int] = (), edges: Iterable[Edge] = ()):
+    def __init__(self, k: int, vertices: Iterable[int] = ()):
         if k < 1:
             raise ValueError(f"alphabet size must be >= 1, got {k}")
         self.k = k
@@ -46,8 +45,6 @@ class LabeledDigraph:
         self._in: list[dict[int, int]] = [{} for _ in range(k)]
         for v in vertices:
             self.add_vertex(v)
-        for u, a, v in edges:
-            self.add_edge(u, a, v)
 
     # -- construction ------------------------------------------------------
 
@@ -58,21 +55,6 @@ class LabeledDigraph:
             raise ValueError(f"vertex {v} already present")
         self._vertices.add(v)
         self._vertex_mask |= 1 << v
-
-    def add_edge(self, u: int, a: int, v: int) -> None:
-        """Insert edge (u, a, v); inserting an existing edge is a no-op."""
-        if u not in self._vertices or v not in self._vertices:
-            raise ValueError(f"edge ({u}, {a}, {v}) has an unknown endpoint")
-        if not 0 <= a < self.k:
-            raise ValueError(f"right index {a} out of range [0, {self.k})")
-        out = self._out[a]
-        targets = out.get(u, 0)
-        bit = 1 << v
-        if targets & bit:
-            return
-        out[u] = targets | bit
-        inn = self._in[a]
-        inn[v] = inn.get(v, 0) | (1 << u)
 
     def connect(self, v: int, a: int, targets: int, sources: int) -> None:
         """Insert (v, a, t) for every bit t of ``targets`` and (s, a, v) for

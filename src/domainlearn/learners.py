@@ -102,26 +102,17 @@ class TreeNode:
 
     Leaves carry the representative vertex of one protection domain.
     Internal nodes carry a test whose yes/no branches are themselves trees.
-    Revision mutates leaves into internal nodes in place.
+    A node starts as a leaf; :meth:`split` is the only way to make a
+    decision node, and revision splits leaves in place.
     """
 
     __slots__ = ("label", "test", "yes", "no")
 
-    def __init__(
-        self,
-        label: int | None = None,
-        test: DecisionTest | None = None,
-        yes: "TreeNode | None" = None,
-        no: "TreeNode | None" = None,
-    ):
-        self.label = label
-        self.test = test
-        self.yes = yes
-        self.no = no
-
-    @classmethod
-    def leaf(cls, label: int) -> "TreeNode":
-        return cls(label=label)
+    def __init__(self, label: int):
+        self.label: int | None = label
+        self.test: DecisionTest | None = None
+        self.yes: TreeNode | None = None
+        self.no: TreeNode | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -133,8 +124,8 @@ class TreeNode:
             raise ValueError("only leaves can be split")
         self.label = None
         self.test = test
-        self.yes = TreeNode.leaf(yes_label)
-        self.no = TreeNode.leaf(no_label)
+        self.yes = TreeNode(yes_label)
+        self.no = TreeNode(no_label)
         return self.yes, self.no
 
     def leaves(self) -> Iterator["TreeNode"]:
@@ -151,7 +142,7 @@ class TreeNode:
 
     def __repr__(self) -> str:
         if self.is_leaf:
-            return f"TreeNode.leaf({self.label})"
+            return f"TreeNode({self.label})"
         return f"TreeNode(test={self.test!r}, ...)"
 
 
@@ -330,6 +321,27 @@ class Learner:
         self.reconstruction: LabeledDigraph | None = None
 
 
+def ask_newcomer(session: Session, graph: LabeledDigraph) -> int:
+    """Reveal the next vertex u, add it to ``graph`` and ask its row and
+    column: per right a, (u, a, v) for every vertex v ascending, then
+    (v, a, u) for every v != u ascending, k(2n - 1) connection queries on
+    n vertices.  Each answered right goes in with one ``connect``."""
+    u = session.next_vertex()
+    graph.add_vertex(u)
+    vertices = graph.vertices
+    connection = session.connection
+    for a in range(session.k):
+        targets = sources = 0
+        for v in vertices:
+            if connection(u, a, v):
+                targets |= 1 << v
+        for v in vertices:
+            if v != u and connection(v, a, u):
+                sources |= 1 << v
+        graph.connect(u, a, targets, sources)
+    return u
+
+
 class TirelessLearner(Learner):
     """Exhaustive strategy: resolve every matrix cell, then re-summarize.
     Its ``reconstruction`` equals the revealed matrix after every round."""
@@ -352,21 +364,8 @@ class TirelessLearner(Learner):
 
     def run_round(self) -> None:
         session = self._session
-        graph = self.reconstruction
-        u = session.next_vertex()
-        graph.add_vertex(u)
-        vertices = graph.vertices
-        connection = session.connection
-        for a in range(session.k):
-            targets = sources = 0
-            for v in vertices:
-                if connection(u, a, v):
-                    targets |= 1 << v
-            for v in vertices:
-                if v != u and connection(v, a, u):
-                    sources |= 1 << v
-            graph.connect(u, a, targets, sources)
-        summary, assignment = summarize(graph)
+        ask_newcomer(session, self.reconstruction)
+        summary, assignment = summarize(self.reconstruction)
         errors = session.hypothesis_test(summary, assignment)
         if errors:
             raise LearnerInternalError(
@@ -403,15 +402,12 @@ class ConservativeLearner(Learner):
             self._later_round()
 
     def _first_round(self) -> None:
+        # a lone vertex is its own domain: its loops are the whole summary
         session = self._session
-        u = session.next_vertex()
-        summary = LabeledDigraph(session.k, [u])
-        for a in range(session.k):
-            if session.connection(u, a, u):
-                summary.add_edge(u, a, u)
-        self.summary = summary
+        self.summary = LabeledDigraph(session.k)
+        u = ask_newcomer(session, self.summary)
         self.assignment = {u: u}
-        self.tree = TreeNode.leaf(u)
+        self.tree = TreeNode(u)
         errors = session.hypothesis_test(self.summary, self.assignment)
         if errors:
             raise LearnerInternalError(

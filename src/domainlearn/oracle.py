@@ -88,16 +88,15 @@ def _agreeing(rows: _Rows, members: list[int], v: int) -> int:
     return count
 
 
-def oracle_partition(
-    g: LabeledDigraph, limit: int = ORACLE_VERTEX_LIMIT
-) -> list[list[int]]:
+def oracle_partition(g: LabeledDigraph) -> list[list[int]]:
     """Indistinguishability classes by exhaustive pairwise comparison.
 
     Deliberately distinct from the production partition in its algorithm:
     every candidate is compared against *all* current members of a class
     (not just its representative), and a partial match, or a match with more
     than one class, aborts loudly as a transitivity failure instead of being
-    merged.  Refuses graphs above the desk-scale ``limit``.
+    merged.  Refuses graphs above the desk-scale
+    :data:`ORACLE_VERTEX_LIMIT`, read at call time.
 
     Each vertex's 2k masks are read once per call, into its row, and its
     two field masks are built once per call.  Each newcomer is tested
@@ -107,9 +106,9 @@ def oracle_partition(
     multiplication.
     """
     vertices = g.vertices
-    if len(vertices) > limit:
+    if len(vertices) > ORACLE_VERTEX_LIMIT:
         raise OracleLimitError(
-            f"oracle_partition limited to {limit} vertices, got {len(vertices)}"
+            f"oracle_partition limited to {ORACLE_VERTEX_LIMIT} vertices, got {len(vertices)}"
         )
     rows = _rows(g)
 
@@ -270,24 +269,24 @@ def _vertex_signature(g: LabeledDigraph, v: int) -> tuple[tuple[int, int, int], 
     return tuple(sig)
 
 
-def isomorphic_small(
-    g1: LabeledDigraph, g2: LabeledDigraph, limit: int = ISOMORPHISM_VERTEX_LIMIT
-) -> bool:
+def isomorphic_small(g1: LabeledDigraph, g2: LabeledDigraph) -> bool:
     """Decide whether an edge-label-preserving bijection exists between two
     small digraphs.
 
     Backtracking search over vertices ordered by candidate-pool size, pruned
     by per-vertex degree signatures.  Graphs that differ in k, vertex count
     or edge count are not isomorphic whatever their size; only a search
-    above ``limit`` vertices is refused.
+    above :data:`ISOMORPHISM_VERTEX_LIMIT` vertices, read at call time, is
+    refused.
     """
     if g1.k != g2.k:
         return False
     if g1.vertex_count != g2.vertex_count or g1.edge_count != g2.edge_count:
         return False
-    if g1.vertex_count > limit:
+    if g1.vertex_count > ISOMORPHISM_VERTEX_LIMIT:
         raise OracleLimitError(
-            f"isomorphic_small limited to {limit} vertices, got {g1.vertex_count}"
+            f"isomorphic_small limited to {ISOMORPHISM_VERTEX_LIMIT} vertices, "
+            f"got {g1.vertex_count}"
         )
 
     sig1 = {v: _vertex_signature(g1, v) for v in g1.vertices}

@@ -90,7 +90,8 @@ def generate_template(
     """Sample an irreducible m-domain template.
 
     Each of the m*m*k candidate edges is kept independently with probability
-    ``edge_density``.  Deterministic given (seed, m, k, edge_density): failed
+    ``edge_density``, drawn in (u, a, v) order and inserted one (u, a) row
+    at a time.  Deterministic given (seed, m, k, edge_density): failed
     attempts retry with a seed derived by remixing the previous one.
     Parameters that :func:`check_template_parameters` rejects raise its
     ``ValueError`` before any attempt.
@@ -102,9 +103,11 @@ def generate_template(
         graph = LabeledDigraph(k, range(m))
         for u in range(m):
             for a in range(k):
+                targets = 0
                 for v in range(m):
                     if rng.random() < edge_density:
-                        graph.add_edge(u, a, v)
+                        targets |= 1 << v
+                graph.connect(u, a, targets, 0)
         if is_irreducible(graph):
             return WorldTemplate(graph=graph)
         attempt_seed = mix64(attempt_seed)

@@ -16,6 +16,18 @@ from domainlearn.rng import SplitMix64, derive_seed
 DENSITY_LEVELS = 3
 
 
+def graph_of(k: int, vertices, edges=()) -> LabeledDigraph:
+    """The digraph on ``vertices`` over k rights with exactly ``edges``,
+    each (u, a) row inserted with one ``connect``."""
+    g = LabeledDigraph(k, vertices)
+    rows: dict[tuple[int, int], int] = {}
+    for u, a, v in edges:
+        rows[(u, a)] = rows.get((u, a), 0) | 1 << v
+    for (u, a), targets in rows.items():
+        g.connect(u, a, targets, 0)
+    return g
+
+
 @st.composite
 def digraphs(draw, min_n: int = 0, max_n: int = 8, max_k: int = 3) -> LabeledDigraph:
     """A digraph on vertices 0..n-1 over k rights, drawn as one target mask
@@ -58,7 +70,7 @@ def blown_up_digraphs(draw, max_base: int = 4, max_n: int = 12) -> LabeledDigrap
     n = draw(st.integers(0, max_n))
     picks = st.integers(0, math.lcm(*range(1, max_base + 1)) - 1)
     copies = [draw(picks) % base.vertex_count for _ in range(max_n)][:n]
-    return LabeledDigraph(
+    return graph_of(
         base.k,
         range(n),
         [
@@ -84,7 +96,7 @@ def sparse_digraphs(draw, max_n: int = 8, max_id: int = 4095) -> LabeledDigraph:
     gap = st.integers(1, max_id // (max_n - 1))
     ids = list(itertools.accumulate([0] + [draw(gap) for _ in range(max_n - 1)]))
     order = [ids[i] for i in draw(st.permutations(range(max_n))) if i < n]
-    return LabeledDigraph(
+    return graph_of(
         g.k, [order[v] for v in g.vertices], [(order[u], a, order[v]) for u, a, v in g.edges()]
     )
 
@@ -104,9 +116,11 @@ def random_digraph(seed: int, n: int, k: int, density: float) -> LabeledDigraph:
     g = LabeledDigraph(k, range(n))
     for u in range(n):
         for a in range(k):
+            targets = 0
             for v in range(n):
                 if rng.random() < density:
-                    g.add_edge(u, a, v)
+                    targets |= 1 << v
+            g.connect(u, a, targets, 0)
     return g
 
 
@@ -114,17 +128,13 @@ def clone_vertex(g: LabeledDigraph, original: int, clone: int) -> LabeledDigraph
     """Extend g with ``clone``, indistinguishable from ``original`` by
     construction: same adjacency toward everyone, and the four pair edges
     follow the original's self-loops."""
-    extended = LabeledDigraph(g.k, list(g.vertices) + [clone], g.edges())
+    extended = graph_of(g.k, [*g.vertices, clone], g.edges())
+    bit = 1 << original
     for a in range(g.k):
-        for x in g.vertices:
-            if x == original:
-                continue
-            if g.has_edge(original, a, x):
-                extended.add_edge(clone, a, x)
-            if g.has_edge(x, a, original):
-                extended.add_edge(x, a, clone)
+        targets = g.out_mask(a, original) & ~bit
+        sources = g.in_mask(a, original) & ~bit
         if g.has_edge(original, a, original):
-            extended.add_edge(clone, a, clone)
-            extended.add_edge(clone, a, original)
-            extended.add_edge(original, a, clone)
+            targets |= bit | 1 << clone
+            sources |= bit
+        extended.connect(clone, a, targets, sources)
     return extended

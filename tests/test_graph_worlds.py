@@ -15,7 +15,7 @@ from domainlearn.oracle import check_round_invariants, oracle_partition
 from domainlearn.protocol import Session
 from domainlearn.teacher import SyntheticTeacher, TeacherExhausted
 
-from .strategies import blown_up_digraphs, digraphs
+from .strategies import blown_up_digraphs, digraphs, graph_of
 
 
 class GraphWorld:
@@ -77,7 +77,7 @@ def witnessed_blowups(draw) -> LabeledDigraph:
     fewest = 0 if copies else 1
     counts = st.integers(0, math.lcm(MAX_WITNESSES, MAX_WITNESSES + 1) - 1)
     n = copies + fewest + draw(counts) % (MAX_WITNESSES + 1 - fewest)
-    g = LabeledDigraph(k, range(n), base.edges())
+    g = graph_of(k, range(n), base.edges())
     largest, full = MAX_COPIES + MAX_WITNESSES, (1 << n) - 1
     masks = st.integers(0, (1 << largest) - 1)
     for w in range(copies, copies + MAX_WITNESSES):
@@ -86,7 +86,7 @@ def witnessed_blowups(draw) -> LabeledDigraph:
             if w < n and a < k:
                 g.connect(w, a, out_mask & full, in_mask & full)
     label = [v for v in draw(st.permutations(range(largest))) if v < n]
-    return LabeledDigraph(k, range(n), [(label[u], a, label[v]) for u, a, v in g.edges()])
+    return graph_of(k, range(n), [(label[u], a, label[v]) for u, a, v in g.edges()])
 
 
 def play_both_learners(g: LabeledDigraph) -> None:

@@ -178,3 +178,91 @@ def test_only_verify_checks_the_oracle_limit():
     # the oracle defines its limit and only verify consults the oracle, so
     # no other play or config is refused for it
     assert uses_outside_verify("ORACLE_VERTEX_LIMIT", "oracle.py") == []
+
+
+# Defaulted parameters allowed to have no production caller, with the reason.
+NO_PASSER_NEEDED: dict[str, str] = {}
+
+
+def defaulted_parameters(tree: ast.Module):
+    """(qualified name, called name, position, parameter) of each defaulted
+    parameter of a public top-level function, of a public method of a
+    top-level class and of its ``__init__``.  ``position`` counts the
+    arguments a call passes positionally, the bound ``self`` or ``cls``
+    aside, and is None for a keyword-only parameter."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield from _defaulted(node.name, node.name, node, bound=False)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (
+                    item.name == "__init__" or not item.name.startswith("_")
+                ):
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in item.decorator_list
+                    )
+                    called = node.name if item.name == "__init__" else item.name
+                    yield from _defaulted(f"{node.name}.{item.name}", called, item, not static)
+
+
+def _defaulted(qualified: str, called: str, node: ast.FunctionDef, bound: bool):
+    positional = [*node.args.posonlyargs, *node.args.args][int(bound):]
+    for index in range(len(positional) - len(node.args.defaults), len(positional)):
+        yield qualified, called, index, positional[index].arg
+    for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+        if default is not None:
+            yield qualified, called, None, arg.arg
+
+
+def passes(call: ast.Call, position: int | None, parameter: str) -> bool:
+    """Whether ``call`` passes ``parameter``, by keyword or at ``position``;
+    an unpacked ``*args`` or ``**kwargs`` counts as passing it."""
+    if any(keyword.arg in (parameter, None) for keyword in call.keywords):
+        return True
+    if position is None:
+        return False
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return len(call.args) > position
+
+
+def called_names(tree: ast.Module):
+    """(called name, call) of every call whose function is a name or an
+    attribute; a name imported under an alias counts as the imported name,
+    and ``cls`` inside a class body as that class."""
+    aliases = {
+        alias.asname: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.asname
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+                    if call.func.id == "cls":
+                        yield node.name, call
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                yield aliases.get(node.func.id, node.func.id), node
+            elif isinstance(node.func, ast.Attribute):
+                yield node.func.attr, node
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller():
+    # a default that no production call overrides is a knob only tests turn
+    calls = [entry for path in caller_files() for entry in called_names(parse(path))]
+    defined, unpassed = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, called, position, parameter in defaulted_parameters(parse(path)):
+            key = f"{path.name}:{qualified}:{parameter}"
+            defined.add(key)
+            passed = any(
+                name == called and passes(call, position, parameter) for name, call in calls
+            )
+            if not passed and key not in NO_PASSER_NEEDED:
+                unpassed.append(key)
+    assert unpassed == [], "defaulted parameters that only tests pass"
+    assert set(NO_PASSER_NEEDED) <= defined

@@ -47,11 +47,12 @@ from domainlearn.teacher import (
     parse_schedule,
 )
 
+from .strategies import graph_of
 from .ground_truth import revealed_class_count, revealed_domains
 
 
 def world(edges, m=2, k=1) -> WorldTemplate:
-    return WorldTemplate(LabeledDigraph(k, range(m), edges))
+    return WorldTemplate(graph_of(k, range(m), edges))
 
 
 def start_session(template, script) -> tuple[Session, SyntheticTeacher]:
@@ -124,6 +125,52 @@ class TestTireless:
         assert learner.assignment == {0: 0, 1: 0}
 
 
+def recording_session(template) -> tuple[Session, list]:
+    """A session over an iid world whose connection queries are recorded."""
+    teacher = SyntheticTeacher(TemplateInstances(template, IidUniform(template.m), draw_seed=7))
+    session = Session(teacher)
+    asked, connection = [], session.connection
+
+    def recording(u, a, v):
+        asked.append((u, a, v))
+        return connection(u, a, v)
+
+    session.connection = recording
+    return session, asked
+
+
+class TestNewcomerCells:
+    """Both learners open a round on the newcomer's row and column in one
+    fixed order: per right a, (u, a, v) for v ascending, then (v, a, u) for
+    v != u ascending, k(2n - 1) queries in round n."""
+
+    @pytest.mark.parametrize("learner", [TirelessLearner, ConservativeLearner])
+    def test_first_round_asks_the_loops(self, learner):
+        template = generate_template(seed=3, m=3, k=3, edge_density=0.5)
+        session, asked = recording_session(template)
+        learner(session).run_round()
+        assert asked == [(0, a, 0) for a in range(3)]
+
+    def test_tireless_round_order(self):
+        k = 2
+        session, asked = recording_session(generate_template(seed=3, m=3, k=k, edge_density=0.5))
+        learner = TirelessLearner(session)
+        for n in range(1, 7):
+            asked.clear()
+            learner.run_round()
+            u = n - 1
+            expected = [
+                cell
+                for a in range(k)
+                for cell in [
+                    *((u, a, v) for v in range(n)),
+                    *((v, a, u) for v in range(n) if v != u),
+                ]
+            ]
+            assert asked == expected
+            assert len(asked) == k * (2 * n - 1)
+
+
 class TestConservativeInit:
     def test_ledger_after_first_round(self):
         template = generate_template(seed=7, m=2, k=3, edge_density=0.5)
@@ -163,11 +210,12 @@ class TestClassify:
             calls.append((u, a, v))
             return True
 
-        assert classify(TreeNode.leaf(0), 9, query) == 0
+        assert classify(TreeNode(0), 9, query) == 0
         assert calls == []
 
     def test_to_node_yes_branch(self):
-        tree = TreeNode(test=To(0, 2), yes=TreeNode.leaf(0), no=TreeNode.leaf(2))
+        tree = TreeNode(0)
+        tree.split(To(0, 2), 0, 2)
         calls = []
 
         def query(u, a, v):
@@ -178,7 +226,8 @@ class TestClassify:
         assert calls == [(1, 0, 2)]
 
     def test_to_node_no_branch(self):
-        tree = TreeNode(test=To(0, 2), yes=TreeNode.leaf(0), no=TreeNode.leaf(2))
+        tree = TreeNode(0)
+        tree.split(To(0, 2), 0, 2)
         assert classify(tree, 3, lambda u, a, v: False) == 2
 
     def test_from_and_loop_request_shapes(self):
@@ -188,14 +237,9 @@ class TestClassify:
 
     def test_query_count_bounded_by_leaves_minus_one(self):
         # a maximally unbalanced tree: every classification walks <= leaves-1 nodes
-        tree = TreeNode.leaf(0)
-        node = tree
+        tree = node = TreeNode(0)
         for i in range(1, 5):
-            node.label = None
-            node.test = To(0, i)
-            node.yes = TreeNode.leaf(i)
-            node.no = TreeNode.leaf(0)
-            node = node.no
+            _, node = node.split(To(0, i), i, 0)
         calls = []
 
         def query(u, a, v):
@@ -312,7 +356,7 @@ class TestReviseWorkedTrace:
     def test_revise_directly_matches_trace(self):
         # the same trace exercised as a pure function call
         summary = LabeledDigraph(1, [0])
-        tree = TreeNode.leaf(0)
+        tree = TreeNode(0)
         errors = frozenset({(0, 0, 1)})  # denied by the edgeless summary
         frozen = {0: 0, 1: 0}
         assignment = revise(tree, summary, frozen, 1, errors)

@@ -25,7 +25,7 @@ from domainlearn.teacher import (
     generate_template,
 )
 
-from .strategies import blown_up_digraphs, digraphs, random_digraph, sparse_digraphs
+from .strategies import blown_up_digraphs, digraphs, graph_of, random_digraph, sparse_digraphs
 from .test_digraph import indistinguishable
 
 
@@ -48,13 +48,14 @@ class TestOraclePartition:
 
     def test_complete_digraph_single_class(self):
         edges = [(u, a, v) for u in range(4) for a in range(2) for v in range(4)]
-        g = LabeledDigraph(2, range(4), edges)
+        g = graph_of(2, range(4), edges)
         assert oracle_partition(g) == [[0, 1, 2, 3]]
 
-    def test_limit_enforced(self):
-        g = LabeledDigraph(1, range(5))
-        with pytest.raises(OracleLimitError):
-            oracle_partition(g, limit=4)
+    def test_limit_enforced(self, monkeypatch):
+        monkeypatch.setattr(oracle, "ORACLE_VERTEX_LIMIT", 4)
+        with pytest.raises(OracleLimitError, match="limited to 4 vertices, got 5"):
+            oracle_partition(LabeledDigraph(1, range(5)))
+        assert oracle_partition(LabeledDigraph(1, range(4))) == [[0, 1, 2, 3]]
 
     @pytest.mark.parametrize("related,message", [
         # 0~1 and 1~2 but not 0~2: vertex 2 matches one member of [0, 1]
@@ -113,7 +114,7 @@ SPARSE = (0, 4, 9)
 def pair_same(edges) -> bool:
     """``_agreeing`` on the pair (0, 4), asked in both orders, each as a
     one-member class."""
-    rows = oracle._rows(LabeledDigraph(3, SPARSE, edges))
+    rows = oracle._rows(graph_of(3, SPARSE, edges))
     same = oracle._agreeing(rows, [0], 4) == 1
     assert (oracle._agreeing(rows, [4], 0) == 1) is same
     return same
@@ -166,7 +167,7 @@ class TestIsomorphicSmall:
     def test_relabelled_copy(self):
         g = random_digraph(seed=4, n=6, k=2, density=0.4)
         permutation = {0: 5, 1: 3, 2: 0, 3: 4, 4: 1, 5: 2}
-        relabelled = LabeledDigraph(
+        relabelled = graph_of(
             g.k,
             range(6),
             [(permutation[u], a, permutation[v]) for u, a, v in g.edges()],
@@ -174,31 +175,32 @@ class TestIsomorphicSmall:
         assert isomorphic_small(g, relabelled)
 
     def test_different_edge_count_not_isomorphic(self):
-        a = LabeledDigraph(1, range(2), [(0, 0, 1)])
-        b = LabeledDigraph(1, range(2), [(0, 0, 1), (1, 0, 0)])
+        a = graph_of(1, range(2), [(0, 0, 1)])
+        b = graph_of(1, range(2), [(0, 0, 1), (1, 0, 0)])
         assert not isomorphic_small(a, b)
 
     def test_same_degrees_different_structure(self):
         # 4-cycle vs two 2-cycles: identical degree signatures everywhere
-        cycle4 = LabeledDigraph(1, range(4), [(0, 0, 1), (1, 0, 2), (2, 0, 3), (3, 0, 0)])
-        two_cycles = LabeledDigraph(1, range(4), [(0, 0, 1), (1, 0, 0), (2, 0, 3), (3, 0, 2)])
+        cycle4 = graph_of(1, range(4), [(0, 0, 1), (1, 0, 2), (2, 0, 3), (3, 0, 0)])
+        two_cycles = graph_of(1, range(4), [(0, 0, 1), (1, 0, 0), (2, 0, 3), (3, 0, 2)])
         assert not isomorphic_small(cycle4, two_cycles)
 
     def test_label_mismatch_not_isomorphic(self):
-        a = LabeledDigraph(2, range(2), [(0, 0, 1)])
-        b = LabeledDigraph(2, range(2), [(0, 1, 1)])
+        a = graph_of(2, range(2), [(0, 0, 1)])
+        b = graph_of(2, range(2), [(0, 1, 1)])
         assert not isomorphic_small(a, b)
 
-    def test_limit_enforced(self):
+    def test_limit_enforced(self, monkeypatch):
         g = LabeledDigraph(1, range(13))
         with pytest.raises(OracleLimitError):
             isomorphic_small(g, g)
-        assert isomorphic_small(g, g, limit=13)
+        monkeypatch.setattr(oracle, "ISOMORPHISM_VERTEX_LIMIT", 13)
+        assert isomorphic_small(g, g)
 
     @pytest.mark.parametrize("g1,g2", [
         (LabeledDigraph(1, range(3)), LabeledDigraph(1, range(13))),
         (LabeledDigraph(1, range(13)), LabeledDigraph(2, range(13))),
-        (LabeledDigraph(1, range(13)), LabeledDigraph(1, range(13), [(0, 0, 1)])),
+        (LabeledDigraph(1, range(13)), graph_of(1, range(13), [(0, 0, 1)])),
     ], ids=["vertex-count", "k", "edge-count"])
     def test_a_mismatch_is_decided_before_the_limit(self, g1, g2):
         # over the limit is no reason to refuse graphs that cannot match
@@ -247,7 +249,7 @@ class TestRoundInvariants:
         if summary.edge_count == 0:
             pytest.skip("edgeless summary")
         kept = summary.edges()[1:]
-        broken = LabeledDigraph(summary.k, summary.vertices, kept)
+        broken = graph_of(summary.k, summary.vertices, kept)
         failed = check_round_invariants(
             teacher.peek_ground_truth(), broken, learner.assignment, learner.tree
         )
@@ -263,7 +265,7 @@ class TestRoundInvariants:
             for y in summary.vertices
             if not ground_truth.has_edge(x, a, y)
         )
-        broken = LabeledDigraph(summary.k, summary.vertices, [*summary.edges(), foreign])
+        broken = graph_of(summary.k, summary.vertices, [*summary.edges(), foreign])
         failed = check_round_invariants(ground_truth, broken, learner.assignment)
         assert failed["summary-subgraph"] == (
             f"foreign vertices [], foreign edges [{foreign}]"

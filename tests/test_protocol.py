@@ -28,12 +28,12 @@ from domainlearn.teacher import (
     generate_template,
 )
 
-from .strategies import digraphs
+from .strategies import digraphs, graph_of
 
 
 def edge_world(with_loop: bool = False) -> WorldTemplate:
     edges = [(0, 0, 1)] + ([(0, 0, 0)] if with_loop else [])
-    return WorldTemplate(LabeledDigraph(1, range(2), edges))
+    return WorldTemplate(graph_of(1, range(2), edges))
 
 
 def make_session(script=(0, 1, 0, 1), with_loop=False) -> Session:
@@ -98,7 +98,7 @@ class TestSC1:
         u = session.next_vertex()
         session.hypothesis_test(*clean_hypothesis_for(u))
         session.next_vertex()
-        summary = LabeledDigraph(1, [0, 1], [(0, 0, 1)])
+        summary = graph_of(1, [0, 1], [(0, 0, 1)])
         with pytest.raises(SC1Violation, match="surjective"):
             session.hypothesis_test(summary, {0: 0, 1: 0})
 
@@ -167,7 +167,7 @@ def ledger_counters(session: Session) -> tuple[int, ...]:
 
 # the enforcing policy of the edge_world after reveals d0, d1: vertex 0
 # (domain 0) has the edge to vertex 1 (domain 1)
-TWO_DOMAINS = LabeledDigraph(1, [0, 1], [(0, 0, 1)])
+TWO_DOMAINS = graph_of(1, [0, 1], [(0, 0, 1)])
 
 MALFORMED_QUERIES = {
     "cnq-unrevealed-vertex": lambda s: s.connection(0, 0, 3),
@@ -195,7 +195,7 @@ MALFORMED_QUERIES = {
         TWO_DOMAINS, {0: 0, 1: 1, 2: 7}
     ),
     "htq-other-alphabet": lambda s: s.hypothesis_test(
-        LabeledDigraph(2, [0, 1], [(0, 0, 1)]), {0: 0, 1: 1, 2: 0}
+        graph_of(2, [0, 1], [(0, 0, 1)]), {0: 0, 1: 1, 2: 0}
     ),
     # these once ended in AttributeError or TypeError, not a violation
     "htq-summary-none": lambda s: s.hypothesis_test(None, {0: 0, 1: 1, 2: 0}),
@@ -289,7 +289,7 @@ class TestLedger:
         session.next_vertex()
         errors = session.hypothesis_test(LabeledDigraph(1, [0]), {0: 0, 1: 0})
         assert errors
-        good = LabeledDigraph(1, [0, 1], [(0, 0, 1)])
+        good = graph_of(1, [0, 1], [(0, 0, 1)])
         assert not session.hypothesis_test(good, {0: 0, 1: 1})
         ledger = session.ledger
         assert [snap.n for snap in ledger.per_round] == [1, 2]
@@ -337,25 +337,25 @@ class TestSC1Once:
     value, an in-place edit of an accepted summary included, is checked."""
 
     def test_an_equal_copy_is_not_partitioned_again(self, monkeypatch):
-        session, teacher = open_third_round(LabeledDigraph(1, [0, 1], [(0, 0, 1)]))
+        session, teacher = open_third_round(graph_of(1, [0, 1], [(0, 0, 1)]))
         partitioned = count_partitions(monkeypatch)
-        copy = LabeledDigraph(1, [0, 1], [(0, 0, 1)])
+        copy = graph_of(1, [0, 1], [(0, 0, 1)])
         assert not session.hypothesis_test(copy, {0: 0, 1: 1, 2: 0})
         assert partitioned == []
         assert session.ledger.per_round[-1].observed_m == 2
         # another value is partitioned, once
-        other = LabeledDigraph(1, [0, 1], [(0, 0, 1), (1, 0, 1)])
+        other = graph_of(1, [0, 1], [(0, 0, 1), (1, 0, 1)])
         assert session.hypothesis_test(other, {0: 0, 1: 1, 2: 0})
         assert session.hypothesis_test(other, {0: 0, 1: 1, 2: 0})
         assert partitioned == [other]
         assert teacher.calls == ["hypothesis_test"] * 3
 
     def test_an_accepted_summary_edited_in_place_is_checked_again(self):
-        summary = LabeledDigraph(1, [0, 1], [(0, 0, 1)])
+        summary = graph_of(1, [0, 1], [(0, 0, 1)])
         session, teacher = open_third_round(summary)
         # with all four pair edges, 0 and 1 are indistinguishable
         for u, v in ((0, 0), (1, 0), (1, 1)):
-            summary.add_edge(u, 0, v)
+            summary.connect(u, 0, 1 << v, 0)
         before = ledger_counters(session)
         with pytest.raises(SC1Violation, match="reducible"):
             session.hypothesis_test(summary, {0: 0, 1: 1, 2: 0})
@@ -467,12 +467,13 @@ class SessionMachine(RuleBasedStateMachine):
         if summary is None or kind == "fresh":
             summary = data.draw(digraphs(max_n=4, max_k=self.K))
         elif kind == "copy":
-            summary = LabeledDigraph(summary.k, summary.vertices, summary.edges())
+            summary = graph_of(summary.k, summary.vertices, summary.edges())
         elif kind == "edited":
             vertices = summary.vertices
             if vertices and data.draw(st.booleans()):
                 pick, right = st.sampled_from(vertices), st.integers(0, summary.k - 1)
-                summary.add_edge(data.draw(pick), data.draw(right), data.draw(pick))
+                u, a, v = data.draw(pick), data.draw(right), data.draw(pick)
+                summary.connect(u, a, 1 << v, 0)
             else:
                 summary.add_vertex(max(vertices, default=-1) + 1)
         domains = summary.vertices or (0,)

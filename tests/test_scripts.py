@@ -183,6 +183,8 @@ def test_bench_pairs(tmp_path):
     assert record["label"] == "smoke"
     assert record["src_lines"]["parent"] == record["src_lines"]["change"] > 0
     assert f"src_lines parent {record['src_lines']['parent']} " in result.stdout
+    assert record["src_code_lines"]["parent"] == record["src_code_lines"]["change"] > 0
+    assert f"src_code_lines parent {record['src_code_lines']['parent']} " in result.stdout
     assert [(r["side"], r["workload"], r["trace"]) for r in record["runs"]] == [
         ("parent", "tireless", 0), ("change", "tireless", 0),
         ("parent", "tireless", 1), ("change", "tireless", 1),
@@ -266,6 +268,29 @@ def load_bench_pairs():
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
     return bench_pairs
+
+
+def test_bench_pairs_counts_code_lines_apart_from_comments_and_docstrings(tmp_path):
+    package = tmp_path / "src" / "domainlearn"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(
+        '"""Module docstring,\non two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import os  # a trailing comment\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """Docstring."""\n'
+        "    return (\n"
+        "        x\n"
+        "    )\n"
+    )
+    (package / "b.py").write_text('TEXT = """a string,\nnot a docstring"""\n\n')
+    bench_pairs = load_bench_pairs()
+    assert bench_pairs.src_lines(tmp_path) == 12 + 3
+    # import, def, the three lines of the return, and the two of TEXT
+    assert bench_pairs.src_code_lines(tmp_path) == 7
 
 
 def test_bench_pairs_flags_a_change_past_its_bound():

@@ -9,7 +9,7 @@ from domainlearn.digraph import LabeledDigraph, equivalence_partition, is_irredu
 from domainlearn.oracle import is_strong_homomorphism, isomorphic_small
 from domainlearn.summarize import summarize
 
-from .strategies import digraphs
+from .strategies import digraphs, graph_of
 
 
 def test_empty_graph():
@@ -19,7 +19,7 @@ def test_empty_graph():
 
 
 def test_twin_collapse_example():
-    g = LabeledDigraph(1, range(3), [(0, 0, 2), (1, 0, 2)])
+    g = graph_of(1, range(3), [(0, 0, 2), (1, 0, 2)])
     summary, assignment = summarize(g)
     assert summary.vertices == (0, 2)
     assert summary.edges() == [(0, 0, 2)]
@@ -27,7 +27,7 @@ def test_twin_collapse_example():
 
 
 def test_irreducible_input_maps_bijectively():
-    g = LabeledDigraph(1, [0, 1], [(0, 0, 1)])
+    g = graph_of(1, [0, 1], [(0, 0, 1)])
     summary, assignment = summarize(g)
     assert summary == g
     assert assignment == {0: 0, 1: 1}
@@ -47,7 +47,7 @@ def test_summary_contract(g):
 
 
 def relabel(g: LabeledDigraph, permutation: dict[int, int]) -> LabeledDigraph:
-    return LabeledDigraph(
+    return graph_of(
         g.k,
         [permutation[v] for v in g.vertices],
         [(permutation[u], a, permutation[v]) for u, a, v in g.edges()],
