@@ -16,7 +16,7 @@ from domainlearn.rng import SplitMix64, derive_seed
 DENSITY_LEVELS = 3
 
 
-def graph_of(k: int, vertices, edges=()) -> LabeledDigraph:
+def graph_of(k: int, vertices, edges) -> LabeledDigraph:
     """The digraph on ``vertices`` over k rights with exactly ``edges``,
     each (u, a) row inserted with one ``connect``."""
     g = LabeledDigraph(k, vertices)

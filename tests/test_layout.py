@@ -186,28 +186,23 @@ NO_PASSER_NEEDED: dict[str, str] = {}
 
 def defaulted_parameters(tree: ast.Module):
     """(qualified name, called name, position, parameter) of each defaulted
-    parameter of a public top-level function, of a public method of a
-    top-level class and of its ``__init__``.  ``position`` counts the
-    arguments a call passes positionally, the bound ``self`` or ``cls``
-    aside, and is None for a keyword-only parameter."""
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield from _defaulted(node.name, node.name, node, bound=False)
-        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+    parameter of a public definition and of a public class's ``__init__``.
+    ``position`` counts the arguments a call passes positionally, the bound
+    ``self`` or ``cls`` aside, and is None for a keyword-only parameter."""
+    for qualified, node in public_definitions(tree):
+        if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and (
-                    item.name == "__init__" or not item.name.startswith("_")
-                ):
-                    static = any(
-                        isinstance(d, ast.Name) and d.id == "staticmethod"
-                        for d in item.decorator_list
-                    )
-                    called = node.name if item.name == "__init__" else item.name
-                    yield from _defaulted(f"{node.name}.{item.name}", called, item, not static)
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    yield from _defaulted(f"{qualified}.__init__", node.name, item, bound=True)
+        else:
+            static = any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+            )
+            yield from _defaulted(qualified, node.name, node, "." in qualified and not static)
 
 
 def _defaulted(qualified: str, called: str, node: ast.FunctionDef, bound: bool):
-    positional = [*node.args.posonlyargs, *node.args.args][int(bound):]
+    positional = [*node.args.posonlyargs, *node.args.args][bound:]
     for index in range(len(positional) - len(node.args.defaults), len(positional)):
         yield qualified, called, index, positional[index].arg
     for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
@@ -241,9 +236,8 @@ def called_names(tree: ast.Module):
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
             for call in ast.walk(node):
-                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
-                    if call.func.id == "cls":
-                        yield node.name, call
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "cls":
+                    yield node.name, call
         if isinstance(node, ast.Call):
             if isinstance(node.func, ast.Name):
                 yield aliases.get(node.func.id, node.func.id), node

@@ -47,8 +47,8 @@ from domainlearn.teacher import (
     parse_schedule,
 )
 
-from .strategies import graph_of
 from .ground_truth import revealed_class_count, revealed_domains
+from .strategies import graph_of
 
 
 def world(edges, m=2, k=1) -> WorldTemplate:

@@ -28,8 +28,8 @@ from domainlearn.teacher import (
     template_to_text,
 )
 
-from .strategies import graph_of
 from .ground_truth import revealed_class_count, revealed_domains
+from .strategies import graph_of
 
 
 class TestGenerateTemplate:
