@@ -45,7 +45,8 @@ class Teacher(abc.ABC):
 
     A teacher is called only through a :class:`Session`, which validates
     every query before passing it on: a teacher receives only connection
-    queries over revealed vertices and rights in [0, k), and only hypotheses
+    queries whose vertices are revealed ids and whose right is in [0, k),
+    each of type ``int`` exactly (never a bool or a float), and only hypotheses
     that pass SC-1 and whose assignment domain is exactly the revealed set.
     It need not check them again.  Implementations must be truthful: all
     answers consistent with one fixed graph and the set of vertices
@@ -95,7 +96,8 @@ class QueryLedger:
 
     ``nvq_count`` doubles as the round counter.  ``errors_cumulative`` sums
     the sizes of every returned error set.  One snapshot is appended per
-    completed round (a round completes at its first clean hypothesis test).
+    completed round (a round completes at its first clean hypothesis test),
+    so the last round is open exactly while ``len(per_round) < nvq_count``.
     """
 
     nvq_count: int = 0
@@ -113,19 +115,15 @@ class Session:
     monitor, not the learner, owns the ledger, so reported cost cannot be
     understated.  It keeps its own copy of the last summary found
     irreducible, and that copy's vertex set, so a learner that edits a
-    summary it submitted cannot change what the monitor checked.  Strictly
+    summary it submitted cannot change what the monitor checked.  Whether
+    the last round is still open (SC-2) is read off the ledger.  Strictly
     single-threaded; run independent sessions for parallel experiments.
     """
 
     def __init__(self, teacher: Teacher):
         self._teacher = teacher
         self._k = teacher.k
-        # membership refuses a right such as 0.5, "0" or None, which a range test would not
-        self._rights = frozenset(range(self._k))
         self.ledger = QueryLedger()
-        # True from a next-vertex query until the round's first clean
-        # hypothesis test (SC-2)
-        self._awaiting_clean = False
         self._revealed_set: set[int] = set()
         # a copy of the last summary found irreducible (at first the empty one)
         self._irreducible = LabeledDigraph(self._k)
@@ -136,31 +134,32 @@ class Session:
         return self._k
 
     def next_vertex(self) -> int:
-        if self._awaiting_clean:
+        ledger = self.ledger
+        if len(ledger.per_round) < ledger.nvq_count:  # the last round is open (SC-2)
             raise SC2Violation(
                 "next-vertex query issued before an error-free hypothesis test "
-                f"closed round {self.ledger.nvq_count}"
+                f"closed round {ledger.nvq_count}"
             )
         vertex = self._teacher.next_vertex()
         if vertex in self._revealed_set:
             raise ProtocolViolation(f"teacher repeated vertex {vertex}")
-        self.ledger.nvq_count += 1
-        self._awaiting_clean = True
+        ledger.nvq_count += 1
         self._revealed_set.add(vertex)
         return vertex
 
     def connection(self, u: int, a: int, v: int) -> bool:
-        try:
-            if u not in self._revealed_set or v not in self._revealed_set:
-                raise ProtocolViolation(
-                    f"connection query ({u}, {a}, {v}) references an unrevealed vertex"
-                )
-            if a not in self._rights:
-                raise ProtocolViolation(f"right index {a!r} out of range [0, {self._k})")
-        except TypeError:  # a membership test of an unhashable id or right
+        # type first: 0.0 and True would pass the membership and range tests
+        if not (type(u) is int and type(a) is int and type(v) is int):
             raise ProtocolViolation(
-                f"connection query ({u!r}, {a!r}, {v!r}) holds an unhashable vertex or right"
-            ) from None
+                f"connection query ({u!r}, {a!r}, {v!r}) holds a vertex or right "
+                "that is not an int"
+            )
+        if u not in self._revealed_set or v not in self._revealed_set:
+            raise ProtocolViolation(
+                f"connection query ({u}, {a}, {v}) references an unrevealed vertex"
+            )
+        if not 0 <= a < self._k:
+            raise ProtocolViolation(f"right index {a} out of range [0, {self._k})")
         self.ledger.cnq_count += 1
         return self._teacher.connection(u, a, v)
 
@@ -201,7 +200,8 @@ class Session:
         ledger = self.ledger
         ledger.htq_count += 1
         ledger.errors_cumulative += len(errors)
-        if not errors and self._awaiting_clean:
+        # the round's first clean test closes it
+        if not errors and len(ledger.per_round) < ledger.nvq_count:
             ledger.per_round.append(
                 RoundSnapshot(
                     n=ledger.nvq_count,
@@ -211,5 +211,4 @@ class Session:
                     observed_m=summary.vertex_count,
                 )
             )
-            self._awaiting_clean = False
         return errors

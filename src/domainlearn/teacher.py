@@ -5,13 +5,13 @@ A world reveals vertices 0, 1, 2, ... and keeps the revealed part of its
 graph as a row table, updated in place: ``rows[a][r]`` is a target mask over
 the revealed ids and ``row_of[u]`` is the row of vertex u, so (u, a, v) is an
 edge iff bit v of ``rows[a][row_of[u]]`` is set.  It also answers
-``reveal()`` (the next id, or :class:`TeacherExhausted`) and ``in_mask(a,
-u)``, the mask of revealed sources of u under a.  :class:`SyntheticTeacher`
-answers every query from these.  The template world,
-:class:`TemplateInstances`, is conceptually infinite: every vertex is an
-instance of one of m protection domains, and (u, a, v) is an edge iff the
-template has the edge (domain(u), a, domain(v)).  Instances are minted
-lazily as the revelation schedule asks for them.
+``reveal()``, the next id, or :class:`TeacherExhausted`.  That is the whole
+world contract: :class:`SyntheticTeacher` answers every query from these,
+and derives a vertex's sources from the rows whose targets name it.  The
+template world, :class:`TemplateInstances`, is conceptually infinite: every
+vertex is an instance of one of m protection domains, and (u, a, v) is an
+edge iff the template has the edge (domain(u), a, domain(v)).  Instances
+are minted lazily as the revelation schedule asks for them.
 
 A revelation schedule is a value built for one m: :func:`parse_schedule`
 turns a spec into :class:`IidUniform`, :class:`IidWeighted` or
@@ -92,7 +92,8 @@ def generate_template(
     Each of the m*m*k candidate edges is kept independently with probability
     ``edge_density``, drawn in (u, a, v) order and inserted one (u, a) row
     at a time.  Deterministic given (seed, m, k, edge_density): failed
-    attempts retry with a seed derived by remixing the previous one.
+    attempts retry with a seed derived by remixing the previous one, or
+    with the next seed where remixing leaves it unchanged (seed 0).
     Parameters that :func:`check_template_parameters` rejects raise its
     ``ValueError`` before any attempt.
     """
@@ -110,7 +111,9 @@ def generate_template(
                 graph.connect(u, a, targets, 0)
         if is_irreducible(graph):
             return WorldTemplate(graph=graph)
-        attempt_seed = mix64(attempt_seed)
+        remixed = mix64(attempt_seed)
+        # at a fixed point of mix64, such as 0, remixing would repeat one attempt
+        attempt_seed = remixed if remixed != attempt_seed else attempt_seed + 1
     raise TemplateGenerationError(
         f"no irreducible template after {MAX_GENERATION_ATTEMPTS} attempts "
         f"(seed={seed}, m={m}, k={k}, edge_density={edge_density})"
@@ -267,7 +270,6 @@ class TemplateInstances:
             [[d for d in range(m) if template.graph.has_edge(d, a, x)] for x in range(m)]
             for a in range(template.k)
         ]
-        self._members = [0] * m  # revealed instances of each domain, as a bitmask
         self.rows = [[0] * m for _ in range(template.k)]
         self.row_of: list[int] = []  # template domain of each revealed vertex
 
@@ -281,26 +283,18 @@ class TemplateInstances:
         vertex = len(self.row_of)
         self.row_of.append(domain)
         bit = 1 << vertex
-        self._members[domain] |= bit
         for rows, in_domains in zip(self.rows, self._in_domains):
             for d in in_domains[domain]:
                 rows[d] |= bit
         return vertex
 
-    def in_mask(self, a: int, u: int) -> int:
-        """The instances of u's template in-neighbours under a."""
-        sources = 0
-        for d in self._in_domains[a][self.row_of[u]]:
-            sources |= self._members[d]
-        return sources
-
 
 class SyntheticTeacher(Teacher):
     """The teacher over any world: a row table ``rows``/``row_of`` over the
-    revealed ids 0..n-1, ``reveal()`` and ``in_mask(a, u)`` (module
-    docstring).  A connection query reads one row bit, and a hypothesis
-    test is :func:`error_set` with the teacher standing in for the revealed
-    graph.  Like every :class:`Teacher` it answers only queries a
+    revealed ids 0..n-1 and ``reveal()`` (module docstring), and nothing
+    else.  A connection query reads one row bit, and a hypothesis test is
+    :func:`error_set` with the teacher standing in for the revealed graph.
+    Like every :class:`Teacher` it answers only queries a
     :class:`~domainlearn.protocol.Session` has already validated, and checks
     none of them again."""
 
@@ -308,7 +302,9 @@ class SyntheticTeacher(Teacher):
         self._world = world
         self._rows = world.rows
         self._row_of = world.row_of
-        self._graph = LabeledDigraph(len(world.rows))  # caught up by peek_ground_truth
+        # caught up by peek_ground_truth, with the vertices it built of each row
+        self._graph = LabeledDigraph(len(world.rows))
+        self._members: dict[int, int] = {}
 
     @property
     def k(self) -> int:
@@ -338,14 +334,19 @@ class SyntheticTeacher(Teacher):
 
         The graph is built lazily: each call adds the vertices revealed since
         the last one and connects each, under every right, to its row's
-        targets and to the world's ``in_mask`` sources, so the same object
-        is returned, caught up, every time.
+        targets and to its sources, the members of every row whose targets
+        have its bit, so the same object is returned, caught up, every time.
         """
-        graph = self._graph
-        built, n = graph.vertex_count, len(self._row_of)
+        graph, members, row_of = self._graph, self._members, self._row_of
+        built, n = graph.vertex_count, len(row_of)
         for v in range(built, n):
             graph.add_vertex(v)
+            members[row_of[v]] = members.get(row_of[v], 0) | 1 << v
         for v in range(built, n):
-            for a in range(graph.k):
-                graph.connect(v, a, self.out_mask(a, v), self._world.in_mask(a, v))
+            for a, rows in enumerate(self._rows):
+                sources = 0
+                for row, mask in members.items():
+                    if rows[row] >> v & 1:
+                        sources |= mask
+                graph.connect(v, a, rows[row_of[v]], sources)
         return graph

@@ -1,6 +1,7 @@
 """Both learners on arbitrary ground-truth graphs: an explicit-graph world
 behind the production teacher, cross-checked after every round against the
-oracle, the closed-form bounds and the per-bet error facts."""
+oracle, the closed-form bounds and the per-bet error facts; and on template
+worlds whose domains are relabelled."""
 
 from __future__ import annotations
 
@@ -10,10 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domainlearn.digraph import LabeledDigraph, induced_subgraph
-from domainlearn.learners import ConservativeLearner, TirelessLearner
+from domainlearn.learners import ConservativeLearner, TirelessLearner, tree_to_text
 from domainlearn.oracle import check_round_invariants, oracle_partition
 from domainlearn.protocol import Session
-from domainlearn.teacher import SyntheticTeacher, TeacherExhausted
+from domainlearn.teacher import (
+    Scripted,
+    SyntheticTeacher,
+    TeacherExhausted,
+    TemplateInstances,
+    WorldTemplate,
+    generate_template,
+)
 
 from .strategies import blown_up_digraphs, digraphs, graph_of
 
@@ -41,8 +49,17 @@ class GraphWorld:
         self.row_of.append(u)
         return u
 
-    def in_mask(self, a: int, u: int) -> int:
-        return self._graph.in_mask(a, u) & ((1 << len(self.row_of)) - 1)
+
+class ContractWorld:
+    """A world that holds the world contract and nothing else: its only
+    slots are ``rows``, ``row_of`` and ``reveal``, taken from a
+    :class:`GraphWorld`, so a teacher that reads anything more fails."""
+
+    __slots__ = ("rows", "row_of", "reveal")
+
+    def __init__(self, graph: LabeledDigraph):
+        world = GraphWorld(graph)
+        self.rows, self.row_of, self.reveal = world.rows, world.row_of, world.reveal
 
 
 class RecordingSession(Session):
@@ -89,10 +106,10 @@ def witnessed_blowups(draw) -> LabeledDigraph:
     return graph_of(k, range(n), [(label[u], a, label[v]) for u, a, v in g.edges()])
 
 
-def play_both_learners(g: LabeledDigraph) -> None:
+def play_both_learners(g: LabeledDigraph, world_class=GraphWorld) -> None:
     k = g.k
     for learner_class in (TirelessLearner, ConservativeLearner):
-        teacher = SyntheticTeacher(GraphWorld(g))
+        teacher = SyntheticTeacher(world_class(g))
         session = RecordingSession(teacher)
         learner = learner_class(session)
         m_before = 0
@@ -133,3 +150,50 @@ class TestAnyGraph:
     @settings(max_examples=430, deadline=None)
     def test_blown_up_digraphs_with_late_witnesses(self, g):
         play_both_learners(g)
+
+    @given(witnessed_blowups())
+    @settings(max_examples=200, deadline=None)
+    def test_a_world_of_only_the_contract(self, g):
+        # the teacher derives ground truth from the row table alone: a late
+        # witness's edges into earlier vertices are its row's targets, and
+        # theirs into it are read off the rows whose targets name it
+        assert not hasattr(ContractWorld(g), "__dict__")
+        play_both_learners(g, ContractWorld)
+
+
+def play_script(learner_class, template: WorldTemplate, script: tuple[int, ...]) -> list:
+    """What the learner shows after each round of ``script``: its ledger,
+    tree, summary and assignment, copied, since a learner edits them."""
+    teacher = SyntheticTeacher(TemplateInstances(template, Scripted(script, template.m), 0))
+    session = Session(teacher)
+    learner = learner_class(session)
+    shown = []
+    for _ in script:
+        learner.run_round()
+        tree = tree_to_text(learner.tree) if learner.keeps_tree else None
+        summary = induced_subgraph(learner.summary, learner.summary.vertices)
+        shown.append((list(session.ledger.per_round), tree, summary, dict(learner.assignment)))
+    return shown
+
+
+class TestRelabelledDomains:
+    @given(
+        seed=st.integers(0, 2**16),
+        m=st.integers(1, 5),
+        k=st.integers(1, 2),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_learners_see_no_domain_index(self, seed, m, k, data):
+        # the learners see vertex ids only: relabelling the template's
+        # domains by a permutation, and the script with them, changes nothing
+        template = generate_template(seed, m, k, 0.5)
+        pi = data.draw(st.permutations(range(m)))
+        relabelled = WorldTemplate(
+            graph_of(k, range(m), [(pi[u], a, pi[v]) for u, a, v in template.graph.edges()])
+        )
+        script = tuple(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=12)))
+        for learner_class in (TirelessLearner, ConservativeLearner):
+            assert play_script(learner_class, relabelled, tuple(pi[d] for d in script)) == (
+                play_script(learner_class, template, script)
+            )

@@ -180,6 +180,36 @@ def test_only_verify_checks_the_oracle_limit():
     assert uses_outside_verify("ORACLE_VERTEX_LIMIT", "oracle.py") == []
 
 
+def test_teacher_reads_only_the_world_contract():
+    # a world is its row table and reveal(); the teacher derives the rest,
+    # ground truth's sources included, so a new world implements only these
+    (teacher,) = [
+        node
+        for node in parse(PACKAGE / "teacher.py").body
+        if isinstance(node, ast.ClassDef) and node.name == "SyntheticTeacher"
+    ]
+    # the world is the ``world`` argument and every self attribute bound to it
+    held = {
+        target.attr
+        for node in ast.walk(teacher)
+        if isinstance(node, ast.Assign) and getattr(node.value, "id", None) == "world"
+        for target in node.targets
+        if isinstance(target, ast.Attribute)
+    }
+
+    def is_world(node: ast.expr) -> bool:
+        if isinstance(node, ast.Attribute):
+            return getattr(node.value, "id", None) == "self" and node.attr in held
+        return getattr(node, "id", None) == "world"
+
+    reads = {
+        node.attr
+        for node in ast.walk(teacher)
+        if isinstance(node, ast.Attribute) and is_world(node.value)
+    }
+    assert reads == {"rows", "row_of", "reveal"}
+
+
 # Defaulted parameters allowed to have no production caller, with the reason.
 NO_PASSER_NEEDED: dict[str, str] = {}
 

@@ -177,10 +177,18 @@ MALFORMED_QUERIES = {
     "cnq-right-half": lambda s: s.connection(0, 0.5, 1),
     "cnq-right-str": lambda s: s.connection(0, "0", 1),
     "cnq-right-none": lambda s: s.connection(0, None, 1),
-    # an unhashable id or right fails the membership tests with TypeError
+    # an id or right that is not an int is refused before any lookup: a
+    # list is unhashable, and an integral float or a bool equals, and
+    # hashes as, a revealed id or a right
     "cnq-u-unhashable": lambda s: s.connection([0], 0, 1),
     "cnq-right-unhashable": lambda s: s.connection(0, [0], 1),
     "cnq-v-unhashable": lambda s: s.connection(0, 0, [0]),
+    "cnq-u-float": lambda s: s.connection(0.0, 0, 1),
+    "cnq-u-bool": lambda s: s.connection(True, 0, 1),
+    "cnq-right-float": lambda s: s.connection(0, 0.0, 1),
+    "cnq-right-bool": lambda s: s.connection(0, False, 1),  # the one right is 0
+    "cnq-v-float": lambda s: s.connection(0, 0, 0.0),
+    "cnq-v-bool": lambda s: s.connection(0, 0, True),
     "htq-extra-vertex": lambda s: s.hypothesis_test(
         TWO_DOMAINS, {0: 0, 1: 1, 2: 0, 3: 0}
     ),
@@ -441,12 +449,17 @@ class SessionMachine(RuleBasedStateMachine):
         """Over revealed vertices and a right in range, but for the
         argument ``bad`` names, which is drawn malformed."""
         ids = st.sampled_from(self.revealed or [0])
-        bad_ids = st.sampled_from([-1, len(self.revealed), [0]])
+        bad_ids = st.sampled_from([-1, len(self.revealed), [0], 0.0, True])
         u = data.draw(bad_ids if bad == "u" else ids)
         v = data.draw(bad_ids if bad == "v" else ids)
-        bad_rights = st.sampled_from([2, -1, 0.5, "0", None, [0]])
+        bad_rights = st.sampled_from([2, -1, 0.5, "0", None, [0], 0.0, True])
         a = data.draw(bad_rights if bad == "a" else st.integers(0, self.K - 1))
-        if u in self.revealed and v in self.revealed and type(a) is int and 0 <= a < self.K:
+        if (
+            all(type(x) is int for x in (u, a, v))
+            and u in self.revealed
+            and v in self.revealed
+            and 0 <= a < self.K
+        ):
             truth = self.inner.peek_ground_truth().has_edge(u, a, v)
             assert self.session.connection(u, a, v) is truth
             self.counters[1] += 1
