@@ -17,12 +17,12 @@ bound, so the runs cannot tell a change within the bound from none,
 unless every change run reads better than every parent run (printed as
 ``UNRESOLVED``); per workload, each side's share of failed sessions
 (``REGRESSION`` when the change's is larger), the ``peak_rss_mb``
-change per extra untraced block, in KB, and the rise in block count at
-which ``peak_rss_mb`` would cross its bound; each per-layer metric's
-traced median per side; each side's source size (``src_lines``, the lines
-of ``src/domainlearn/*.py``, and ``src_code_lines``, those of them that
-are not blank, comments or docstrings); and every run's raw output lines
-and result.
+change per extra untraced block, in KB, fitted over every run of the
+workload, and the rise in block count at which ``peak_rss_mb`` would
+cross its bound; each per-layer metric's traced median per side; each
+side's source size (``src_lines``, the lines of ``src/domainlearn/*.py``,
+and ``src_code_lines``, those of them that are not blank, comments or
+docstrings); and every run's raw output lines and result.
 
 Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --label LABEL
        --pairs tireless=10,cons-iid=3,cons-adversarial=3,verify=3
@@ -41,7 +41,6 @@ import argparse
 import ast
 import io
 import json
-import math
 import os
 import platform
 import re
@@ -169,7 +168,7 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
             "unresolved": spread > metric["bound"] and not every_run_better,
         }
     summary["blocks"] = {side: [blocks(r) for r in by_side[side]] for side in SIDES}
-    summary["rss_per_extra_block_kb"] = rss_per_extra_block_kb(summary)
+    summary["rss_per_extra_block_kb"] = rss_per_extra_block_kb(runs)
     summary["rss_bound_block_rise"] = rss_bound_block_rise(summary, metrics)
     summary["failed"] = {side: [r["result"]["failed"] for r in by_side[side]] for side in SIDES}
     attempted = {side: sum(r["result"]["attempted"] for r in by_side[side]) for side in SIDES}
@@ -191,18 +190,24 @@ def median_blocks(counts: list[int | None]) -> float:
     return statistics.median(known) if known else float("nan")
 
 
-def rss_per_extra_block_kb(summary: dict) -> float | None:
-    """The change in median ``peak_rss_mb`` over the change in median
-    untraced block count, in KB: a figure near what the harness keeps per
-    block says that a ``peak_rss_mb`` move is the harness's retention of
-    the extra blocks, not the simulator's memory.  None when
-    ``peak_rss_mb`` is not measured or the block medians are equal or
-    unknown."""
-    extra = median_blocks(summary["blocks"]["change"]) - median_blocks(summary["blocks"]["parent"])
-    if "peak_rss_mb" not in summary or math.isnan(extra) or extra == 0:
+def rss_per_extra_block_kb(runs: list[dict]) -> float | None:
+    """The least-squares slope of ``peak_rss_mb`` on untraced block count,
+    in KB per block, fitted over every run whose block count is known, both
+    sides pooled: a figure near what the harness keeps per block says that
+    a ``peak_rss_mb`` move is the harness's retention of the extra blocks,
+    not the simulator's memory.  With one run per side it is the change in
+    ``peak_rss_mb`` over the change in block count.  None when
+    ``peak_rss_mb`` is not measured or fewer than two distinct block counts
+    are known."""
+    points = []
+    for run in runs:
+        count, metrics = blocks(run), run["result"]["metrics"]
+        if count is not None and "peak_rss_mb" in metrics:
+            points.append((count, metrics["peak_rss_mb"]["value"]))
+    if len({count for count, _ in points}) < 2:
         return None
-    rss = summary["peak_rss_mb"]
-    return (rss["change"]["median"] - rss["parent"]["median"]) * 1024 / extra
+    counts, rss = zip(*points)
+    return statistics.linear_regression(counts, rss).slope * 1024
 
 
 def rss_bound_block_rise(summary: dict, metrics: list[dict]) -> float | None:

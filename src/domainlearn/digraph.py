@@ -245,15 +245,14 @@ def error_set(
         except KeyError:
             raise ValueError(f"assignment is not total: vertex {v} unmapped") from None
         member_mask[domain] = member_mask.get(domain, 0) | (1 << v)
-    allowed_mask = granted(summary, member_mask)
+    allowed = granted(summary, member_mask).get
+    out_mask = g.out_mask
+    rights = range(g.k)
     errors: list[Edge] = []
-    k = g.k
     for u in vertices:
         domain = assignment[u]
-        for a in range(k):
-            difference = allowed_mask.get((domain, a), 0) ^ g.out_mask(a, u)
-            if not difference:
-                continue
-            for v in _mask_bits(difference):
-                errors.append((u, a, v))
+        for a in rights:
+            difference = allowed((domain, a), 0) ^ out_mask(a, u)
+            if difference:
+                errors.extend((u, a, v) for v in _mask_bits(difference))
     return frozenset(errors)

@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from .digraph import LabeledDigraph
 from .learners import LEARNERS, Learner, make_learner
@@ -126,29 +127,31 @@ def parse_oracle_checks(spec: str) -> int:
     raise ValueError(f"unknown oracle_checks spec {spec!r}")
 
 
-@dataclass(frozen=True)
-class RoundRow(RoundSnapshot):
-    """A round's snapshot and its bound columns: one CSV row."""
+class RoundRow(NamedTuple):
+    """A round's snapshot and its bound columns: one CSV row.  Its fields
+    start with :class:`RoundSnapshot`'s, in order, so :func:`bound_row`
+    extends a snapshot positionally."""
 
+    n: int
+    cnq_cum: int
+    htq_cum: int
+    errors_cum: int
+    observed_m: int
     bound_tireless: int
     bound_cons_cnq: int
     bound_cons_err: int
 
     def as_csv(self) -> str:
-        return ",".join(str(getattr(self, column)) for column in _COLUMNS)
+        return ",".join(map(str, self))
 
 
-_COLUMNS = tuple(f.name for f in fields(RoundRow))
-CSV_HEADER = ",".join(_COLUMNS)
+CSV_HEADER = ",".join(RoundRow._fields)
 
 
 def bound_row(k: int, snapshot: RoundSnapshot) -> RoundRow:
     n, m = snapshot.n, snapshot.observed_m
     return RoundRow(
-        **vars(snapshot),
-        bound_tireless=k * n * n,
-        bound_cons_cnq=k + (n - 1) * (m - 1),
-        bound_cons_err=k * (2 * n + 1) * (m - 1),
+        *snapshot, k * n * n, k + (n - 1) * (m - 1), k * (2 * n + 1) * (m - 1)
     )
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import abc
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .digraph import Edge, LabeledDigraph, induced_subgraph, is_irreducible
 
@@ -76,12 +77,12 @@ class Teacher(abc.ABC):
         allows."""
 
 
-@dataclass(frozen=True)
-class RoundSnapshot:
+class RoundSnapshot(NamedTuple):
     """Cumulative ledger state at the moment a round completed, and
     ``observed_m``, the vertex count of the summary whose clean test
     completed it.  SC-1 and the clean test make that the class count of
-    the revealed graph, whatever the learner."""
+    the revealed graph, whatever the learner.  A named tuple: its fields
+    cannot be set, and a bound row extends it positionally."""
 
     n: int
     cnq_cum: int
@@ -174,8 +175,10 @@ class Session:
             raise ProtocolViolation(f"hypothesis is a {got}, not a LabeledDigraph and a Mapping")
         if summary.k != self._k:
             raise ProtocolViolation(f"summary is over {summary.k} rights, not {self._k}")
-        keys = set(assignment)
-        if keys != self._revealed_set:
+        # a keys view compares with a set as a set, so no key set is built
+        # unless the check fails and its message needs one
+        if assignment.keys() != self._revealed_set:
+            keys = set(assignment)
             # sorted by repr: a key of another type does not compare with an id
             raise ProtocolViolation(
                 "hypothesis assignment domain must be exactly the revealed set; "

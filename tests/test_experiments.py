@@ -18,6 +18,7 @@ from domainlearn.experiments import (
     CSV_HEADER,
     ExperimentConfig,
     RoundRow,
+    bound_row,
     build_session,
     coupon_experiment,
     exact_coverage_expectation,
@@ -29,7 +30,7 @@ from domainlearn.experiments import (
 )
 from domainlearn.learners import LEARNERS, ConservativeLearner, TirelessLearner
 from domainlearn.oracle import ISOMORPHISM_VERTEX_LIMIT
-from domainlearn.protocol import ProtocolViolation
+from domainlearn.protocol import ProtocolViolation, RoundSnapshot
 from domainlearn.teacher import SyntheticTeacher, generate_template, template_to_text
 
 
@@ -168,6 +169,39 @@ class TestRun:
         assert any("conservative" in v for v in ConservativeLearner.bound_violations(row))
         clean = RoundRow(2, 4, 2, 0, 2, 4, 4, 10)
         assert TirelessLearner.bound_violations(clean) == []
+
+
+class TestBoundRow:
+    """A row is built positionally from the Session's snapshot, so its
+    fields must start with the snapshot's, in the same order."""
+
+    def test_row_fields_extend_the_snapshot_fields(self):
+        assert RoundRow._fields[: len(RoundSnapshot._fields)] == RoundSnapshot._fields
+        assert RoundRow._fields[len(RoundSnapshot._fields) :] == (
+            "bound_tireless", "bound_cons_cnq", "bound_cons_err",
+        )
+
+    @pytest.mark.parametrize("k,n,m", [(1, 1, 1), (2, 5, 3), (3, 40, 8), (2, 500, 16)])
+    def test_bound_columns(self, k, n, m):
+        snapshot = RoundSnapshot(n=n, cnq_cum=7, htq_cum=9, errors_cum=11, observed_m=m)
+        row = bound_row(k, snapshot)
+        assert row[: len(snapshot)] == snapshot
+        assert (row.n, row.cnq_cum, row.htq_cum, row.errors_cum, row.observed_m) == (n, 7, 9, 11, m)
+        assert row.bound_tireless == k * n**2
+        assert row.bound_cons_cnq == k + (n - 1) * (m - 1)
+        assert row.bound_cons_err == k * (2 * n + 1) * (m - 1)
+
+    def test_as_csv_joins_the_fields_in_header_order(self):
+        row = bound_row(2, RoundSnapshot(n=3, cnq_cum=4, htq_cum=5, errors_cum=6, observed_m=2))
+        assert row.as_csv() == ",".join(
+            str(getattr(row, column)) for column in CSV_HEADER.split(",")
+        )
+        assert row.as_csv() == "3,4,5,6,2,18,4,14"
+
+    def test_a_row_cannot_be_changed(self):
+        row = RoundRow(2, 4, 2, 0, 2, 4, 4, 10)
+        with pytest.raises(AttributeError):
+            row.cnq_cum = 0
 
 
 class TestVerify:

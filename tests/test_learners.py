@@ -9,7 +9,7 @@ import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domainlearn.digraph import LabeledDigraph
@@ -49,6 +49,7 @@ from domainlearn.teacher import (
 
 from .ground_truth import revealed_class_count, revealed_domains
 from .strategies import graph_of
+from .test_graph_worlds import GraphWorld, witnessed_blowups
 
 
 def world(edges, m=2, k=1) -> WorldTemplate:
@@ -633,6 +634,76 @@ class TestReviseContract:
             for _ in range(8):
                 learner.run_round()
         assert revisions >= 8
+
+    def test_only_the_newcomers_path_splits_on_other_tests(self, monkeypatch):
+        # Every error names the newcomer x, so a test that does not name x
+        # (a Loop, or To(a, w) / From(w, a) with w != x) has an all-clean
+        # column on any leaf without x: every decision node that such a
+        # test adds lies on the path to x's leaf.  So a leaf without x
+        # could stop after the 2k tests that name x.
+        counts = Counter()
+        monkeypatch.setattr(
+            "domainlearn.learners.revise", lambda *args: revise_off_path_checked(counts, *args)
+        )
+        for config in REVISION_CORPUS:
+            assert _play(config, lambda *_: None).violations == []
+        # 67 of the corpus's splits are on tests that do not name the
+        # newcomer, 32 of them on a third-party witness
+        assert counts == Counter({"revisions": 817, "other tests": 67, "witness tests": 32})
+
+    @given(witnessed_blowups())
+    @settings(max_examples=200, deadline=None)
+    def test_only_the_newcomers_path_splits_on_any_graph(self, g):
+        counts = Counter()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                "domainlearn.learners.revise", lambda *args: revise_off_path_checked(counts, *args)
+            )
+            learner = ConservativeLearner(Session(SyntheticTeacher(GraphWorld(g))))
+            for _ in range(g.vertex_count):
+                learner.run_round()
+
+
+def names_vertex(test, x: int) -> bool:
+    return (isinstance(test, To) and test.target == x) or (
+        isinstance(test, From) and test.source == x
+    )
+
+
+def decision_nodes(node: TreeNode):
+    """Every decision node of a tree, in preorder."""
+    if not node.is_leaf:
+        yield node
+        yield from decision_nodes(node.yes)
+        yield from decision_nodes(node.no)
+
+
+def path_to(node: TreeNode, label: int) -> list[TreeNode] | None:
+    """The decision nodes from ``node`` down to the leaf ``label``, or None
+    if no leaf below ``node`` carries it."""
+    if node.is_leaf:
+        return [] if node.label == label else None
+    for child in (node.yes, node.no):
+        path = path_to(child, label)
+        if path is not None:
+            return [node, *path]
+    return None
+
+
+def revise_off_path_checked(counts: Counter, tree, summary, frozen, new_vertex, errors):
+    """:func:`revise`, then check that each decision node it added with a
+    test that does not name ``new_vertex`` is on the path to its leaf."""
+    old_leaves = list(tree.leaves())
+    assignment = revise(tree, summary, frozen, new_vertex, errors)
+    on_path = set(path_to(tree, assignment[new_vertex]))
+    counts["revisions"] += 1
+    for leaf in old_leaves:
+        for node in decision_nodes(leaf):
+            if not names_vertex(node.test, new_vertex):
+                assert node in on_path, (node.test, new_vertex)
+                counts["other tests"] += 1
+                counts["witness tests"] += not isinstance(node.test, Loop)
+    return assignment
 
 
 class TestConservativeRounds:

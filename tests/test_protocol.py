@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from types import MappingProxyType
+
 import pytest
 from hypothesis import Phase, settings
 from hypothesis import strategies as st
@@ -250,6 +253,56 @@ class TestSessionIsTheGate:
         assert session.connection(2, 0, 1) is True
         assert not session.hypothesis_test(TWO_DOMAINS, {0: 0, 1: 1, 2: 0})
         assert teacher.calls == ["connection", "hypothesis_test"]
+
+
+class PlainMapping(Mapping):
+    """A Mapping that is no dict: its ``keys()`` is a ``KeysView``."""
+
+    def __init__(self, items: dict):
+        self._items = items
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+
+class TestNonDictAssignment:
+    """The monitor compares the assignment's keys view with the revealed
+    set, so an assignment that is a Mapping but no dict is checked, and
+    played, exactly as its dict is."""
+
+    WRAPPERS = {"proxy": MappingProxyType, "plain": PlainMapping}
+
+    @pytest.mark.parametrize("wrap", WRAPPERS.values(), ids=WRAPPERS)
+    def test_same_errors_and_ledger_as_the_dict(self, wrap):
+        shown = []
+        for as_given in (dict, wrap):
+            session, teacher = open_third_round()
+            # vertex 2 is a domain-0 instance: the bet on domain 1 fails
+            dirty = session.hypothesis_test(TWO_DOMAINS, as_given({0: 0, 1: 1, 2: 1}))
+            clean = session.hypothesis_test(TWO_DOMAINS, as_given({0: 0, 1: 1, 2: 0}))
+            shown.append((dirty, clean, ledger_counters(session), session.ledger.per_round))
+        assert shown[0][0] and not shown[0][1]
+        assert shown[1] == shown[0]
+
+    @pytest.mark.parametrize("wrap", WRAPPERS.values(), ids=WRAPPERS)
+    @pytest.mark.parametrize("assignment", [{0: 0, 1: 1}, {0: 0, 1: 1, 2: 0, 5: 0}, {0: 0, 2: 0, "x": 1}])
+    def test_a_wrong_key_set_gets_the_dict_message(self, wrap, assignment):
+        messages = []
+        for as_given in (dict, wrap):
+            session, teacher = open_third_round()
+            before = ledger_counters(session)
+            with pytest.raises(ProtocolViolation, match="exactly the revealed set") as raised:
+                session.hypothesis_test(TWO_DOMAINS, as_given(assignment))
+            assert teacher.calls == []
+            assert ledger_counters(session) == before
+            messages.append(str(raised.value))
+        assert messages[1] == messages[0]
 
 
 class RepeatingTeacher(RecordingTeacher):

@@ -342,12 +342,20 @@ def rss_runs(parent, change):
 def test_bench_pairs_ties_a_peak_rss_move_to_the_block_count():
     metrics = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
     summarise = load_bench_pairs().summarise
-    # +1.0 MB median over +13 median blocks: 1024 KB / 13
+    # the least-squares slope over all four runs: block deviations -7.5,
+    # -5.5, 5.5, 7.5 against MB deviations -0.6, -0.4, 0.4, 0.6 give
+    # 13.4 / 173 MB per block
     summary = summarise(rss_runs([(37.0, 200), (37.2, 202)], [(38.0, 213), (38.2, 215)]), metrics)
     assert summary["blocks"] == {"parent": [200, 202], "change": [213, 215]}
-    assert summary["rss_per_extra_block_kb"] == pytest.approx(1024 / 13)
-    # equal block medians, or none known, give no figure
+    assert summary["rss_per_extra_block_kb"] == pytest.approx(13.4 * 1024 / 173)
+    # equal block medians whose runs differ still give the fitted slope,
+    # 0.1 MB per block
+    summary = summarise(rss_runs([(37.0, 200), (37.4, 204)], [(37.2, 202), (37.2, 202)]), metrics)
+    assert summary["rss_per_extra_block_kb"] == pytest.approx(102.4)
+    # one block count, or none known, gives no figure
     summary = summarise(rss_runs([(37.0, 200)], [(38.0, 200)]), metrics)
+    assert summary["rss_per_extra_block_kb"] is None
+    summary = summarise(rss_runs([(37.0, 200), (37.5, None)], [(38.0, 200), (38.5, None)]), metrics)
     assert summary["rss_per_extra_block_kb"] is None
     summary = summarise(rss_runs([(37.0, None)], [(38.0, None)]), metrics)
     assert summary["rss_per_extra_block_kb"] is None
