@@ -282,7 +282,7 @@ class TestNonDictAssignment:
     def test_same_errors_and_ledger_as_the_dict(self, wrap):
         shown = []
         for as_given in (dict, wrap):
-            session, teacher = open_third_round()
+            session, _ = open_third_round()
             # vertex 2 is a domain-0 instance: the bet on domain 1 fails
             dirty = session.hypothesis_test(TWO_DOMAINS, as_given({0: 0, 1: 1, 2: 1}))
             clean = session.hypothesis_test(TWO_DOMAINS, as_given({0: 0, 1: 1, 2: 0}))
