@@ -20,7 +20,11 @@ unless every change run reads better than every parent run (printed as
 change per extra untraced block, in KB, fitted over every run of the
 workload, and the rise in block count at which ``peak_rss_mb`` would
 cross its bound; each per-layer metric's traced median per side; each
-side's source size (``src_lines``, the lines of ``src/domainlearn/*.py``,
+side's medians of the host factor and of the unnormalised
+``rounds_per_s``, ``round_p50_ms`` and ``round_tail_ms``, read from the
+``host factor ... unnormalised: ...`` line of each untraced run and printed
+beside the normalised medians, so that a normalisation that favours one
+side shows; each side's source size (``src_lines``, the lines of ``src/domainlearn/*.py``,
 and ``src_code_lines``, those of them that are not blank, comments or
 docstrings); and every run's raw output lines and result.
 
@@ -52,6 +56,8 @@ import tokenize
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# the metrics whose unnormalised medians are recorded beside the host factor
+UNNORMALISED = ("rounds_per_s", "round_p50_ms", "round_tail_ms")
 TRACE_SHARE = 1 / 3  # traced pairs run this share of --seconds
 NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
@@ -139,7 +145,8 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     whether the change exceeds the metric's bound and whether the parent's
     spread leaves the metric unresolved; plus blocks, the RSS change per
     extra block, failures, each side's failed share of the attempted
-    sessions and whether the change's share is the larger."""
+    sessions and whether the change's share is the larger; and each side's
+    :func:`unnormalised` medians."""
     by_side = {side: [r for r in runs if r["side"] == side] for side in SIDES}
     summary: dict = {"pairs": len(by_side["change"])}
     for metric in metrics:
@@ -167,6 +174,7 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
             "exceeds_bound": (-median_change if higher else median_change) > metric["bound"],
             "unresolved": spread > metric["bound"] and not every_run_better,
         }
+    summary["unnormalised"] = {side: unnormalised(by_side[side]) for side in SIDES}
     summary["blocks"] = {side: [blocks(r) for r in by_side[side]] for side in SIDES}
     summary["rss_per_extra_block_kb"] = rss_per_extra_block_kb(runs)
     summary["rss_bound_block_rise"] = rss_bound_block_rise(summary, metrics)
@@ -177,6 +185,27 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     }
     summary["failed_share_grew"] = summary["failed_share"]["change"] > summary["failed_share"]["parent"]
     return summary
+
+
+def host_reading(run: dict) -> dict[str, float] | None:
+    """The host factor over blocks and the unnormalised UNNORMALISED metrics
+    from a run's ``host factor <f> (median over blocks), ...; unnormalised:
+    <name>=<value> ...`` line, or None when it printed none."""
+    for line in run["lines"]:
+        if line.startswith("host factor "):
+            raw = dict(item.split("=", 1) for item in line.partition("unnormalised: ")[2].split())
+            return {"host_factor": float(line.split()[2]),
+                    **{name: float(raw[name]) for name in UNNORMALISED}}
+    return None
+
+
+def unnormalised(runs: list[dict]) -> dict[str, float] | None:
+    """The medians of :func:`host_reading` over the runs that printed one,
+    or None when none did."""
+    readings = [reading for reading in map(host_reading, runs) if reading is not None]
+    if not readings:
+        return None
+    return {name: statistics.median(r[name] for r in readings) for name in readings[0]}
 
 
 def blocks(run: dict) -> int | None:
@@ -320,12 +349,20 @@ def main() -> int:
                 rise = entry["rss_bound_block_rise"]
                 if rise is not None:
                     blocks_note += f", bound at {rise:+.0%} blocks"
+            raw = entry["unnormalised"]
+            raw_note = ""
+            if metric in UNNORMALISED and raw["parent"] and raw["change"]:
+                raw_note = (f"; unnormalised parent {raw['parent'][metric]:.5g} "
+                            f"change {raw['change'][metric]:.5g}")
             print(f"  {workload:17} {metric:14} parent {parent['median']:12.5g} "
                   f"change {change['median']:12.5g} ({entry[metric]['median_change']:+.1%}, "
                   f"wins {entry[metric]['change_wins']}/{entry['pairs']}"
                   f"{', claimable' if entry[metric]['gain_claimable'] else ''}{blocks_note})"
                   f"{' REGRESSION' if entry[metric]['exceeds_bound'] else ''}"
-                  f"{' UNRESOLVED' if entry[metric]['unresolved'] else ''}")
+                  f"{' UNRESOLVED' if entry[metric]['unresolved'] else ''}{raw_note}")
+        if raw["parent"] and raw["change"]:
+            print(f"  {workload:17} {'host_factor':14} parent {raw['parent']['host_factor']:12.5g} "
+                  f"change {raw['change']['host_factor']:12.5g}")
         share = entry["failed_share"]
         print(f"  {workload:17} {'failed_share':14} parent {share['parent']:12.5g} "
               f"change {share['change']:12.5g}{' REGRESSION' if entry['failed_share_grew'] else ''}")

@@ -101,9 +101,12 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "ExperimentConfig":
         """Load a JSON object of config fields, ``overrides`` replacing the
-        file's values before the merged config is checked; unknown fields
-        raise ``ValueError``."""
-        data = json.loads(Path(path).read_text())
+        file's values before the merged config is checked; unknown fields,
+        and a file that is not UTF-8 JSON, raise ``ValueError``."""
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"config {path} is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"config {path} must hold a JSON object")
         unknown = set(data) - {f.name for f in fields(cls)}

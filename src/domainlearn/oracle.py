@@ -9,7 +9,9 @@ each newcomer against a whole class in one call, with the literal
 definition as its pair test (agreement outside the pair, then the four
 edges within it) on each vertex's 2k masks packed into one int and its
 field masks built once, a strong-homomorphism check of every source's
-row against every image class, and a backtracking isomorphism search.
+row against every image class, reading each image row once per right,
+a decision-tree replay that splits the mask of all revealed vertices once
+per node, and a backtracking isomorphism search, which equal graphs skip.
 Nothing here is on any measured path: these functions may read teacher
 ground truth and are wired only into tests and verify mode.
 """
@@ -145,7 +147,8 @@ def is_strong_homomorphism(
     The definition evaluated per row: for every vertex u mapped to x, right
     a and image y, u's out mask ANDed with the member mask of y must be that
     whole member mask when (x, a, y) is an edge of H and 0 otherwise, so no
-    edge is enumerated.
+    edge is enumerated.  H's row ``out_mask(a, x)`` is read once per image
+    class x and right a, and bit y of it says whether (x, a, y) is an edge.
     """
     vertices = g.vertices
     for v in vertices:
@@ -160,9 +163,10 @@ def is_strong_homomorphism(
     members = {y: sum(1 << v for v in cls) for y, cls in classes.items()}
     for x, sources in classes.items():
         for a in range(g.k):
+            image_row = h.out_mask(a, x)
             # (targets, the part of them every source of x must reach)
             expected = [
-                (targets, targets if h.has_edge(x, a, y) else 0)
+                (targets, targets if image_row >> y & 1 else 0)
                 for y, targets in members.items()
             ]
             for u in sources:
@@ -180,15 +184,46 @@ def _assignment_partition(assignment: Mapping[int, int]) -> list[list[int]]:
     return sorted(by_domain.values(), key=lambda cls: cls[0])
 
 
-def replay_classification(tree, vertex: int, g: LabeledDigraph) -> int:
-    """Walk a decision tree answering its tests from graph edges directly
-    (no queries); returns the leaf label the tree would classify to."""
-    node = tree
-    while not node.is_leaf:
-        test = node.test
-        answer = g.has_edge(*test.request_for(vertex))
-        node = node.yes if answer else node.no
-    return node.label
+# No vertex has this id (ids are non-negative): a test asked about it names
+# the cell it asks with the candidate's place marked.
+_CANDIDATE = -1
+
+
+def replay_tree(tree, g: LabeledDigraph, candidates: int) -> list[tuple[int, int]]:
+    """Send every vertex of the bitmask ``candidates`` down a decision tree
+    at once, answering its tests from g's masks (no queries).  Returns each
+    reached leaf's label with the mask of the candidates that reach it, yes
+    branches before no branches.
+
+    At each node the mask of candidates that reach it is split by the
+    node's test.  Which cell the test asks is read from ``request_for`` of
+    a placeholder id: (candidate, a, t) holds for the bits of ``in_mask(a,
+    t)``, (w, a, candidate) for the bits of ``out_mask(a, w)``, and
+    (candidate, a, candidate) for the vertices with a loop under a.  So a
+    replay costs one mask operation per node, not one edge probe per
+    vertex and level."""
+    loops: dict[int, int] = {}
+    reached: list[tuple[int, int]] = []
+    pending = [(tree, candidates)]
+    while pending:
+        node, mask = pending.pop()
+        if not mask:
+            continue
+        if node.is_leaf:
+            reached.append((node.label, mask))
+            continue
+        source, a, target = node.test.request_for(_CANDIDATE)
+        if source != _CANDIDATE:
+            yes = g.out_mask(a, source)
+        elif target != _CANDIDATE:
+            yes = g.in_mask(a, target)
+        else:
+            if a not in loops:
+                loops[a] = sum(g.out_mask(a, v) & 1 << v for v in g.vertices)
+            yes = loops[a]
+        pending.append((node.no, mask & ~yes))
+        pending.append((node.yes, mask & yes))
+    return reached
 
 
 def check_round_invariants(
@@ -205,7 +240,8 @@ def check_round_invariants(
     class per vertex); the assignment partition matches the brute-force
     oracle partition; and (when a decision tree is given)
     replaying the tree classifies every revealed vertex to its assigned
-    domain, with exactly one leaf per domain.
+    domain, with exactly one leaf per domain.  The tree is replayed once,
+    for all assigned vertices together, by :func:`replay_tree`.
 
     Returns the failed checks, name -> detail, in that order; empty when
     every check passes.
@@ -245,12 +281,14 @@ def check_round_invariants(
         failed["partition-matches-oracle"] = f"assignment {actual} vs oracle {expected}"
 
     if tree is not None:
-        mismatches = [
-            v
-            for v in sorted(assignment)
-            if replay_classification(tree, v, ground_truth) != assignment[v]
-        ]
-        if mismatches:
+        members: dict[int, int] = {}
+        for v, domain in assignment.items():
+            members[domain] = members.get(domain, 0) | 1 << v
+        wrong = 0
+        for label, reached in replay_tree(tree, ground_truth, sum(members.values())):
+            wrong |= reached & ~members.get(label, 0)
+        if wrong:
+            mismatches = [v for v in sorted(assignment) if wrong >> v & 1]
             failed["classify-agreement"] = f"misclassified vertices {mismatches}"
         leaf_count = tree.leaf_count
         domain_count = len(set(assignment.values()))
@@ -277,7 +315,8 @@ def isomorphic_small(g1: LabeledDigraph, g2: LabeledDigraph) -> bool:
     by per-vertex degree signatures.  Graphs that differ in k, vertex count
     or edge count are not isomorphic whatever their size; only a search
     above :data:`ISOMORPHISM_VERTEX_LIMIT` vertices, read at call time, is
-    refused.
+    refused.  Below that limit, equal graphs are isomorphic by the identity
+    map and skip the search.
     """
     if g1.k != g2.k:
         return False
@@ -288,6 +327,8 @@ def isomorphic_small(g1: LabeledDigraph, g2: LabeledDigraph) -> bool:
             f"isomorphic_small limited to {ISOMORPHISM_VERTEX_LIMIT} vertices, "
             f"got {g1.vertex_count}"
         )
+    if g1 == g2:
+        return True  # the identity map is an isomorphism
 
     sig1 = {v: _vertex_signature(g1, v) for v in g1.vertices}
     sig2 = {v: _vertex_signature(g2, v) for v in g2.vertices}

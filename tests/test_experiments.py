@@ -693,6 +693,20 @@ class TestCli:
             f"error: config field {field!r} has the wrong type: {value!r}\n"
         )
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("content,reason", [
+        (b'{"k": 2,', "Expecting property name enclosed in double quotes: line 1 column 9 (char 8)"),
+        (b"", "Expecting value: line 1 column 1 (char 0)"),
+        (b'{"k": 2}\xff', "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
+    ], ids=["truncated", "empty", "not-utf-8"])
+    def test_config_that_is_not_json_is_named(self, command, content, reason, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        assert main([command, "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config {config} is not valid JSON: {reason}\n"
+        assert captured.out == ""
+
     def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text("[1, 2]")

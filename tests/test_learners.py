@@ -33,7 +33,7 @@ from domainlearn.oracle import (
     check_round_invariants,
     isomorphic_small,
     oracle_partition,
-    replay_classification,
+    replay_tree,
 )
 from domainlearn.protocol import SC1Violation, SC2Violation, Session
 from domainlearn.summarize import summarize
@@ -545,8 +545,10 @@ class TestReviseInvariants:
             labels = [leaf.label for leaf in tree.leaves()]
             assert len(labels) == len(set(labels)) == len(classes)
             assert set(labels) == set(by_domain)
-            for v in assignment:
-                assert replay_classification(tree, v, ground_truth) == assignment[v]
+            reached = dict(replay_tree(tree, ground_truth, sum(1 << v for v in assignment)))
+            assert reached == {
+                domain: sum(1 << v for v in members) for domain, members in by_domain.items()
+            }
             leaves_added.append(len(labels) - leaves_before)
             return assignment
 
@@ -564,6 +566,42 @@ class TestReviseInvariants:
                     learner.run_round()
         assert len(leaves_added) == 63
         assert sum(added > 1 for added in leaves_added) == 7
+
+
+def check_replay(tree: TreeNode, ground_truth: LabeledDigraph, kinds: Counter) -> None:
+    """:func:`replay_tree` of every revealed vertex at once sends each
+    vertex to the leaf that :func:`classify` walks it to, one vertex at a
+    time, and to no other; count the kinds of test on the tree's nodes."""
+    revealed = ground_truth.vertices
+    reached = replay_tree(tree, ground_truth, sum(1 << v for v in revealed))
+    for v in revealed:
+        holding = [label for label, mask in reached if mask >> v & 1]
+        assert holding == [classify(tree, v, ground_truth.has_edge)]
+    assert sum(mask for _, mask in reached) == sum(1 << v for v in revealed)
+    kinds.update(type(node.test).__name__ for node in decision_nodes(tree))
+
+
+class TestReplayTree:
+    """The oracle's one-pass tree replay agrees with a per-vertex walk on
+    every learner tree, whether it tests loops, targets or sources."""
+
+    def test_agrees_with_classify_over_the_corpus(self):
+        kinds = Counter()
+        for config in REVISION_CORPUS:
+            def check(_round_no, _session, teacher, learner):
+                check_replay(learner.tree, teacher.peek_ground_truth(), kinds)
+
+            assert _play(config, check).violations == []
+        assert set(kinds) == {"Loop", "To", "From"}
+
+    @given(witnessed_blowups())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_classify_on_any_graph(self, g):
+        teacher = SyntheticTeacher(GraphWorld(g))
+        learner = ConservativeLearner(Session(teacher))
+        for _ in range(g.vertex_count):
+            learner.run_round()
+            check_replay(learner.tree, teacher.peek_ground_truth(), Counter())
 
 
 class TestReviseContract:

@@ -190,6 +190,22 @@ class TestIsomorphicSmall:
         b = graph_of(2, range(2), [(0, 1, 1)])
         assert not isomorphic_small(a, b)
 
+    @given(digraphs(min_n=2), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_relabelling_is_isomorphic_and_a_flipped_cell_is_not(self, g, data):
+        n = g.vertex_count
+        order = data.draw(st.permutations(range(n)))
+        if order == list(range(n)):
+            order[0], order[1] = order[1], order[0]  # never the identity map
+        edges = {(order[u], a, order[v]) for u, a, v in g.edges()}
+        assert isomorphic_small(g, graph_of(g.k, range(n), edges))
+        cell = (
+            data.draw(st.integers(0, n - 1)),
+            data.draw(st.integers(0, g.k - 1)),
+            data.draw(st.integers(0, n - 1)),
+        )
+        assert not isomorphic_small(g, graph_of(g.k, range(n), edges ^ {cell}))
+
     def test_limit_enforced(self, monkeypatch):
         g = LabeledDigraph(1, range(13))
         with pytest.raises(OracleLimitError):

@@ -213,6 +213,14 @@ def test_bench_pairs(tmp_path):
     assert (summary["rss_bound_block_rise"] is None) == (per_block is None or per_block <= 0)
     # one pair has no spread, so a won pair is a claimable gain
     assert rate["gain_claimable"] == (rate["change_wins"] == 1)
+    # the raw figures behind the normalised ones, printed beside them
+    raw = summary["unnormalised"]
+    for side in ("parent", "change"):
+        assert raw[side]["host_factor"] > 0
+        assert raw[side]["rounds_per_s"] > 0
+        assert raw[side]["round_p50_ms"] <= raw[side]["round_tail_ms"]
+    assert f"; unnormalised parent {raw['parent']['rounds_per_s']:.5g} " in result.stdout
+    assert f"host_factor    parent {raw['parent']['host_factor']:12.5g} " in result.stdout
     cnq_calls = record["traced"]["tireless"]["protocol.cnq_calls"]
     assert cnq_calls["parent"] == cnq_calls["change"] == summary["cnq_total"]["parent"]["median"]
 
@@ -380,6 +388,46 @@ def test_bench_pairs_reports_the_block_rise_that_crosses_the_rss_bound():
         ([(30.0, 100)], [(29.0, 110)]),
     ):
         assert summarise(rss_runs(parent, change), metrics)["rss_bound_block_rise"] is None
+
+
+def host_line(factor: float, rate: float, p50: float, tail: float) -> str:
+    """A ``host factor`` line as ``bench/run.py`` prints it."""
+    return (
+        f"host factor {factor:.4f} (median over blocks), 0.9500 over set-ups; unnormalised: "
+        f"rounds_per_s={rate:.6g} queries_per_s=99999 round_p50_ms={p50:.6g} "
+        f"round_tail_ms={tail:.6g} setup_s=0.05"
+    )
+
+
+def test_bench_pairs_records_the_host_factor_and_the_unnormalised_medians():
+    metrics = [{"name": "rounds_per_s", "better": "higher", "bound": 0.25}]
+    readings = {
+        "parent": [(0.9, 900.0, 1.1, 3.0), (0.7, 700.0, 1.4, 4.0), (0.8, 850.0, 1.2, 3.5)],
+        "change": [(1.0, 1000.0, 1.0, 2.5), (1.1, 1050.0, 0.9, 2.0), (None,) * 4],
+    }
+    runs = [
+        {"side": side, "lines": [
+            "verify seed 0: 20 untraced and 0 traced blocks of 36 sessions; ledger checked ...",
+            "round_tail_ms is p99.00 of 1440 rounds, each the median of 20 blocks; ...",
+            *([host_line(*reading)] if reading[0] is not None else []),
+        ], "result": {"attempted": 1, "failed": 0, "metrics": {"rounds_per_s": {"value": 1.0}}}}
+        for side in ("parent", "change")
+        for reading in readings[side]
+    ]
+    summary = load_bench_pairs().summarise(runs, metrics)
+    # medians per side over the runs that printed the line
+    assert summary["unnormalised"] == {
+        "parent": {"host_factor": 0.8, "rounds_per_s": 850.0, "round_p50_ms": 1.2,
+                   "round_tail_ms": 3.5},
+        "change": {"host_factor": pytest.approx(1.05), "rounds_per_s": 1025.0,
+                   "round_p50_ms": pytest.approx(0.95), "round_tail_ms": 2.25},
+    }
+    # a side whose runs printed no such line has no medians
+    for run in runs:
+        run["lines"] = run["lines"][:2]
+    assert load_bench_pairs().summarise(runs, metrics)["unnormalised"] == {
+        "parent": None, "change": None,
+    }
 
 
 def test_bench_pairs_flags_a_spread_past_its_bound():
