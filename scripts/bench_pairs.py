@@ -24,9 +24,10 @@ side's medians of the host factor and of the unnormalised
 ``rounds_per_s``, ``round_p50_ms`` and ``round_tail_ms``, read from the
 ``host factor ... unnormalised: ...`` line of each untraced run and printed
 beside the normalised medians, so that a normalisation that favours one
-side shows; each side's source size (``src_lines``, the lines of ``src/domainlearn/*.py``,
-and ``src_code_lines``, those of them that are not blank, comments or
-docstrings); and every run's raw output lines and result.
+side shows; each side's source size (``src_lines``, the lines of
+``src/domainlearn/*.py``, and ``src_code_lines``, those of them that are
+not blank, comments or docstrings); and every run's raw output lines and
+result.
 
 Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --label LABEL
        --pairs tireless=10,cons-iid=3,cons-adversarial=3,verify=3
@@ -337,6 +338,7 @@ def main() -> int:
         print(f"  {name} parent {lines['parent']} change {lines['change']} "
               f"({lines['change'] - lines['parent']:+d})")
     for workload, entry in summary.items():
+        raw = entry["unnormalised"]
         for metric in (m["name"] for m in spec["end_to_end"]):
             parent, change = entry[metric]["parent"], entry[metric]["change"]
             blocks_note = ""
@@ -349,7 +351,6 @@ def main() -> int:
                 rise = entry["rss_bound_block_rise"]
                 if rise is not None:
                     blocks_note += f", bound at {rise:+.0%} blocks"
-            raw = entry["unnormalised"]
             raw_note = ""
             if metric in UNNORMALISED and raw["parent"] and raw["change"]:
                 raw_note = (f"; unnormalised parent {raw['parent'][metric]:.5g} "
