@@ -26,8 +26,10 @@ side's medians of the host factor and of the unnormalised
 beside the normalised medians, so that a normalisation that favours one
 side shows; each side's source size (``src_lines``, the lines of
 ``src/domainlearn/*.py``, and ``src_code_lines``, those of them that are
-not blank, comments or docstrings); and every run's raw output lines and
-result.
+not blank, comments or docstrings, in all and per module in
+``module_code_lines``, printing the modules whose count changed, so code
+moved between modules shows apart from code removed); and every run's raw
+output lines and result.
 
 Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --label LABEL
        --pairs tireless=10,cons-iid=3,cons-adversarial=3,verify=3
@@ -96,12 +98,13 @@ def src_lines(tree: Path) -> int:
     )
 
 
-def src_code_lines(tree: Path) -> int:
-    """The lines of ``tree``'s ``src/domainlearn/*.py`` that hold code: a
-    line counts when a token other than a comment or a line break is on it,
-    unless that token is part of a string statement (a docstring)."""
-    total = 0
-    for path in (tree / "src" / "domainlearn").glob("*.py"):
+def module_code_lines(tree: Path) -> dict[str, int]:
+    """Per module of ``tree``'s ``src/domainlearn/*.py``, by file name, the
+    lines that hold code: a line counts when a token other than a comment
+    or a line break is on it, unless that token is part of a string
+    statement (a docstring)."""
+    counts = {}
+    for path in sorted((tree / "src" / "domainlearn").glob("*.py")):
         text = path.read_text()
         code: set[int] = set()
         for token in tokenize.generate_tokens(io.StringIO(text).readline):
@@ -110,8 +113,25 @@ def src_code_lines(tree: Path) -> int:
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Expr) and isinstance(getattr(node.value, "value", None), str):
                 code.difference_update(range(node.lineno, node.end_lineno + 1))
-        total += len(code)
-    return total
+        counts[path.name] = len(code)
+    return counts
+
+
+def src_code_lines(tree: Path) -> int:
+    """The code lines of all of ``tree``'s modules (:func:`module_code_lines`)."""
+    return sum(module_code_lines(tree).values())
+
+
+def changed_modules(by_side: dict[str, dict[str, int]]) -> dict[str, tuple[int, int]]:
+    """(parent, change) code lines of each module whose count differs
+    between the sides, a module missing on one side counting 0 there, in
+    module order."""
+    parent, change = (by_side[side] for side in SIDES)
+    return {
+        module: (parent.get(module, 0), change.get(module, 0))
+        for module in sorted(parent.keys() | change.keys())
+        if parent.get(module, 0) != change.get(module, 0)
+    }
 
 
 def bench_run(tree: Path, workload: str, seed: int, trace: int, seconds: float) -> dict:
@@ -326,6 +346,7 @@ def main() -> int:
         "repeats": dict(args.pairs),
         "src_lines": {side: src_lines(trees[side]) for side in SIDES},
         "src_code_lines": {side: src_code_lines(trees[side]) for side in SIDES},
+        "module_code_lines": {side: module_code_lines(trees[side]) for side in SIDES},
         "summary": summary,
         "traced": traced,
         "runs": runs,
@@ -337,6 +358,8 @@ def main() -> int:
         lines = record[name]
         print(f"  {name} parent {lines['parent']} change {lines['change']} "
               f"({lines['change'] - lines['parent']:+d})")
+    for module, (parent, change) in changed_modules(record["module_code_lines"]).items():
+        print(f"    {module} parent {parent} change {change} ({change - parent:+d})")
     for workload, entry in summary.items():
         raw = entry["unnormalised"]
         for metric in (m["name"] for m in spec["end_to_end"]):

@@ -7,7 +7,8 @@ A domain-based policy compresses such a graph into a small "summary" digraph
 of protection domains plus an assignment of entities to domains.  This module
 provides the graph type itself plus the relational operations everything else
 is built on: the partition into indistinguishable vertices, induced
-subgraphs, irreducibility, a policy's grants and its error sets.
+subgraphs, irreducibility and a policy's grants.  A policy's errors are the
+teacher's business: it reads them off its row table (``teacher.error_set``).
 
 Determinism contract: vertex ids are non-negative integers and every
 iteration order exposed by this module is sorted, so identical inputs always
@@ -78,14 +79,14 @@ class LabeledDigraph:
         new_targets = targets & ~known
         if new_targets:
             out[v] = known | new_targets
-            for t in _mask_bits(new_targets):
+            for t in mask_bits(new_targets):
                 inn[t] = inn.get(t, 0) | bit
         # read after the targets, so a self-loop inserted above is not new
         known = inn.get(v, 0)
         new_sources = sources & ~known
         if new_sources:
             inn[v] = known | new_sources
-            for s in _mask_bits(new_sources):
+            for s in mask_bits(new_sources):
                 out[s] = out.get(s, 0) | bit
 
     # -- inspection --------------------------------------------------------
@@ -115,7 +116,7 @@ class LabeledDigraph:
             (u, a, v)
             for u in sorted(self._vertices)
             for a in range(self.k)
-            for v in _mask_bits(self._out[a].get(u, 0))
+            for v in mask_bits(self._out[a].get(u, 0))
         ]
 
     def out_mask(self, a: int, u: int) -> int:
@@ -144,8 +145,8 @@ class LabeledDigraph:
         )
 
 
-def _mask_bits(mask: int) -> Iterator[int]:
-    # Yield set bit positions in ascending order.
+def mask_bits(mask: int) -> Iterator[int]:
+    """The set bit positions of ``mask``, in ascending order."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -213,46 +214,9 @@ def granted(
     for x in member_mask:
         for a in range(summary.k):
             targets = 0
-            for y in _mask_bits(summary.out_mask(a, x)):
+            for y in mask_bits(summary.out_mask(a, x)):
                 targets |= member_mask.get(y, 0)
             if targets:
                 grants[(x, a)] = targets
     return grants
 
-
-def error_set(
-    g: LabeledDigraph, summary: LabeledDigraph, assignment: Mapping[int, int]
-) -> frozenset[Edge]:
-    """All requests (u, a, v) over V(G) x rights x V(G) where the policy
-    (``summary``, ``assignment``) decides differently from graph membership.
-
-    The policy grants (u, a, v) iff (assignment[u], a, assignment[v]) is an
-    edge of ``summary``.  The set does not record which way a request is
-    wrong, because the policy already says it: a wrong request was wrongly
-    granted (the graph lacks it) exactly when the policy allows it, and
-    wrongly denied otherwise.  ``assignment`` must map every vertex of g,
-    or ``ValueError`` is raised.  Each vertex's row is xored with what
-    :func:`granted` gives its domain, so the cost is O(n * k + |E(summary)|)
-    mask operations plus the size of the output.  Of g it reads only
-    ``k``, ``vertices`` and ``out_mask``, so any object answering those
-    three stands in for the graph: the synthetic teacher passes itself.
-    """
-    vertices = g.vertices
-    member_mask: dict[int, int] = {}
-    for v in vertices:
-        try:
-            domain = assignment[v]
-        except KeyError:
-            raise ValueError(f"assignment is not total: vertex {v} unmapped") from None
-        member_mask[domain] = member_mask.get(domain, 0) | (1 << v)
-    allowed = granted(summary, member_mask).get
-    out_mask = g.out_mask
-    rights = range(g.k)
-    errors: list[Edge] = []
-    for u in vertices:
-        domain = assignment[u]
-        for a in rights:
-            difference = allowed((domain, a), 0) ^ out_mask(a, u)
-            if difference:
-                errors.extend((u, a, v) for v in _mask_bits(difference))
-    return frozenset(errors)

@@ -230,7 +230,7 @@ def check_round_invariants(
     ground_truth: LabeledDigraph,
     summary: LabeledDigraph,
     assignment: Mapping[int, int],
-    tree=None,
+    tree,
 ) -> dict[str, str]:
     """Validate a learner's working state against the revealed ground truth.
 
@@ -238,9 +238,9 @@ def check_round_invariants(
     assignment is a strong homomorphism onto it; the assignment is
     surjective; the summary is irreducible (its oracle partition has one
     class per vertex); the assignment partition matches the brute-force
-    oracle partition; and (when a decision tree is given)
-    replaying the tree classifies every revealed vertex to its assigned
-    domain, with exactly one leaf per domain.  The tree is replayed once,
+    oracle partition; and, unless ``tree`` is None (a learner that keeps
+    no decision tree), replaying the tree classifies every revealed vertex
+    to its assigned domain, with exactly one leaf per domain.  The tree is replayed once,
     for all assigned vertices together, by :func:`replay_tree`.
 
     Returns the failed checks, name -> detail, in that order; empty when

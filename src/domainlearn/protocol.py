@@ -49,7 +49,9 @@ class Teacher(abc.ABC):
     queries whose vertices are revealed ids and whose right is in [0, k),
     each of type ``int`` exactly (never a bool or a float), and only hypotheses
     that pass SC-1 and whose assignment domain is exactly the revealed set.
-    It need not check them again.  Implementations must be truthful: all
+    It need not check them again.  The summary it receives is the monitor's
+    own copy of the one that passed SC-1, a plain :class:`LabeledDigraph`,
+    never the learner's object.  Implementations must be truthful: all
     answers consistent with one fixed graph and the set of vertices
     revealed so far.
     """
@@ -168,8 +170,10 @@ class Session:
         self, summary: LabeledDigraph, assignment: Mapping[int, int]
     ) -> frozenset[Edge]:
         """Check types, alphabet, domain and SC-1, in that order, then ask
-        the teacher.  A summary equal to the monitor's copy, by the copy's own
-        ``LabeledDigraph.__eq__``, is not partitioned again."""
+        the teacher about the monitor's copy of the summary, so a subclass
+        cannot answer the teacher other than it answered SC-1.  A summary
+        equal to that copy, by the copy's own ``LabeledDigraph.__eq__``, is
+        not partitioned again."""
         if not (isinstance(summary, LabeledDigraph) and isinstance(assignment, Mapping)):
             got = f"{type(summary).__name__} and a {type(assignment).__name__}"
             raise ProtocolViolation(f"hypothesis is a {got}, not a LabeledDigraph and a Mapping")
@@ -199,7 +203,7 @@ class Session:
                 "submitted assignment is not surjective onto the summary vertices, "
                 "or maps a vertex outside them"
             )
-        errors = self._teacher.hypothesis_test(summary, assignment)
+        errors = self._teacher.hypothesis_test(self._irreducible, assignment)
         ledger = self.ledger
         ledger.htq_count += 1
         ledger.errors_cumulative += len(errors)
@@ -211,7 +215,7 @@ class Session:
                     cnq_cum=ledger.cnq_count,
                     htq_cum=ledger.htq_count,
                     errors_cum=ledger.errors_cumulative,
-                    observed_m=summary.vertex_count,
+                    observed_m=self._irreducible.vertex_count,
                 )
             )
         return errors

@@ -7,7 +7,8 @@ the revealed ids and ``row_of[u]`` is the row of vertex u, so (u, a, v) is an
 edge iff bit v of ``rows[a][row_of[u]]`` is set.  It also answers
 ``reveal()``, the next id, or :class:`TeacherExhausted`.  That is the whole
 world contract: :class:`SyntheticTeacher` answers every query from these,
-and derives a vertex's sources from the rows whose targets name it.  The
+a hypothesis test by :func:`error_set` over the row table, and derives a
+vertex's sources from the rows whose targets name it.  The
 template world, :class:`TemplateInstances`, is conceptually infinite: every
 vertex is an instance of one of m protection domains, and (u, a, v) is an
 edge iff the template has the edge (domain(u), a, domain(v)).  Instances
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
-from .digraph import Edge, LabeledDigraph, error_set, is_irreducible
+from .digraph import Edge, LabeledDigraph, granted, is_irreducible, mask_bits
 from .graphio import digraph_to_text
 from .protocol import Teacher
 from .rng import SplitMix64, mix64
@@ -251,6 +252,45 @@ def parse_schedule(text: str, m: int) -> RevelationSchedule:
 # -- the template world and the teacher ---------------------------------------
 
 
+def error_set(
+    rows: list[list[int]],
+    row_of: list[int],
+    summary: LabeledDigraph,
+    assignment: Mapping[int, int],
+) -> frozenset[Edge]:
+    """All requests (u, a, v) over the revealed ids 0..n-1 (n =
+    ``len(row_of)``) x rights x revealed ids that the policy (``summary``,
+    ``assignment``) decides differently from the row table.
+
+    The policy grants (u, a, v) iff (assignment[u], a, assignment[v]) is an
+    edge of ``summary``; the table holds (u, a, v) iff bit v of
+    ``rows[a][row_of[u]]`` is set.  The set does not record which way a
+    request is wrong, because the policy already says it: a wrong request
+    was wrongly granted exactly when the policy allows it, and wrongly
+    denied otherwise.  Each vertex's row is xored with what
+    :func:`~domainlearn.digraph.granted` gives its domain, so the cost is
+    O(n * k + |E(summary)|) mask operations plus the size of the output.
+    Nothing is checked: the Session has already refused an assignment whose
+    keys are not exactly the revealed ids.
+    """
+    n = len(row_of)
+    member_mask: dict[int, int] = {}
+    for v in range(n):
+        domain = assignment[v]
+        member_mask[domain] = member_mask.get(domain, 0) | (1 << v)
+    allowed = granted(summary, member_mask).get
+    rights = range(len(rows))
+    errors: list[Edge] = []
+    for u in range(n):
+        domain, row = assignment[u], row_of[u]
+        for a in rights:
+            difference = allowed((domain, a), 0) ^ rows[a][row]
+            if difference:
+                errors.extend((u, a, v) for v in mask_bits(difference))
+    return frozenset(errors)
+
+
+
 class TemplateInstances:
     """The template world: vertex u is an instance of the domain its
     schedule draws, and its row is that domain, since all instances of a
@@ -293,7 +333,7 @@ class SyntheticTeacher(Teacher):
     """The teacher over any world: a row table ``rows``/``row_of`` over the
     revealed ids 0..n-1 and ``reveal()`` (module docstring), and nothing
     else.  A connection query reads one row bit, and a hypothesis test is
-    :func:`error_set` with the teacher standing in for the revealed graph.
+    :func:`error_set` over the row table.
     Like every :class:`Teacher` it answers only queries a
     :class:`~domainlearn.protocol.Session` has already validated, and checks
     none of them again."""
@@ -310,13 +350,6 @@ class SyntheticTeacher(Teacher):
     def k(self) -> int:
         return len(self._rows)
 
-    @property
-    def vertices(self) -> range:
-        return range(len(self._row_of))
-
-    def out_mask(self, a: int, u: int) -> int:
-        return self._rows[a][self._row_of[u]]
-
     def next_vertex(self) -> int:
         return self._world.reveal()
 
@@ -326,7 +359,7 @@ class SyntheticTeacher(Teacher):
     def hypothesis_test(
         self, summary: LabeledDigraph, assignment: Mapping[int, int]
     ) -> frozenset[Edge]:
-        return error_set(self, summary, assignment)
+        return error_set(self._rows, self._row_of, summary, assignment)
 
     def peek_ground_truth(self) -> LabeledDigraph:
         """The revealed induced subgraph.  Verification/test harness only;

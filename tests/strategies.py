@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies and seeded random-graph generators."""
+"""Shared hypothesis strategies, seeded random-graph generators, and the
+row table and brute-force error set of a digraph."""
 
 from __future__ import annotations
 
@@ -138,3 +139,38 @@ def clone_vertex(g: LabeledDigraph, original: int, clone: int) -> LabeledDigraph
             sources |= bit
         extended.connect(clone, a, targets, sources)
     return extended
+
+
+def row_table(g: LabeledDigraph) -> tuple[list[list[int]], list[int]]:
+    """g, on vertices 0..n-1, as a world's row table ``(rows, row_of)``:
+    vertices with the same out masks under every right share one row, so
+    rows are shared as they are in a template world, numbered in order of
+    their first vertex."""
+    rows: list[list[int]] = [[] for _ in range(g.k)]
+    row_of: list[int] = []
+    row_index: dict[tuple[int, ...], int] = {}
+    for u in range(g.vertex_count):
+        masks = tuple(g.out_mask(a, u) for a in range(g.k))
+        if masks not in row_index:
+            row_index[masks] = len(row_index)
+            for table, mask in zip(rows, masks):
+                table.append(mask)
+        row_of.append(row_index[masks])
+    return rows, row_of
+
+
+def brute_force_errors(g: LabeledDigraph, summary: LabeledDigraph, assignment):
+    """The grant errors and the deny errors of the policy (``summary``,
+    ``assignment``) on g, by exhaustive enumeration of all |V|^2 * k
+    requests."""
+    grants, denies = set(), set()
+    for u in g.vertices:
+        for a in range(g.k):
+            for v in g.vertices:
+                allowed = summary.has_edge(assignment[u], a, assignment[v])
+                actual = g.has_edge(u, a, v)
+                if allowed and not actual:
+                    grants.add((u, a, v))
+                elif actual and not allowed:
+                    denies.add((u, a, v))
+    return grants, denies

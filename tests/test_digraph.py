@@ -11,13 +11,20 @@ from hypothesis import strategies as st
 from domainlearn.digraph import (
     LabeledDigraph,
     equivalence_partition,
-    error_set,
     induced_subgraph,
     is_irreducible,
 )
 from domainlearn.oracle import is_strong_homomorphism, oracle_partition
+from domainlearn.teacher import error_set
 
-from .strategies import clone_vertex, digraphs, digraphs_with_pair, graph_of
+from .strategies import (
+    brute_force_errors,
+    clone_vertex,
+    digraphs,
+    digraphs_with_pair,
+    graph_of,
+    row_table,
+)
 
 
 def two_edge_graph() -> LabeledDigraph:
@@ -58,21 +65,6 @@ def indistinguishable(g: LabeledDigraph, u: int, v: int) -> bool:
             if g.has_edge(x, a, u) != g.has_edge(x, a, v):
                 return False
     return True
-
-
-def brute_force_errors(g: LabeledDigraph, summary: LabeledDigraph, assignment):
-    """Test-local exhaustive enumeration of all |V|^2 * k requests."""
-    grants, denies = set(), set()
-    for u in g.vertices:
-        for a in range(g.k):
-            for v in g.vertices:
-                allowed = summary.has_edge(assignment[u], a, assignment[v])
-                actual = g.has_edge(u, a, v)
-                if allowed and not actual:
-                    grants.add((u, a, v))
-                elif actual and not allowed:
-                    denies.add((u, a, v))
-    return grants, denies
 
 
 class TestConstruction:
@@ -376,15 +368,20 @@ class TestIrreducible:
 
 
 class TestErrorSet:
+    """The teacher's error set, over a row table built from a digraph."""
+
+    def test_twins_share_a_row(self):
+        assert row_table(two_edge_graph()) == ([[0b100, 0]], [0, 0, 1])
+
     def test_enforcing_policy_has_no_errors(self):
         g = two_edge_graph()
         h = graph_of(1, [0, 2], [(0, 0, 2)])
-        assert len(error_set(g, h, {0: 0, 1: 0, 2: 2})) == 0
+        assert len(error_set(*row_table(g), h, {0: 0, 1: 0, 2: 2})) == 0
 
     def test_all_loop_policy_seven_grant_errors(self):
         g = two_edge_graph()
         h = graph_of(1, [0], [(0, 0, 0)])
-        errors = error_set(g, h, {0: 0, 1: 0, 2: 0})
+        errors = error_set(*row_table(g), h, {0: 0, 1: 0, 2: 0})
         # the policy allows every request, so every error is a grant error
         assert sorted(errors) == [
             (0, 0, 0),
@@ -399,15 +396,9 @@ class TestErrorSet:
     def test_edgeless_policy_two_deny_errors(self):
         g = two_edge_graph()
         h = LabeledDigraph(1, [0, 1])
-        errors = error_set(g, h, {0: 0, 1: 0, 2: 1})
+        errors = error_set(*row_table(g), h, {0: 0, 1: 0, 2: 1})
         # the policy allows nothing, so every error is a deny error
         assert sorted(errors) == [(0, 0, 2), (1, 0, 2)]
-
-    def test_partial_assignment_rejected(self):
-        g = two_edge_graph()
-        h = LabeledDigraph(1, [0])
-        with pytest.raises(ValueError, match="not total"):
-            error_set(g, h, {0: 0})
 
     @given(digraphs(max_n=5), st.integers(0, 3), st.randoms(use_true_random=False))
     @settings(max_examples=80)
@@ -421,7 +412,7 @@ class TestErrorSet:
         h_edges = [e for e in candidates if rnd.random() < 0.4]
         h = graph_of(g.k, domains, h_edges)
         assignment = {v: rnd.choice(domains) for v in g.vertices}
-        errors = error_set(g, h, assignment)
+        errors = error_set(*row_table(g), h, assignment)
         grants, denies = brute_force_errors(g, h, assignment)
         assert errors == grants | denies
         # the policy tells the grant errors apart: they are the ones it allows
@@ -439,7 +430,7 @@ class TestErrorSet:
         candidates = [(x, a, y) for x in domains for a in range(g.k) for y in domains]
         h = graph_of(g.k, domains, [e for e in candidates if rnd.random() < 0.5])
         assignment = {v: rnd.choice(domains) for v in g.vertices}
-        empty = len(error_set(g, h, assignment)) == 0
+        empty = len(error_set(*row_table(g), h, assignment)) == 0
         assert empty == is_strong_homomorphism(g, h, assignment)
 
 

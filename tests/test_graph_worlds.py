@@ -1,7 +1,8 @@
 """Both learners on arbitrary ground-truth graphs: an explicit-graph world
-behind the production teacher, cross-checked after every round against the
-oracle, the closed-form bounds and the per-bet error facts; and on template
-worlds whose domains are relabelled."""
+behind the production teacher, its every hypothesis test compared with the
+brute-force error set, cross-checked after every round against the oracle,
+the closed-form bounds and the per-bet error facts; and on template worlds
+whose domains are relabelled."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from domainlearn.teacher import (
     generate_template,
 )
 
-from .strategies import blown_up_digraphs, digraphs, graph_of
+from .strategies import blown_up_digraphs, brute_force_errors, digraphs, graph_of
 
 
 class GraphWorld:
@@ -63,14 +64,21 @@ class ContractWorld:
 
 
 class RecordingSession(Session):
-    """A session that keeps (round, errors) of every dirty hypothesis test."""
+    """A session that compares every hypothesis test it forwards with the
+    brute-force error set over the revealed graph, counts them, and keeps
+    (round, errors) of every dirty one."""
 
-    def __init__(self, teacher):
+    def __init__(self, teacher: SyntheticTeacher):
         super().__init__(teacher)
+        self.teacher = teacher
+        self.checked = 0
         self.failed_bets: list[tuple[int, frozenset]] = []
 
     def hypothesis_test(self, summary, assignment):
         errors = super().hypothesis_test(summary, assignment)
+        grants, denies = brute_force_errors(self.teacher.peek_ground_truth(), summary, assignment)
+        assert errors == grants | denies
+        self.checked += 1
         if errors:
             self.failed_bets.append((self.ledger.nvq_count, errors))
         return errors
@@ -134,6 +142,7 @@ def play_both_learners(g: LabeledDigraph, world_class=GraphWorld) -> None:
             else:
                 assert snapshot.cnq_cum <= k + (r - 1) * (m - 1)
                 assert snapshot.errors_cum <= k * (2 * r + 1) * (m - 1)
+        assert session.checked == session.ledger.htq_count
         for r, errors in session.failed_bets:
             newcomer = r - 1  # ids are revelation order
             assert len(errors) <= k * (2 * r - 1)

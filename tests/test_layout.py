@@ -290,3 +290,23 @@ def test_every_defaulted_parameter_is_passed_by_a_caller():
                 unpassed.append(key)
     assert unpassed == [], "defaulted parameters that only tests pass"
     assert set(NO_PASSER_NEEDED) <= defined
+
+
+# Defaulted parameters allowed to be passed by every production call, with the reason.
+NO_DEFAULT_NEEDED: dict[str, str] = {}
+
+
+def test_no_default_is_overridden_by_every_production_call():
+    # a default that every production call overrides serves only tests:
+    # the parameter should be required, and the tests pass it too
+    calls = [entry for path in caller_files() for entry in called_names(parse(path))]
+    defined, always_passed = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, called, position, parameter in defaulted_parameters(parse(path)):
+            key = f"{path.name}:{qualified}:{parameter}"
+            defined.add(key)
+            passed = [passes(call, position, parameter) for name, call in calls if name == called]
+            if passed and all(passed) and key not in NO_DEFAULT_NEEDED:
+                always_passed.append(key)
+    assert always_passed == [], "defaulted parameters that every production call passes"
+    assert set(NO_DEFAULT_NEEDED) <= defined

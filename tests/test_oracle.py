@@ -282,7 +282,7 @@ class TestRoundInvariants:
             if not ground_truth.has_edge(x, a, y)
         )
         broken = graph_of(summary.k, summary.vertices, [*summary.edges(), foreign])
-        failed = check_round_invariants(ground_truth, broken, learner.assignment)
+        failed = check_round_invariants(ground_truth, broken, learner.assignment, learner.tree)
         assert failed["summary-subgraph"] == (
             f"foreign vertices [], foreign edges [{foreign}]"
         )
@@ -291,7 +291,7 @@ class TestRoundInvariants:
         # two edgeless domains cannot be told apart, though the assignment
         # is a surjective strong homomorphism onto them
         world = LabeledDigraph(1, [0, 1])
-        failed = check_round_invariants(world, LabeledDigraph(1, [0, 1]), {0: 0, 1: 1})
+        failed = check_round_invariants(world, LabeledDigraph(1, [0, 1]), {0: 0, 1: 1}, None)
         assert "summary-irreducible" in failed
         assert {"strong-homomorphism", "assignment-surjective"}.isdisjoint(failed)
 

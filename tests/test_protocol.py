@@ -392,6 +392,20 @@ class AlwaysEqual(LabeledDigraph):
         return True
 
 
+class Hollow(LabeledDigraph):
+    """A digraph whose methods deny its value: every out mask reads empty
+    and it counts 99 vertices, whatever it holds."""
+
+    __slots__ = ()
+
+    def out_mask(self, a, u):
+        return 0
+
+    @property
+    def vertex_count(self):
+        return 99
+
+
 class TestSC1Once:
     """The monitor partitions a summary value once: an equal value is
     answered by one comparison with the monitor's own copy, and any other
@@ -430,6 +444,19 @@ class TestSC1Once:
             session.hypothesis_test(AlwaysEqual(1, [0, 1]), {0: 0, 1: 1, 2: 0})
         assert ledger_counters(session) == before
         assert teacher.calls == []
+
+    def test_the_teacher_answers_for_the_summary_the_monitor_checked(self):
+        # equal to the accepted summary by LabeledDigraph.__eq__, so SC-1 is
+        # not asked again; the teacher and the round's record must then read
+        # the monitor's copy, not methods that hide the edges and the count
+        session, teacher = open_third_round()
+        hollow = Hollow(1, [0, 1])
+        hollow.connect(0, 0, 1 << 1, 0)
+        assert (hollow.out_mask(0, 0), hollow.vertex_count) == (0, 99)
+        assert not session.hypothesis_test(hollow, {0: 0, 1: 1, 2: 0})
+        assert ledger_counters(session) == (3, 0, 3, 0, 3)
+        assert session.ledger.per_round[-1].observed_m == 2
+        assert teacher.calls == ["hypothesis_test"]
 
     def test_a_conservative_play_partitions_each_summary_once(self, monkeypatch):
         partitioned = count_partitions(monkeypatch)

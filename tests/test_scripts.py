@@ -185,6 +185,9 @@ def test_bench_pairs(tmp_path):
     assert f"src_lines parent {record['src_lines']['parent']} " in result.stdout
     assert record["src_code_lines"]["parent"] == record["src_code_lines"]["change"] > 0
     assert f"src_code_lines parent {record['src_code_lines']['parent']} " in result.stdout
+    modules = record["module_code_lines"]
+    assert modules["parent"] == modules["change"]
+    assert sum(modules["change"].values()) == record["src_code_lines"]["change"]
     assert [(r["side"], r["workload"], r["trace"]) for r in record["runs"]] == [
         ("parent", "tireless", 0), ("change", "tireless", 0),
         ("parent", "tireless", 1), ("change", "tireless", 1),
@@ -299,6 +302,41 @@ def test_bench_pairs_counts_code_lines_apart_from_comments_and_docstrings(tmp_pa
     assert bench_pairs.src_lines(tmp_path) == 12 + 3
     # import, def, the three lines of the return, and the two of TEXT
     assert bench_pairs.src_code_lines(tmp_path) == 7
+
+
+def test_bench_pairs_counts_code_lines_per_module(tmp_path):
+    # f moves from a.py to b.py, c.py is added and e.py removed: the totals
+    # differ by 0, the modules show the move
+    sources = {
+        "parent": {
+            "a.py": "def f():\n    return 1\n\n\nX = 2\n",
+            "b.py": "Y = 3\n",
+            "d.py": "Z = 4\n",
+            "e.py": "V = 6\n",
+        },
+        "change": {
+            "a.py": "X = 2\n",
+            "b.py": "# f moved here\nY = 3\n\n\ndef f():\n    return 1\n",
+            "c.py": "W = 5\n",
+            "d.py": "Z = 4\n",
+        },
+    }
+    for side, files in sources.items():
+        package = tmp_path / side / "src" / "domainlearn"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_text(text)
+    bench_pairs = load_bench_pairs()
+    by_side = {side: bench_pairs.module_code_lines(tmp_path / side) for side in sources}
+    assert by_side == {
+        "parent": {"a.py": 3, "b.py": 1, "d.py": 1, "e.py": 1},
+        "change": {"a.py": 1, "b.py": 3, "c.py": 1, "d.py": 1},
+    }
+    assert bench_pairs.src_code_lines(tmp_path / "parent") == 6
+    assert bench_pairs.src_code_lines(tmp_path / "change") == 6
+    assert bench_pairs.changed_modules(by_side) == {
+        "a.py": (3, 1), "b.py": (1, 3), "c.py": (0, 1), "e.py": (1, 0),
+    }
 
 
 def test_bench_pairs_flags_a_change_past_its_bound():

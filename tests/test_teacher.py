@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domainlearn.digraph import LabeledDigraph, equivalence_partition, error_set
+from domainlearn.digraph import LabeledDigraph, equivalence_partition
 from domainlearn.oracle import oracle_partition
 from domainlearn.rng import SplitMix64
 from domainlearn.summarize import summarize
@@ -23,13 +23,14 @@ from domainlearn.teacher import (
     TemplateGenerationError,
     TemplateInstances,
     WorldTemplate,
+    error_set,
     generate_template,
     parse_schedule,
     template_to_text,
 )
 
 from .ground_truth import revealed_class_count, revealed_domains
-from .strategies import graph_of
+from .strategies import brute_force_errors, graph_of, row_table
 
 
 class TestGenerateTemplate:
@@ -267,7 +268,8 @@ class TestEdgeRule:
 class TestRowView:
     """Hypothesis tests are answered from the per-(right, domain) rows, and
     the revealed graph is caught up only when peeked; both must agree with
-    the edge rule and with ``error_set`` on the materialized graph."""
+    the edge rule, with ``error_set`` over a row table built from the
+    materialized graph and with its brute-force error set."""
 
     @given(
         st.data(),
@@ -321,7 +323,9 @@ class TestRowView:
                 for v in range(n)
             }
             for policy in ((summary, assignment), summarize(world)):
-                assert teacher.hypothesis_test(*policy) == error_set(world, *policy)
+                grants, denies = brute_force_errors(world, *policy)
+                errors = teacher.hypothesis_test(*policy)
+                assert errors == error_set(*row_table(world), *policy) == grants | denies
 
 
 class TestDeterminism:
