@@ -219,4 +219,3 @@ def granted(
             if targets:
                 grants[(x, a)] = targets
     return grants
-

@@ -240,8 +240,9 @@ def check_round_invariants(
     class per vertex); the assignment partition matches the brute-force
     oracle partition; and, unless ``tree`` is None (a learner that keeps
     no decision tree), replaying the tree classifies every revealed vertex
-    to its assigned domain, with exactly one leaf per domain.  The tree is replayed once,
-    for all assigned vertices together, by :func:`replay_tree`.
+    to its assigned domain, with exactly one leaf per domain.  The tree is
+    replayed once, for all assigned vertices together, by
+    :func:`replay_tree`.
 
     Returns the failed checks, name -> detail, in that order; empty when
     every check passes.

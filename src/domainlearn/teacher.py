@@ -290,7 +290,6 @@ def error_set(
     return frozenset(errors)
 
 
-
 class TemplateInstances:
     """The template world: vertex u is an instance of the domain its
     schedule draws, and its row is that domain, since all instances of a
